@@ -177,7 +177,11 @@ def pack(
 def unpack(
     stream: PackedBitstream, qset: QuantizerSet
 ) -> tuple[StreamHeader, IndexStack | None, tuple[IndexStack, ...]]:
-    """Exact inverse of pack; geometry is derived from the header alone."""
+    """Exact inverse of pack; geometry is derived from the header alone.
+
+    The payload must be exactly ``ceil(bits / 8)`` bytes with zero padding
+    bits, the only form ``pack`` writes; anything else is a ``ValueError``.
+    """
     header = stream.header
     m = header.q
     with_hyper = qset.hyper is not None
@@ -198,8 +202,16 @@ def unpack(
             f"payload holds {have_bits} bits, geometry requires {need_bits}"
             f" ({need_bits - have_bits} missing)"
         )
+    need_bytes = -(-need_bits // 8)
+    if len(stream.payload) != need_bytes:
+        raise ValueError(
+            f"payload holds {len(stream.payload)} bytes, geometry requires {need_bytes}"
+            f" ({len(stream.payload) - need_bytes} trailing)"
+        )
 
     bits = np.unpackbits(np.frombuffer(stream.payload, dtype=np.uint8))
+    if bits[need_bits:].any():
+        raise ValueError("non-zero padding bits after the last index")
     cursor = 0
     stacks = []
     for n, rvq in zip(counts, quantizers):

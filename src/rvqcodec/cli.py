@@ -304,6 +304,9 @@ def cmd_decode(args) -> int:
     try:
         with timer.phase("pack"):
             header, hyper_stack, group_stacks = unpack(stream, qset)
+    except ValueError as e:
+        raise _CliError(f"bitstream file {args.stream}: {e}", IO_ERROR)
+    try:
         shape = (
             qset.groups[0].dim,
             header.height // LATENT_DOWNSAMPLE,

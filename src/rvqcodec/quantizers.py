@@ -6,15 +6,26 @@ holds the zero vector, so emitting index 0 is a no-op: using more stages can
 never increase the reconstruction error of any input vector, which makes
 distortion monotone in the stage count.
 
-Distances are computed in float64 with a fixed summation order
-(``scipy.spatial.distance.cdist`` with explicit per-coordinate
-accumulation), so assignments are reproducible across runs and platforms.
+Distances are computed in float64 with a fixed summation order, so
+assignments are reproducible across runs and platforms.  For C > 1 the
+search is ``scipy.spatial.distance.cdist`` (explicit per-coordinate
+accumulation) followed by ``argmin``.  For C = 1 it is an exact sorted
+search: each codebook is sorted once, ``searchsorted`` finds the two
+neighbours of every input, and the same fl((x - c)**2) that ``cdist``
+computes is compared between them, ties going to the lowest original
+index.  Those distances never decrease away from the input on either side,
+so the minimum lies at a neighbour; a row whose minimum may also be reached
+beyond its neighbours (distinct codewords rounding to equal distances at
+large |x|, or a non-finite distance) falls back to ``cdist`` + ``argmin``.
+Indices and per-row minimum distances are therefore bit-identical to the
+``cdist`` search on every input.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -60,6 +71,8 @@ class Codebook:
             raise ValueError(f"codewords must be (K, C) with K,C >= 1, got {cw.shape}")
         if not np.all(np.isfinite(cw)):
             raise ValueError("codewords must be finite")
+        cw = cw.copy()
+        cw.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
 
     @property
@@ -69,6 +82,11 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.codewords.shape[1]
+
+    @cached_property
+    def _search_table(self):
+        """Sorted search table for C = 1 (None otherwise), built once."""
+        return _build_search_table(self.codewords)
 
 
 @dataclass(frozen=True)
@@ -155,6 +173,70 @@ def _sq_distances(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     return cdist(vectors, codewords, metric="sqeuclidean")
 
 
+def _nearest_cdist(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chunked cdist + argmin: (index, squared distance) per row."""
+    n = vectors.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        d = _sq_distances(vectors[lo:hi], codewords)
+        lab = np.argmin(d, axis=1)
+        labels[lo:hi] = lab
+        dist[lo:hi] = d[np.arange(hi - lo), lab]
+    return labels, dist
+
+
+def _build_search_table(codewords: np.ndarray):
+    """Distinct values of a (K, 1) codebook in ascending order, each with the
+    lowest index holding it, padded by two infinite sentinels per side so
+    every input has two neighbours on each side; None for C > 1."""
+    if codewords.shape[1] != 1:
+        return None
+    values, first = np.unique(codewords[:, 0], return_index=True)
+    inf = np.array([np.inf, np.inf])
+    return np.concatenate([-inf, values, inf]), np.pad(first, 2)
+
+
+def _nearest(vectors: np.ndarray, codewords: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest codeword per row as (index, squared distance).
+
+    ``table`` is ``_build_search_table(codewords)``; without one (C > 1)
+    this is the cdist search.  With one, see the module docstring: the two
+    sorted neighbours are compared, and a row whose minimum also reaches the
+    next value out on either side, or is not finite, is searched by cdist.
+    """
+    if table is None:
+        return _nearest_cdist(vectors, codewords)
+    values, first = table
+    x = vectors[:, 0]
+    # values[2:-2][q - 1] < x <= values[2:-2][q]: the two neighbours of x sit
+    # at values[q + 1] and values[q + 2], the next ones out at q and q + 3.
+    q = np.searchsorted(values[2:-2], x)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows go to cdist
+        d_lo = (x - values[1:][q]) ** 2
+        d_hi = (x - values[2:][q]) ** 2
+        i_lo = first[1:][q]
+        i_hi = first[2:][q]
+        labels = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (i_hi < i_lo)), i_hi, i_lo)
+        dist = np.minimum(d_lo, d_hi)
+        # Nothing compares above an infinite or NaN distance, so this also
+        # sends every row with a non-finite minimum to cdist.
+        exact = ((x - values[q]) ** 2 > dist) & ((x - values[3:][q]) ** 2 > dist)
+    if not exact.all():
+        rows = np.flatnonzero(~exact)
+        labels[rows], dist[rows] = _nearest_cdist(vectors[rows], codewords)
+    return labels, dist
+
+
+def _chunked_sum(values: np.ndarray) -> float:
+    """Sum in ``_CHUNK`` partial sums: the order of the chunked cdist search."""
+    total = 0.0
+    for lo in range(0, values.shape[0], _CHUNK):
+        total += values[lo : lo + _CHUNK].sum()
+    return total
+
+
 def nn_quantize(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
     """Exact nearest codeword per vector; ties break to the lowest index."""
     v = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
@@ -162,11 +244,7 @@ def nn_quantize(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(f"vectors must be (n, {codebook.dim}), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vectors must be finite")
-    out = np.empty(v.shape[0], dtype=np.int64)
-    for lo in range(0, v.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, v.shape[0])
-        out[lo:hi] = np.argmin(_sq_distances(v[lo:hi], codebook.codewords), axis=1)
-    return out
+    return _nearest(v, codebook.codewords, codebook._search_table)[0]
 
 
 def dequantize(codebook: Codebook, indices: np.ndarray) -> np.ndarray:
@@ -208,7 +286,14 @@ def _kmeanspp_seed(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, vectors.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = vectors[first]
-    d2 = _sq_distances(vectors, centers[:1])[:, 0]
+    if vectors.shape[1] == 1:
+        # The values cdist would return for C = 1, without its call cost.
+        def dist_to(center):
+            return (vectors[:, 0] - center[0]) ** 2
+    else:
+        def dist_to(center):
+            return _sq_distances(vectors, center[None, :])[:, 0]
+    d2 = dist_to(centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -219,7 +304,7 @@ def _kmeanspp_seed(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
             pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             pick = min(pick, n - 1)
         centers[i] = vectors[pick]
-        d2 = np.minimum(d2, _sq_distances(vectors, centers[i : i + 1])[:, 0])
+        d2 = np.minimum(d2, dist_to(centers[i]))
     return centers
 
 
@@ -272,19 +357,12 @@ def train_codebook(
     mse_trace = []
 
     for _ in range(iterations):
-        labels = np.empty(n, dtype=np.int64)
-        sse = 0.0
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            d = _sq_distances(x[lo:hi], centers)
-            lab = np.argmin(d, axis=1)
-            labels[lo:hi] = lab
-            sse += d[np.arange(hi - lo), lab].sum()
-        mse_trace.append(sse / (n * c))
+        labels, dist = _nearest(x, centers, _build_search_table(centers))
+        mse_trace.append(_chunked_sum(dist) / (n * c))
 
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        sums = np.zeros((k, c), dtype=np.float64)
-        np.add.at(sums, labels, x)
+        # bincount adds each column in row order: a fixed summation order.
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in x.T])
 
         if ema_counts is None:
             ema_counts = counts.copy()
@@ -310,15 +388,8 @@ def train_codebook(
             ema_sums[dead] = centers[dead] * counts.mean()
 
     # Final assignment pass so the reported MSE matches the returned centers.
-    final_sse = 0.0
-    final_labels = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        d = _sq_distances(x[lo:hi], centers)
-        lab = np.argmin(d, axis=1)
-        final_labels[lo:hi] = lab
-        final_sse += d[np.arange(hi - lo), lab].sum()
-    mse_trace.append(final_sse / (n * c))
+    _, dist = _nearest(x, centers, _build_search_table(centers))
+    mse_trace.append(_chunked_sum(dist) / (n * c))
 
     report = {
         "mse_trace": mse_trace,

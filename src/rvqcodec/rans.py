@@ -109,32 +109,66 @@ def normalize_frequencies(raw, precision: int) -> np.ndarray:
         raise ValueError("raw weights must be a non-empty 1-D array")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("raw weights must be finite and non-negative")
-    total = w.sum()
+    budget = 1 << precision
+    with np.errstate(over="ignore", divide="ignore"):
+        total = w.sum()
+        scale = budget / total
     if total <= 0.0:
         raise ValueError("raw weights must have positive total mass")
-    budget = 1 << precision
     if w.size > budget:
         raise ValueError(f"{w.size} symbols cannot all get mass >= 1 of {budget}")
 
-    target = w * (budget / total)
+    if not 0.0 < scale < np.inf:
+        # A subnormal or overflowing total: divide by the largest weight
+        # first, which puts the total in [1, size].
+        w = w / w.max()
+        scale = budget / w.sum()
+    return _largest_remainder(w[None, :] * scale, budget)[0]
+
+
+def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.ndarray:
+    """Round each row of non-negative ``target`` masses onto ``budget``.
+
+    Floors every entry, hands the shortfall to the largest fractional parts
+    (ties to the lowest column), then promotes entries at zero to 1 and
+    takes the promoted mass back from the largest bin (the first of equal
+    ones), moving to the next largest when a bin reaches 1.
+
+    ``outside`` counts further zero-mass bins per row that ``target`` leaves
+    out; they end at 1 and their mass is taken back the same way.  This
+    equals rounding the full row whenever each row of ``target`` sums to
+    ``budget`` within less than one unit: the shortfall then never exceeds
+    the number of positive fractions, so no remainder unit goes to a bin
+    with zero mass, and mass is only taken back from bins above 1, none of
+    which is outside.
+    """
+    n, w = target.shape
     freq = np.floor(target).astype(np.int64)
-    remainder = int(budget - freq.sum())
-    if remainder > 0:
-        frac = target - freq
-        order = np.lexsort((np.arange(w.size), -frac))
-        freq[order[:remainder]] += 1
+    remainder = budget - freq.sum(axis=1)
+    frac = target - freq
+    cols = np.broadcast_to(np.arange(w), (n, w))
+    order = np.lexsort((cols, -frac), axis=1)
+    take = cols < remainder[:, None]
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, w))
+    freq[rows[take], order[take]] += 1
 
     zeros = freq == 0
-    deficit = int(zeros.sum())
-    if deficit:
-        freq[zeros] = 1
-        while deficit > 0:
-            j = int(np.argmax(freq))
-            take = min(deficit, int(freq[j]) - 1)
-            if take <= 0:
+    deficit = zeros.sum(axis=1) + outside
+    freq[zeros] = 1
+    # Rows whose largest bin covers the whole deficit repay it in one step.
+    top = np.argmax(freq, axis=1)
+    one_step = freq[np.arange(n), top] > deficit
+    freq[one_step, top[one_step]] -= deficit[one_step]
+    for i in np.flatnonzero(~one_step):
+        d = int(deficit[i])
+        row = freq[i]
+        while d > 0:
+            j = int(np.argmax(row))
+            take_i = min(d, int(row[j]) - 1)
+            if take_i <= 0:
                 raise ValueError("cannot redistribute mass: all bins at minimum")
-            freq[j] -= take
-            deficit -= take
+            row[j] -= take_i
+            d -= take_i
     return freq
 
 
@@ -309,9 +343,15 @@ def gaussian_table_batch(
 
     Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2); row ``i``
     is exactly ``discretized_gaussian_table(mu_offset[i], sigma[i], ...)``.
-    Bin masses outside an active window of ``+-(8*sigma/delta + 2)`` bins
-    around the mean are exact zeros by construction of the folded CDF, so
-    only the window is evaluated; the normalization is identical.
+    Bin masses outside an active window of ``8*max(sigma)/delta +
+    max|mu_offset| + 2`` bins around zero are exact zeros by construction of
+    the folded CDF, and such bins always end at frequency 1.  So the CDF,
+    the scaling, the largest-remainder rounding and the deficit loop run on
+    the window columns only (see ``_largest_remainder`` for why that equals
+    rounding the full row: the scaled masses sum to ``2**precision`` up to
+    float rounding).  Each row's total mass is still summed over the full
+    zero-padded row, which keeps numpy's pairwise-summation order and hence
+    every table bit-identical to the full-width computation.
     """
     mu_offset = np.asarray(mu_offset, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -346,36 +386,14 @@ def gaussian_table_batch(
     window[:, -1] = 1.0 - cdf[:, -1]
     np.clip(window, 0.0, None, out=window)
 
-    masses = np.zeros((n, size), dtype=np.float64)
     lo = support_radius - half
-    masses[:, lo : lo + width] = window
+    padded = np.zeros((n, size), dtype=np.float64)
+    padded[:, lo : lo + width] = window
+    totals = padded.sum(axis=1)
+    target = window * (budget / totals)[:, None]
 
-    totals = masses.sum(axis=1)
-    target = masses * (budget / totals)[:, None]
-    freq = np.floor(target).astype(np.int64)
-    remainder = (budget - freq.sum(axis=1)).astype(np.int64)
-    frac = target - freq
-    # Largest-remainder per row, remainder ties to the lowest index.
-    cols = np.broadcast_to(np.arange(size), (n, size))
-    order = np.lexsort((cols, -frac), axis=1)
-    take = np.arange(size)[None, :] < remainder[:, None]
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, size))
-    np.add.at(freq, (rows[take], order[take]), 1)
-
-    zeros = freq == 0
-    deficit = zeros.sum(axis=1)
-    freq[zeros] = 1
-    needs = np.nonzero(deficit > 0)[0]
-    for i in needs:
-        d = int(deficit[i])
-        row = freq[i]
-        while d > 0:
-            j = int(np.argmax(row))
-            take_i = min(d, int(row[j]) - 1)
-            if take_i <= 0:
-                raise ValueError("cannot redistribute mass: all bins at minimum")
-            row[j] -= take_i
-            d -= take_i
+    freq = np.ones((n, size), dtype=np.int64)
+    freq[:, lo : lo + width] = _largest_remainder(target, budget, size - width)
 
     cums = np.zeros((n, size + 1), dtype=np.int64)
     np.cumsum(freq, axis=1, out=cums[:, 1:])

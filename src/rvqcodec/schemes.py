@@ -637,8 +637,7 @@ def _fit_group_heads(
         labels = np.zeros(n, dtype=np.int64)
         buckets = 1
     sq = resid * resid
-    sums = np.zeros((buckets, c))
-    np.add.at(sums, labels, sq)
+    sums = np.column_stack([np.bincount(labels, weights=col, minlength=buckets) for col in sq.T])
     counts = np.bincount(labels, minlength=buckets).astype(np.float64)
     rms = np.sqrt(np.maximum(sums / np.maximum(counts, 1.0)[:, None], sigma_min**2))
     targets = np.log(rms)[labels]

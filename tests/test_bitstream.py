@@ -246,6 +246,25 @@ def test_unpack_reports_truncation():
         unpack(cut, qset)
 
 
+def test_unpack_rejects_trailing_bytes_and_padding_bits():
+    # 4 positions x (3 + 3 + 3 + 2) bits = 44 bits: 6 bytes, 4 of them pad bits
+    qset = _qset([(8,), (8,), (8,), (4,)])
+    header = StreamHeader(height=64, width=64, q=1)
+    _, groups = _random_stacks(rng_for(64), qset, 1, 4)
+    stream = pack(header, None, groups, qset)
+    assert len(stream.payload) == 6
+    unpack(stream, qset)
+    padded = PackedBitstream(header=stream.header, payload=stream.payload + b"\xff" * 100)
+    with pytest.raises(ValueError, match="100 trailing"):
+        unpack(padded, qset)
+    zero_padded = PackedBitstream(header=stream.header, payload=stream.payload + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing"):
+        unpack(zero_padded, qset)
+    dirty = stream.payload[:-1] + bytes([stream.payload[-1] | 0x01])
+    with pytest.raises(ValueError, match="padding bits"):
+        unpack(PackedBitstream(header=stream.header, payload=dirty), qset)
+
+
 def test_bitstream_file_round_trip(tmp_path):
     qset = _qset([(8,), (8,), (8,), (8,)])
     header = StreamHeader(height=64, width=96, q=1)

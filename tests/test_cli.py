@@ -269,6 +269,20 @@ def test_decode_truncated_stream_fails(pipeline, tmp_path):
     assert rc != 0
 
 
+def test_decode_padded_stream_is_an_io_error(pipeline, tmp_path, capsys):
+    stream = (pipeline["enc"] / "stream.efbs").read_bytes()
+    padded = tmp_path / "padded.efbs"
+    padded.write_bytes(stream + b"\xff" * 100)
+    rc = main(
+        [
+            "decode", "--scheme", "rd", "--stream", str(padded),
+            "--model-dir", str(pipeline["model"]), "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == IO_ERROR
+    assert "100 trailing" in capsys.readouterr().err
+
+
 def test_decode_shape_mismatch_is_a_verification_error(pipeline, tmp_path):
     other = _synth(tmp_path, "other.eflt", 0, shape="1,16,16")
     rc = main(

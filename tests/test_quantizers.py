@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rvqcodec.grids import rng_for
 from rvqcodec.quantizers import (
@@ -20,6 +21,7 @@ from rvqcodec.quantizers import (
     train_rvq,
     write_codebook_file,
 )
+from rvqcodec.quantizers import _nearest
 
 
 def test_codebook_validation():
@@ -73,18 +75,57 @@ def test_nn_quantize_breaks_ties_toward_lowest_index():
     assert idx.tolist() == [0, 2, 0]
 
 
-@given(
-    n=st.integers(1, 40),
-    k=st.integers(1, 12),
-    c=st.integers(1, 4),
-    seed=st.integers(0, 2**31),
-)
-def test_nn_quantize_is_argmin_property(n, k, c, seed):
-    rng = rng_for(seed)
-    codewords = rng.standard_normal((k, c))
-    vectors = rng.standard_normal((n, c))
-    d2 = ((vectors[:, None, :] - codewords[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(nn_quantize(Codebook(codewords), vectors), d2.argmin(axis=1))
+def _column(values):
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
+@st.composite
+def _search_cases(draw):
+    """(codewords, vectors): Gaussian cases of any dimension, or 1-D cases
+    aimed at the sorted search's edges (duplicated codewords, exact
+    midpoints, distances that round to ties at large |x|, signed zeros,
+    K = 1 and K > n)."""
+    kind = draw(st.sampled_from(["gaussian", "midpoints", "huge", "zeros", "floats"]))
+    if kind == "gaussian":
+        rng = rng_for(draw(st.integers(0, 2**31)))
+        c = draw(st.integers(1, 4))
+        return (
+            rng.standard_normal((draw(st.integers(1, 12)), c)),
+            rng.standard_normal((draw(st.integers(1, 40)), c)),
+        )
+    sizes = {"min_size": 1, "max_size": 12}
+    if kind == "midpoints":
+        cw = draw(st.lists(st.integers(-3, 3), **sizes))
+        x = [h / 2 for h in draw(st.lists(st.integers(-9, 9), **sizes))]
+    elif kind == "huge":
+        cw = draw(st.lists(st.integers(0, 3), **sizes))
+        # doubles near 1e17 are 16 apart, so x - c rounds to x for every
+        # codeword c in 0..3 and all distances tie
+        offsets = st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 4))
+        x = [sign * (1e17 + 16.0 * j) for sign, j in draw(st.lists(offsets, **sizes))]
+    elif kind == "zeros":
+        values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0])
+        cw = draw(st.lists(values, **sizes))
+        x = draw(st.lists(values, **sizes))
+    else:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cw = draw(st.lists(finite | st.floats(-4, 4), **sizes))
+        x = draw(st.lists(finite | st.floats(-8, 8) | st.sampled_from(cw), **sizes))
+    return _column(cw), _column(x)
+
+
+@settings(max_examples=300)
+@given(case=_search_cases())
+def test_nn_quantize_is_argmin_property(case):
+    codewords, vectors = case
+    d2 = cdist(vectors, codewords, metric="sqeuclidean")
+    expected = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
+    cb = Codebook(codewords)
+    assert np.array_equal(nn_quantize(cb, vectors), expected)
+    labels, dist = _nearest(vectors, cb.codewords, cb._search_table)
+    assert np.array_equal(labels, expected)
+    mins = d2[np.arange(len(vectors)), expected]
+    assert dist.tobytes() == mins.tobytes()
 
 
 def test_dequantize_round_trip_on_codewords():

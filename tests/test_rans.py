@@ -36,12 +36,20 @@ def test_normalize_frequencies_hand_case():
     f = normalize_frequencies([3.0, 1.0], 8)
     assert f.tolist() == [192, 64]
     assert f.sum() == 256
+    # totals for which 2**precision / total over- or underflows
+    assert normalize_frequencies([2.2250738585e-313], 8).tolist() == [256]
+    assert normalize_frequencies([3e-310, 1e-310], 8).tolist() == [192, 64]
+    assert normalize_frequencies([1e308, 1e308], 8).tolist() == [128, 128]
 
 
 def test_normalize_frequencies_protects_rare_symbols():
     f = normalize_frequencies([1e9, 1e-12, 1e-12], 8)
     assert f.sum() == 256
     assert f.min() >= 1
+    # 200 promoted bins against a largest bin of exactly 200: it can give
+    # only 199, so the last unit comes from the next largest bin
+    f = normalize_frequencies([200.0, 56.0] + [0.0] * 200, 8)
+    assert f.tolist() == [1, 55] + [1] * 200
 
 
 def test_normalize_frequencies_validation():
@@ -175,6 +183,75 @@ def test_gaussian_table_batch_matches_scalar_rows():
         )
         assert np.array_equal(freqs[i], single.frequencies)
         assert np.array_equal(cums[i], single.cumulative())
+
+
+def _full_width_tables(mu_offset, sigma, delta, support_radius, precision):
+    """Reference: every table step on all 2S+1 columns, window zero-padded."""
+    n = sigma.shape[0]
+    size = 2 * support_radius + 1
+    budget = 1 << precision
+    reach = 8.0 * sigma.max() / delta + np.abs(mu_offset).max() + 2.0
+    half = int(min(support_radius, np.ceil(reach)))
+    width = 2 * half + 1
+    edges_k = np.arange(-half, half, dtype=np.float64) + 0.5
+    cdf = gaussian_cdf((edges_k[None, :] - mu_offset[:, None]) * (delta / sigma[:, None]))
+    window = np.empty((n, width), dtype=np.float64)
+    window[:, 0] = cdf[:, 0]
+    window[:, 1:-1] = np.diff(cdf, axis=1)
+    window[:, -1] = 1.0 - cdf[:, -1]
+    np.clip(window, 0.0, None, out=window)
+
+    masses = np.zeros((n, size), dtype=np.float64)
+    lo = support_radius - half
+    masses[:, lo : lo + width] = window
+    target = masses * (budget / masses.sum(axis=1))[:, None]
+    freq = np.floor(target).astype(np.int64)
+    remainder = budget - freq.sum(axis=1)
+    frac = target - freq
+    order = np.lexsort((np.broadcast_to(np.arange(size), (n, size)), -frac), axis=1)
+    take = np.arange(size)[None, :] < remainder[:, None]
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, size))
+    np.add.at(freq, (rows[take], order[take]), 1)
+
+    zeros = freq == 0
+    deficit = zeros.sum(axis=1)
+    freq[zeros] = 1
+    for i in np.nonzero(deficit > 0)[0]:
+        d = int(deficit[i])
+        while d > 0:
+            j = int(np.argmax(freq[i]))
+            t = min(d, int(freq[i, j]) - 1)
+            freq[i, j] -= t
+            d -= t
+    cums = np.zeros((n, size + 1), dtype=np.int64)
+    np.cumsum(freq, axis=1, out=cums[:, 1:])
+    return freq, cums
+
+
+@given(
+    n=st.integers(1, 12),
+    mu_scale=st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+    log_sigma_lo=st.floats(-4.0, 1.0),
+    log_sigma_span=st.floats(0.0, 2.5),
+    log_delta=st.floats(-2.0, 1.0),
+    support_radius=st.integers(1, 300),
+    precision=st.integers(8, 16),
+    seed=st.integers(0, 2**31),
+)
+def test_gaussian_table_batch_equals_full_width_reference(
+    n, mu_scale, log_sigma_lo, log_sigma_span, log_delta, support_radius, precision, seed
+):
+    support_radius = min(support_radius, ((1 << precision) - 1) // 2)
+    rng = rng_for(seed)
+    mu = rng.uniform(-mu_scale, mu_scale, n)
+    if seed % 3 == 0:
+        mu = np.round(2.0 * mu) / 2.0  # bin edges exactly at the mean
+    sigma = 10.0 ** rng.uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
+    delta = 10.0**log_delta
+    freqs, cums = gaussian_table_batch(mu, sigma, delta, support_radius, precision)
+    ref_freqs, ref_cums = _full_width_tables(mu, sigma, delta, support_radius, precision)
+    assert np.array_equal(freqs, ref_freqs)
+    assert np.array_equal(cums, ref_cums)
 
 
 def test_gaussian_table_validation():
