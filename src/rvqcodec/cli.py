@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .analysis import (
     decorrelation_gain_experiment,
     density_law_experiment,
     index_shaping_experiment,
+    pipeline_entropy_experiment,
     rate_dominance_experiment,
     rd_sweep,
     read_rd_curves_csv,
@@ -103,12 +105,24 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict, config: dict[str, str]):
-    """Config file values override builtin defaults but not explicit flags."""
+def _given_flags(argv) -> set[str]:
+    """Dest names of the flags given on the command line, whatever their
+    values: the same parse with every default suppressed."""
+    parser, subparsers = build_parser()
+    for p in (parser, *subparsers.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(
+    args: argparse.Namespace, parser_defaults: dict, given: set[str], config: dict[str, str]
+):
+    """Config file values override builtin defaults but not given flags."""
     for key, raw in config.items():
         if not hasattr(args, key):
             raise _CliError(f"config key {key!r} matches no flag", USAGE_ERROR)
-        if getattr(args, key) != parser_defaults.get(key):
+        if key in given:
             continue  # explicit flag wins
         default = parser_defaults.get(key)
         try:
@@ -342,7 +356,7 @@ def cmd_decode(args) -> int:
     return 0
 
 
-_CLAIMS = ("shaping", "decorrelation", "dominance")
+_CLAIMS = ("shaping", "decorrelation", "dominance", "entropy")
 
 
 def cmd_verify_props(args) -> int:
@@ -366,6 +380,11 @@ def cmd_verify_props(args) -> int:
     if only in (None, "dominance"):
         seed = args.seed if args.seed is not None else 5
         claims["dominance"] = rate_dominance_experiment(seed=seed)
+    if only in (None, "entropy"):
+        seed = args.seed if args.seed is not None else 5
+        entropy = pipeline_entropy_experiment(seed=seed)
+        entropy["rows"] = [asdict(row) for row in entropy.pop("report").rows]
+        claims["entropy"] = entropy
 
     passed = all(c["passed"] for c in claims.values())
     report = {"claims": claims, "passed": passed}
@@ -572,7 +591,7 @@ def main(argv=None) -> int:
     }
     try:
         config = _load_config_file(args.config)
-        _apply_config(args, defaults, config)
+        _apply_config(args, defaults, _given_flags(argv), config)
         return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

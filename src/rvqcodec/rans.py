@@ -225,11 +225,25 @@ def rans_decode(stream: RansStream, tables) -> list[int]:
     cum_rows = [t.cumulative().tolist() for t in tables]
     freq_rows = [t.frequencies.tolist() for t in tables]
     precision = tables[0].precision if n else _MAX_PRECISION
-    return _decode_core(stream, freq_rows, cum_rows, precision)
+    return _decode_core(stream, freq_rows, cum_rows, range(n), 0, precision)
 
 
-def _decode_core(stream: RansStream, freq_rows, cum_rows, precision: int) -> list[int]:
+def _decode_core(
+    stream: RansStream, freq_rows, cum_rows, row_of, lo: int, precision: int
+) -> list[int]:
+    """Pop one symbol per entry of ``row_of``, symbol ``i`` under row ``row_of[i]``.
+
+    A row covers the symbol window ``[lo, hi)``: ``freq_rows[r]`` holds the
+    frequencies of symbols ``lo .. hi-1`` and ``cum_rows[r]`` their
+    cumulative frequencies ``cum[lo] .. cum[hi]``.  Every symbol outside the
+    window must have frequency 1, so ``cum[s] = s`` below it and ``cum`` rises
+    by 1 per symbol above it; those symbols decode without a table lookup.
+    Full rows with ``lo = 0`` never leave the window.
+    """
     from bisect import bisect_right
+
+    if len(row_of) != stream.count:
+        raise ValueError(f"{len(row_of)} table rows for {stream.count} symbols")
 
     lower = RANS_LOWER_BOUND
     mask = (1 << precision) - 1
@@ -238,11 +252,19 @@ def _decode_core(stream: RansStream, freq_rows, cum_rows, precision: int) -> lis
     pos = 0
     end = len(payload)
     out = []
-    for i in range(stream.count):
+    for r in row_of:
         cf = x & mask
-        cum = cum_rows[i]
-        s = bisect_right(cum, cf) - 1
-        x = freq_rows[i][s] * (x >> precision) + cf - cum[s]
+        cum = cum_rows[r]
+        if cf < cum[0]:
+            s = cf
+            x >>= precision
+        elif cf < cum[-1]:
+            j = bisect_right(cum, cf) - 1
+            s = lo + j
+            x = freq_rows[r][j] * (x >> precision) + cf - cum[j]
+        else:
+            s = lo + len(cum) - 1 + cf - cum[-1]
+            x >>= precision
         while x < lower:
             if pos >= end:
                 raise ValueError("stream exhausted before all symbols decoded")

@@ -432,12 +432,21 @@ def _sigma_grid(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cm_group_tables(sigma: np.ndarray, delta: float, precision: int):
+    """Tables of the sigma levels a group uses; returns (freq, cum, row index).
+
+    Rows are built only for the levels some position snaps to, plus the top
+    level, which keeps ``sigma.max()`` and so the table window of
+    ``gaussian_table_batch`` the same as for all levels.  Rows are
+    independent, so position ``p``'s row ``freq[row_idx[p]]`` is exactly the
+    row of its level in the full level table.
+    """
     levels, level_idx = _sigma_grid(sigma)
+    used, row_idx = np.unique(np.append(level_idx, levels.size - 1), return_inverse=True)
     freq, cum = gaussian_table_batch(
-        np.zeros_like(levels), levels, delta,
+        np.zeros(used.size), levels[used], delta,
         support_radius=CM_SUPPORT_RADIUS, precision=precision,
     )
-    return freq, cum, level_idx
+    return freq, cum, row_idx[:-1]
 
 
 def cm_encode(
@@ -494,10 +503,10 @@ def cm_encode(
             k = k.astype(np.int64)
             decoded.append(mu + delta * k)
         with timer.phase("entropy_code"):
-            freq, cum, level_idx = _cm_group_tables(sigma, delta, precision)
+            freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
             syms = (k.ravel() + s_radius).astype(np.int64)
-            f_sel = freq[level_idx, syms]
-            c_sel = cum[level_idx, syms]
+            f_sel = freq[row_idx, syms]
+            c_sel = cum[row_idx, syms]
             state, payload = _encode_core(f_sel.tolist(), c_sel.tolist(), precision)
             streams.append(RansStream(count=syms.size, state=state, payload=payload))
             self_info += float((precision - np.log2(f_sel)).sum())
@@ -525,7 +534,13 @@ def cm_decode(
     config: SchemeConfig,
     timer: PhaseTimer | None = None,
 ) -> LatentGrid:
-    """Rebuild tables from decoded context and range-decode each group."""
+    """Rebuild tables from decoded context and range-decode each group.
+
+    Each group builds the tables of its used sigma levels only (see
+    ``_cm_group_tables``) and hands the decoder just their window columns,
+    the bins where some row's frequency exceeds 1; symbols outside the
+    window, outliers included, decode arithmetically.
+    """
     if coded.scheme != "cm" or config.scheme != "cm":
         raise ValueError("cm_decode needs a cm-coded latent and a cm config")
     if coded.group_streams is None:
@@ -562,14 +577,17 @@ def cm_decode(
                 raise ValueError(
                     f"group {i + 1} stream holds {stream.count} symbols, expected {n * c}"
                 )
-            freq, cum, level_idx = _cm_group_tables(sigma, delta, precision)
-            freq_rows = freq.tolist()
-            cum_rows = cum.tolist()
-            lv = level_idx.tolist()
+            freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
+            # Every bin outside [lo, hi) has frequency 1 in every row, so
+            # the decoder only needs the rows' window columns.
+            cols = np.flatnonzero((freq > 1).any(axis=0))
+            lo, hi = int(cols[0]), int(cols[-1]) + 1
             syms = _decode_core(
                 stream,
-                _RowView(freq_rows, lv),
-                _RowView(cum_rows, lv),
+                freq[:, lo:hi].tolist(),
+                cum[:, lo : hi + 1].tolist(),
+                row_idx.tolist(),
+                lo,
                 precision,
             )
         with timer.phase("quantize"):
@@ -578,17 +596,6 @@ def cm_decode(
 
     groups = tuple(_vectors_to_grid(d, gshape) for d in decoded)
     return merge_groups(GroupedLatent(groups=groups, source_shape=(c, h, w)))
-
-
-class _RowView:
-    """Per-symbol table rows backed by shared level tables."""
-
-    def __init__(self, rows, level_of):
-        self._rows = rows
-        self._level_of = level_of
-
-    def __getitem__(self, i):
-        return self._rows[self._level_of[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import rvqcodec.cli as cli
+from rvqcodec.analysis import CodebookEntropyRow, EntropyReport
 from rvqcodec.bitstream import BppConfig, compute_bpp
 from rvqcodec.cli import IO_ERROR, USAGE_ERROR, VERIFY_ERROR, main
 
@@ -314,6 +315,16 @@ def test_config_file_overrides_defaults_but_not_flags(tmp_path, capsys):
     assert rc == 0
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["config"]["rho"] == 0.2  # explicit flag wins
+
+    # a given flag wins even when its value equals the builtin default
+    rc = main(
+        ["--config", str(cfg), "synth", "--shape", "1,8,8", "--rho", "0.0",
+         "--out", "a.eflt", "--out-dir", str(tmp_path / "c")]
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["config"]["rho"] == 0.0
+    assert manifest["config"]["seed"] == 11
     capsys.readouterr()
 
 
@@ -363,10 +374,20 @@ def _fake_experiments(monkeypatch, fail=()):
         calls.append("dominance")
         return {"rows": [], "passed": "dominance" not in fail}
 
+    def entropy(seed):
+        calls.append("entropy")
+        row = CodebookEntropyRow("group1", 1, 256, 0.98, 0.01, 7.9, False)
+        return {
+            "gap": 0.02, "threshold": 0.05, "sparse_warning": False,
+            "report": EntropyReport(gap=0.02, rows=(row,), sparse_warning=False),
+            "passed": "entropy" not in fail,
+        }
+
     monkeypatch.setattr(cli, "index_shaping_experiment", shaping)
     monkeypatch.setattr(cli, "density_law_experiment", density)
     monkeypatch.setattr(cli, "decorrelation_gain_experiment", decorrelation)
     monkeypatch.setattr(cli, "rate_dominance_experiment", dominance)
+    monkeypatch.setattr(cli, "pipeline_entropy_experiment", entropy)
     return calls
 
 
@@ -375,13 +396,18 @@ def test_verify_props_all_pass(monkeypatch, tmp_path, capsys):
     rc = main(["verify-props", "--out-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    for claim in ("shaping", "decorrelation", "dominance"):
+    for claim in ("shaping", "decorrelation", "dominance", "entropy"):
         assert f"{claim}: PASS" in out
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is True
-    assert set(report["claims"]) == {"shaping", "decorrelation", "dominance"}
+    assert set(report["claims"]) == {"shaping", "decorrelation", "dominance", "entropy"}
     # the codebook object is consumed by the density check, not serialized
     assert "codebook" not in report["claims"]["shaping"]["training"]
+    # the entropy report's rows are serialized as plain records
+    entropy = report["claims"]["entropy"]
+    assert "report" not in entropy
+    assert entropy["rows"][0]["quantizer"] == "group1"
+    assert entropy["gap"] <= entropy["threshold"]
 
 
 def test_verify_props_failure_exits_nonzero(monkeypatch, tmp_path, capsys):
@@ -391,6 +417,14 @@ def test_verify_props_failure_exits_nonzero(monkeypatch, tmp_path, capsys):
     assert "dominance: FAIL" in capsys.readouterr().out
 
 
+def test_verify_props_entropy_gap_failure_exits_nonzero(monkeypatch, tmp_path, capsys):
+    _fake_experiments(monkeypatch, fail={"entropy"})
+    rc = main(["verify-props", "--out-dir", str(tmp_path)])
+    assert rc == VERIFY_ERROR
+    out = capsys.readouterr().out
+    assert "entropy: FAIL" in out and "dominance: PASS" in out
+
+
 def test_verify_props_only_filters_claims(monkeypatch, tmp_path, capsys):
     calls = _fake_experiments(monkeypatch)
     rc = main(["verify-props", "--only", "decorrelation", "--out-dir", str(tmp_path)])
@@ -398,6 +432,9 @@ def test_verify_props_only_filters_claims(monkeypatch, tmp_path, capsys):
     assert calls == ["decorrelation"]
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert set(report["claims"]) == {"decorrelation"}
+    rc = main(["verify-props", "--only", "entropy", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert calls == ["decorrelation", "entropy"]
     rc = main(["verify-props", "--only", "nonsense", "--out-dir", str(tmp_path)])
     assert rc == USAGE_ERROR
     capsys.readouterr()

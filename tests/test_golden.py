@@ -9,14 +9,17 @@ commit and say why.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rvqcodec import schemes
 from rvqcodec.bitstream import StreamHeader, pack, unpack
-from rvqcodec.grids import LATENT_DOWNSAMPLE, SourceConfig, gauss_markov_sample
+from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid, SourceConfig, gauss_markov_sample
 from rvqcodec.rans import RansStream
 from rvqcodec.schemes import (
+    CM_SUPPORT_RADIUS,
     CodedLatent,
     SchemeConfig,
     cm_decode,
@@ -47,6 +50,8 @@ GOLDEN = {
     "cm-d1.0-latent": "55107b01434005444c4762020425faaf5c8e150fade1dc254d1b6d64298da865",
     "cm-d0.25-stream": "0983bf5ca5de6639adf8add2eacc1a331d9d35e14b8a8243784e144456261c8f",
     "cm-d0.25-latent": "e50f46751c1a52d1d0968c005dd6a79db4e287b2cc83aca2658ad2ab5c94014e",
+    "cm-outliers-stream": "120fcd2a2b05c9a5db37ac17d57dd116965862d18464be30bd260388a9a244fd",
+    "cm-outliers-latent": "82c4346d22a2bf53891159d0ad41b1107ed6bc6765fd6e6ce7171b7157ac25f9",
 }
 
 
@@ -94,12 +99,32 @@ def _cm_round_trip(latent, predictor, delta):
     return b"".join(blobs), decoded
 
 
-def _compute_digests():
-    train = [
+def _training_set():
+    return [
         gauss_markov_sample(SourceConfig(1, SIZE, SIZE, rho=0.9, seed=5), index=i)
         for i in range(6)
     ]
-    latent = gauss_markov_sample(SourceConfig(1, SIZE, SIZE, rho=0.9, seed=6), index=0)
+
+
+def _golden_latent():
+    return gauss_markov_sample(SourceConfig(1, SIZE, SIZE, rho=0.9, seed=6), index=0)
+
+
+def _outlier_latent():
+    """The golden latent with spikes of both signs: +-1000 is clamped to the
+    support edge, +-60 and +-40 are coded but lie far outside the table
+    window of a unit-delta group.  The first four sit in group 1, whose sigma
+    field is constant (its context is the bias alone)."""
+    data = _golden_latent().data.copy()
+    data[0, 0, 0], data[0, 0, 2] = 1000.0, -1000.0
+    data[0, 2, 0], data[0, 2, 2] = 60.0, -60.0
+    data[0, 31, 31], data[0, 31, 29] = 40.0, -40.0
+    return LatentGrid(data)
+
+
+def _compute_digests():
+    train = _training_set()
+    latent = _golden_latent()
     rd_model = train_rd_model(train, STAGES, iterations=10, seed=3)
     iq_qset = train_iq_model(train, STAGES, iterations=10, seed=3)
     out = {}
@@ -113,6 +138,10 @@ def _compute_digests():
         raw, decoded = _cm_round_trip(latent, predictor, delta)
         out[f"cm-d{delta}-stream"] = _sha(raw)
         out[f"cm-d{delta}-latent"] = _sha(_latent_bytes(decoded))
+        if delta == 1.0:
+            raw, decoded = _cm_round_trip(_outlier_latent(), predictor, delta)
+            out["cm-outliers-stream"] = _sha(raw)
+            out["cm-outliers-latent"] = _sha(_latent_bytes(decoded))
     return out
 
 
@@ -124,3 +153,25 @@ def digests():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_cm_outliers_are_clamped_and_decode_outside_the_window(monkeypatch):
+    """The outlier stream reaches both out-of-window decoder branches."""
+    decode_core = schemes._decode_core
+    seen = []
+
+    def spy(stream, freq_rows, cum_rows, row_of, lo, precision):
+        syms = decode_core(stream, freq_rows, cum_rows, row_of, lo, precision)
+        seen.append((lo, lo + len(freq_rows[0]), syms))
+        return syms
+
+    monkeypatch.setattr(schemes, "_decode_core", spy)
+    predictor = train_cm_model(_training_set(), delta=1.0, seed=3)
+    config = SchemeConfig(scheme="cm", delta=1.0)
+    coded = cm_encode(_outlier_latent(), predictor, config)
+    assert coded.clamp_count > 0
+    decoded = cm_decode(replace(coded, reconstruction=None), predictor, config)
+    assert _latent_bytes(decoded) == _latent_bytes(coded.reconstruction)
+    lo, hi, syms = seen[0]
+    assert min(syms) < lo and max(syms) >= hi
+    assert {0, 2 * CM_SUPPORT_RADIUS} <= set(syms)  # the clamped spikes

@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqcodec.grids import LatentGrid, SourceConfig, gauss_markov_sample, rng_for
 from rvqcodec.quantizers import QuantizerSet
+from rvqcodec.rans import RansStream, gaussian_table_batch
 from rvqcodec.schemes import (
+    CM_SUPPORT_RADIUS,
     CodedLatent,
     ContextPredictor,
     SchemeConfig,
@@ -25,6 +29,7 @@ from rvqcodec.schemes import (
     train_rd_model,
     write_predictor_file,
 )
+from rvqcodec.schemes import _cm_group_tables, _sigma_grid
 from rvqcodec.timing import PhaseTimer
 
 _SOURCE = SourceConfig(channels=1, height=32, width=32, rho=0.9, variance=1.0, seed=40)
@@ -291,6 +296,86 @@ def test_cm_clamps_out_of_support_symbols(cm_model):
     assert coded.clamp_count > 0
     recon = cm_decode(replace(coded, reconstruction=None), cm_model, config)
     assert np.array_equal(recon.data, coded.reconstruction.data)
+
+
+def _all_level_tables(sigma, delta, precision):
+    """Reference: tables for every one of the 256 sigma levels."""
+    levels, level_idx = _sigma_grid(sigma)
+    freq, cum = gaussian_table_batch(
+        np.zeros_like(levels), levels, delta,
+        support_radius=CM_SUPPORT_RADIUS, precision=precision,
+    )
+    return freq, cum, level_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    shape=st.sampled_from(["constant", "near-constant", "range"]),
+    log_sigma_lo=st.floats(-3.0, 1.5),
+    log_sigma_span=st.floats(0.0, 4.0),
+    delta=st.sampled_from([0.125, 0.5, 1.0, 2.0]),
+    precision=st.sampled_from([10, 12, 16]),
+    seed=st.integers(0, 2**31),
+)
+def test_cm_group_tables_match_all_level_tables(
+    n, shape, log_sigma_lo, log_sigma_span, delta, precision, seed
+):
+    lo_sigma = 10.0**log_sigma_lo
+    if shape == "constant":
+        sigma = np.full(n, lo_sigma)
+    elif shape == "near-constant":
+        # hi / lo just above the 1 + 1e-12 cut, so the grid has 256 levels
+        sigma = np.full(n, lo_sigma)
+        sigma[rng_for(seed).integers(0, n)] = lo_sigma * (1.0 + 4e-12)
+    else:
+        sigma = 10.0 ** rng_for(seed).uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
+    sigma = sigma.reshape(n, 1)
+    freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
+    ref_freq, ref_cum, level_idx = _all_level_tables(sigma, delta, precision)
+    assert freq.shape[0] == np.unique(np.append(level_idx, ref_freq.shape[0] - 1)).size
+    assert np.array_equal(freq[row_idx], ref_freq[level_idx])
+    assert np.array_equal(cum[row_idx], ref_cum[level_idx])
+    # the decoder's window: only bins at frequency 1 lie outside it.  It
+    # holds for the used rows only; an unused level's rounding may differ.
+    cols = np.flatnonzero((freq > 1).any(axis=0))
+    lo, hi = cols[0], cols[-1] + 1
+    assert np.all(freq[:, :lo] == 1)
+    assert np.all(freq[:, hi:] == 1)
+
+
+@pytest.fixture(scope="module")
+def cm_blobs(cm_model, holdout):
+    config = SchemeConfig(scheme="cm", delta=0.5)
+    coded = cm_encode(holdout, cm_model, config)
+    return coded, [s.to_bytes() for s in coded.group_streams]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    group=st.integers(0, 3),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    tail=st.binary(max_size=8),
+)
+def test_cm_decode_rejects_mutated_streams_with_value_error(
+    cm_model, cm_blobs, group, flips, cut, tail
+):
+    coded, blobs = cm_blobs
+    raw = bytearray(blobs[group])
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    raw += tail
+    streams = list(coded.group_streams)
+    try:
+        streams[group] = RansStream.from_bytes(bytes(raw))
+        received = replace(coded, reconstruction=None, group_streams=tuple(streams))
+        recon = cm_decode(received, cm_model, SchemeConfig(scheme="cm", delta=0.5))
+    except ValueError:
+        return
+    assert recon.shape == coded.shape
 
 
 def test_cm_is_deterministic(cm_model, holdout):
