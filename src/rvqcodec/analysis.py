@@ -552,7 +552,7 @@ def index_shaping_experiment(
     initial_gap = entropy_gap(
         IndexHistogram.from_indices(nn_quantize(report["init_codebook"], x), size)
     )
-    final_gap = entropy_gap(IndexHistogram.from_indices(nn_quantize(codebook, x), size))
+    final_gap = entropy_gap(IndexHistogram.from_indices(report["labels"], size))
     return {
         "initial_gap": initial_gap,
         "final_gap": final_gap,
@@ -662,8 +662,8 @@ def _scalar_quantizer_mse_table(menu, samples: int = 300_000, seed: int = 11) ->
     for k in menu:
         if k == 1:
             continue
-        cb, _ = train_codebook(g, k, iterations=30, seed=seed, pin_zero=True)
-        idx = nn_quantize(cb, g)
+        cb, report = train_codebook(g, k, iterations=30, seed=seed, pin_zero=True)
+        idx = report["labels"]
         table[k] = float(np.mean((g - cb.codewords[idx]) ** 2))
     return table
 

@@ -116,26 +116,31 @@ def _given_flags(argv) -> set[str]:
 
 
 def _apply_config(
-    args: argparse.Namespace, parser_defaults: dict, given: set[str], config: dict[str, str]
+    args: argparse.Namespace, actions: dict[str, argparse.Action], given: set[str],
+    config: dict[str, str],
 ):
-    """Config file values override builtin defaults but not given flags."""
+    """Config file values override builtin defaults but not given flags.
+
+    A value is parsed as the command line would parse it: by the flag's own
+    ``type`` and ``choices``, and as a one-item list for a repeatable flag.
+    """
     for key, raw in config.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None:
             raise _CliError(f"config key {key!r} matches no flag", USAGE_ERROR)
         if key in given:
             continue  # explicit flag wins
-        default = parser_defaults.get(key)
         try:
-            if isinstance(default, bool):
-                value = raw.lower() in ("1", "true", "on", "yes")
-            elif isinstance(default, int):
-                value = int(raw)
-            elif isinstance(default, float):
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError:
+            value = action.type(raw) if action.type is not None else raw
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
             raise _CliError(f"config key {key!r}: cannot parse {raw!r}", USAGE_ERROR)
+        if action.choices is not None and value not in action.choices:
+            raise _CliError(
+                f"config key {key!r}: {raw!r} is not one of {sorted(action.choices)}",
+                USAGE_ERROR,
+            )
+        if isinstance(action, argparse._AppendAction):
+            value = [value]
         setattr(args, key, value)
 
 
@@ -583,15 +588,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    command_parser = subparsers[args.command]
-    defaults = {
-        key: command_parser.get_default(key)
-        for key in vars(args)
-        if key not in ("func", "command", "config")
-    }
+    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest != "help"}
     try:
         config = _load_config_file(args.config)
-        _apply_config(args, defaults, _given_flags(argv), config)
+        _apply_config(args, actions, _given_flags(argv), config)
         return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,6 +19,18 @@ beyond its neighbours (distinct codewords rounding to equal distances at
 large |x|, or a non-finite distance) falls back to ``cdist`` + ``argmin``.
 Indices and per-row minimum distances are therefore bit-identical to the
 ``cdist`` search on every input.
+
+k-means++ seeding over C > 1 rows screens each new center with one gemv,
+``|x|^2 - 2 x.c + |c|^2``, and runs cdist only on rows the center may bring
+closer: that estimate is within E = 8 (C + 4) 2**-53 (max|x| + |c|)^2 (plus
+an underflow term) of cdist, so every row it skips is one whose distance
+cdist would not have lowered (derivation in ``_screened_minimum``).  Lloyd's
+own C > 1 assignment keeps plain cdist + argmin: its K-way argmin needs the
+whole n x K estimate and a candidate count over it before any row can skip
+cdist, and a screen built that way ran at 0.46x the speed of cdist + argmin
+at K = 16 and 0.61x at K = 256 (22,528 rows of C = 16, one core).
+Training returns the final pass's assignments, so callers do not search
+the same samples again.
 """
 
 from __future__ import annotations
@@ -280,20 +292,76 @@ def rvq_quantize(rvq: ResidualVQ, vectors: np.ndarray, m: int) -> tuple[IndexSta
     return IndexStack(indices=tuple(stage_indices)), recon
 
 
+def _row_norms(vectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """(|x|^2 per row, max |x|) for ``_screened_minimum``; may be non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        return sq_norms, float(np.sqrt(sq_norms.max()))
+
+
+def _screened_minimum(
+    vectors: np.ndarray, norms: tuple[np.ndarray, float], d2: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """``np.minimum(d2, cdist(vectors, [center]))``, bit for bit, updated in
+    place; cdist runs only on the rows a gemv screen cannot rule out.
+
+    ``norms`` is ``_row_norms(vectors)``.  The screen estimates each row's
+    distance as ``approx = |x|^2 - 2 x.c + |c|^2`` and sends a row to cdist
+    when ``approx - E < d2`` or that test is not finite.  With u = 2**-53,
+    P = (|x| + |c|)^2 >= D = |x - c|^2 and gamma_m = m u/(1 - m u):
+
+    - cdist sums C terms fl(fl(x_j - c_j)^2) in a fixed order, so
+      |cdist - D| <= gamma_(C+2) D <= gamma_(C+2) P;
+    - |x|^2, x.c and |c|^2, summed in any order, are within gamma_C of
+      |x|^2, |x||c| (Cauchy-Schwarz) and |c|^2, gamma_C P in all; the two
+      additions add at most 2u(1 + gamma_C) P;
+    - so |cdist - approx| <= (2C + 4) u P (1 + O(C u)), under a quarter of
+      E = 8 (C + 4) u (max|x| + |c|)^2.  The spare factor covers the rounding
+      of E, of max|x| (taken from the computed |x|^2) and of approx - E.
+      Gradual underflow voids relative bounds; each underflowing product
+      errs by at most 2**-1075 absolutely, which the term
+      8 (C + 4) 2**-1074 added to E covers.
+
+    A skipped row's cdist is therefore >= its ``d2``, where ``np.minimum``
+    leaves ``d2`` unchanged.  An overflow makes the test infinite or NaN,
+    and such rows go to cdist.
+    """
+    sq_norms, max_norm = norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = float(center @ center)
+        bound = 8.0 * (center.shape[0] + 4) * (
+            2.0**-53 * (max_norm + np.sqrt(c2)) ** 2 + 2.0**-1074
+        )
+        test = sq_norms - 2.0 * (vectors @ center) + c2 - bound
+        rows = np.flatnonzero((test < d2) | ~np.isfinite(test))
+    if rows.size:
+        exact = _sq_distances(vectors[rows], center[None, :])[:, 0]
+        d2[rows] = np.minimum(d2[rows], exact)
+    return d2
+
+
 def _kmeanspp_seed(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initialization: spread starts by squared-distance sampling."""
-    n = vectors.shape[0]
-    centers = np.empty((k, vectors.shape[1]), dtype=np.float64)
+    """k-means++ initialization: spread starts by squared-distance sampling.
+
+    ``d2`` holds each row's cdist distance to its nearest center so far; for
+    C > 1 each new center lowers it through ``_screened_minimum``, so
+    ``d2``, every pick and every center are those of a full cdist pass.
+    """
+    n, c = vectors.shape
+    centers = np.empty((k, c), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = vectors[first]
-    if vectors.shape[1] == 1:
+    if c == 1:
         # The values cdist would return for C = 1, without its call cost.
-        def dist_to(center):
-            return (vectors[:, 0] - center[0]) ** 2
+        def lower(d2, center):
+            return np.minimum(d2, (vectors[:, 0] - center[0]) ** 2)
     else:
-        def dist_to(center):
-            return _sq_distances(vectors, center[None, :])[:, 0]
-    d2 = dist_to(centers[0])
+        norms = _row_norms(vectors)
+
+        def lower(d2, center):
+            return _screened_minimum(vectors, norms, d2, center)
+
+    d2 = lower(np.full(n, np.inf), centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -304,7 +372,7 @@ def _kmeanspp_seed(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
             pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             pick = min(pick, n - 1)
         centers[i] = vectors[pick]
-        d2 = np.minimum(d2, dist_to(centers[i]))
+        d2 = lower(d2, centers[i])
     return centers
 
 
@@ -332,11 +400,15 @@ def train_codebook(
     partner (training K-1 codewords alone and prepending zero afterwards
     wastes index 0 whenever the free codewords already cover the origin).
 
-    Returns the codebook and a report with the per-iteration MSE trace.
+    Returns the codebook and a report with the per-iteration MSE trace and
+    the final pass's ``labels``, the nearest codeword of every sample (what
+    ``nn_quantize(codebook, samples)`` returns).
     """
     x = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
     if x.ndim != 2:
         raise ValueError(f"samples must be (n, C), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     n, c = x.shape
     if k < 1 or n < k:
         raise ValueError(f"need at least K={k} samples, got {n}")
@@ -355,6 +427,7 @@ def train_codebook(
     ema_sums = None
     dead_threshold = _DEAD_FRACTION * (n / k)
     mse_trace = []
+    columns = np.ascontiguousarray(x.T)
 
     for _ in range(iterations):
         labels, dist = _nearest(x, centers, _build_search_table(centers))
@@ -362,7 +435,7 @@ def train_codebook(
 
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         # bincount adds each column in row order: a fixed summation order.
-        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in x.T])
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
 
         if ema_counts is None:
             ema_counts = counts.copy()
@@ -388,7 +461,7 @@ def train_codebook(
             ema_sums[dead] = centers[dead] * counts.mean()
 
     # Final assignment pass so the reported MSE matches the returned centers.
-    _, dist = _nearest(x, centers, _build_search_table(centers))
+    labels, dist = _nearest(x, centers, _build_search_table(centers))
     mse_trace.append(_chunked_sum(dist) / (n * c))
 
     report = {
@@ -396,6 +469,7 @@ def train_codebook(
         "final_mse": mse_trace[-1],
         "ema_counts": ema_counts,
         "init_codebook": init_codebook,
+        "labels": labels,
     }
     return Codebook(codewords=centers), report
 
@@ -405,7 +479,8 @@ def train_rvq(
     stage_sizes: tuple[int, ...] | list[int],
     iterations: int = 25,
     seed: int = 0,
-) -> ResidualVQ:
+    return_indices: bool = False,
+) -> ResidualVQ | tuple[ResidualVQ, IndexStack]:
     """Train residual stages on successive residuals.
 
     Every stage reserves index 0 for the zero vector (pinned during Lloyd
@@ -418,6 +493,9 @@ def train_rvq(
     Stages train with exact-mean Lloyd updates (ema_decay=0): with
     full-batch passes the streaming-style EMA smoothing only slows
     convergence, and small stages need the exact fixed point.
+
+    With ``return_indices`` the per-stage indices of the samples, equal to
+    ``rvq_quantize(rvq, samples, rvq.stages)[0]``, are returned as well.
     """
     x = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
     if x.ndim != 2:
@@ -426,20 +504,28 @@ def train_rvq(
         raise ValueError("at least one stage size required")
     residual = x.copy()
     books = []
+    stage_indices = []
     for t, k in enumerate(stage_sizes):
         if k < 1:
             raise ValueError("stage sizes must be >= 1")
+        if not np.all(np.isfinite(residual)):
+            raise ValueError("samples must be finite")
         if k == 1:
             cb = Codebook(np.zeros((1, x.shape[1])))
+            idx = np.zeros(x.shape[0], dtype=np.int64)
         else:
-            cb, _ = train_codebook(
+            cb, report = train_codebook(
                 residual, int(k), iterations=iterations, seed=seed + t,
                 ema_decay=0.0, pin_zero=True,
             )
-        idx = nn_quantize(cb, residual)
+            idx = report["labels"]
         residual = residual - cb.codewords[idx]
         books.append(cb)
-    return ResidualVQ(stage_codebooks=tuple(books))
+        stage_indices.append(idx)
+    rvq = ResidualVQ(stage_codebooks=tuple(books))
+    if return_indices:
+        return rvq, IndexStack(indices=tuple(stage_indices))
+    return rvq
 
 
 def codebook_report(codebook: Codebook, samples: np.ndarray) -> dict:

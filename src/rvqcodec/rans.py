@@ -222,10 +222,19 @@ def rans_decode(stream: RansStream, tables) -> list[int]:
     """Recover the symbol sequence; validates the final coder state."""
     n = stream.count
     tables = _coerce_tables(None, tables, n)
-    cum_rows = [t.cumulative().tolist() for t in tables]
-    freq_rows = [t.frequencies.tolist() for t in tables]
+    # One row per distinct table object, so a shared table converts once.
+    row_by_id: dict[int, int] = {}
+    distinct = []
+    row_of = []
+    for t in tables:
+        r = row_by_id.setdefault(id(t), len(distinct))
+        if r == len(distinct):
+            distinct.append(t)
+        row_of.append(r)
+    cum_rows = [t.cumulative().tolist() for t in distinct]
+    freq_rows = [t.frequencies.tolist() for t in distinct]
     precision = tables[0].precision if n else _MAX_PRECISION
-    return _decode_core(stream, freq_rows, cum_rows, range(n), 0, precision)
+    return _decode_core(stream, freq_rows, cum_rows, row_of, 0, precision)
 
 
 def _decode_core(

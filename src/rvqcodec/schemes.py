@@ -40,7 +40,6 @@ from .quantizers import (
     IndexStack,
     QuantizerSet,
     ResidualVQ,
-    nn_quantize,
     rvq_quantize,
     train_codebook,
     train_rvq,
@@ -79,6 +78,7 @@ CM_SUPPORT_RADIUS = 255
 _CM_SIGMA_LEVELS = 256
 
 _SIGMA_BUCKETS = 16
+_PREDICT_BLOCK = 1024
 _PREDICTOR_MAGIC = b"EFPR"
 _PREDICTOR_VERSION = 1
 
@@ -638,8 +638,8 @@ def _fit_group_heads(
 
     buckets = min(_SIGMA_BUCKETS, max(1, n // 64))
     if buckets > 1:
-        cb, _ = train_codebook(psi, buckets, iterations=8, seed=seed)
-        labels = nn_quantize(cb, psi)
+        _, report = train_codebook(psi, buckets, iterations=8, seed=seed)
+        labels = report["labels"]
     else:
         labels = np.zeros(n, dtype=np.int64)
         buckets = 1
@@ -684,9 +684,14 @@ def _phi_vectors_for_training(
 
 
 def _predict_with(w, b, c, sigma_min, psi):
+    """``ContextPredictor.predict`` on raw heads, in blocks of rows so that a
+    block's context and output stay in cache across the loop over context
+    dimensions; every operation is per element, so blocking changes no bit."""
     out = np.tile(b, (psi.shape[0], 1))
-    for d in range(w.shape[0]):
-        out += psi[:, d : d + 1] * w[d : d + 1, :]
+    for lo in range(0, psi.shape[0], _PREDICT_BLOCK):
+        block, context = out[lo : lo + _PREDICT_BLOCK], psi[lo : lo + _PREDICT_BLOCK]
+        for d in range(w.shape[0]):
+            block += context[:, d : d + 1] * w[d : d + 1, :]
     return out[:, :c], np.maximum(np.exp(out[:, c:]), sigma_min)
 
 
@@ -729,7 +734,7 @@ def fit_context_predictor(
             return _close_group_cm(config.delta, mu, sigma, y)
 
     weights, biases = _run_sequential_fit(
-        training_latents, config.use_hyper, phi_vecs, close_group, ridge_lambda, seed
+        training_latents, phi_vecs, close_group, ridge_lambda, seed
     )
     return ContextPredictor(
         weights=tuple(weights),
@@ -740,20 +745,20 @@ def fit_context_predictor(
     )
 
 
-def _run_sequential_fit(latents, use_hyper, phi_vecs, close_group, lam, seed):
+def _run_sequential_fit(latents, phi_vecs, close_group, lam, seed):
+    """Fit the four heads in coding order, each on context decoded through
+    ``close_group(i, mu, sigma, y)``, which gets group i's rows of every
+    latent at once.  Prediction and closing act row by row, so one call on
+    the stacked latents equals one call per latent."""
     c = latents[0].channels
     grouped = [partition_quadtree(lat) for lat in latents]
-    y_all = [[_group_vectors(g.groups[i]) for g in grouped] for i in range(4)]
-    counts = [y.shape[0] for y in y_all[0]]
+    phi = None if phi_vecs[0] is None else np.concatenate(phi_vecs, axis=0)
 
-    decoded: list[list[np.ndarray]] = [[] for _ in latents]
+    decoded: list[np.ndarray] = []
     weights, biases = [], []
     for i in range(4):
-        psi_rows = [
-            _context_for(i, decoded[j], phi_vecs[j], counts[j]) for j in range(len(latents))
-        ]
-        psi = np.concatenate(psi_rows, axis=0)
-        y = np.concatenate(y_all[i], axis=0)
+        y = np.concatenate([_group_vectors(g.groups[i]) for g in grouped], axis=0)
+        psi = _context_for(i, decoded, phi, y.shape[0])
         params = (psi.shape[1] + 1) * 2 * c
         if psi.shape[0] < 10 * params:
             raise ValueError(
@@ -762,9 +767,8 @@ def _run_sequential_fit(latents, use_hyper, phi_vecs, close_group, lam, seed):
         w, b = _fit_group_heads(psi, y, lam, SIGMA_FLOOR, seed=seed * 7 + i)
         weights.append(w)
         biases.append(b)
-        for j in range(len(latents)):
-            mu, sigma = _predict_with(w, b, c, SIGMA_FLOOR, psi_rows[j])
-            decoded[j].append(close_group(i, mu, sigma, y_all[i][j]))
+        mu, sigma = _predict_with(w, b, c, SIGMA_FLOOR, psi)
+        decoded.append(close_group(i, mu, sigma, y))
     return weights, biases
 
 
@@ -803,40 +807,26 @@ def train_rd_model(
             np.concatenate(z_rows, axis=0), hyper_stage_sizes, iterations=iterations,
             seed=seed * 7 + 11,
         )
-    m_eff = m
-    phi_vecs = _phi_vectors_for_training(latents, use_hyper, hyper_q, m_eff)
+    phi_vecs = _phi_vectors_for_training(latents, use_hyper, hyper_q, m)
 
     trained: list[ResidualVQ] = []
-    grouped = [partition_quadtree(lat) for lat in latents]
-    y_all = [[_group_vectors(g.groups[i]) for g in grouped] for i in range(4)]
-    counts = [y.shape[0] for y in y_all[0]]
-    decoded: list[list[np.ndarray]] = [[] for _ in latents]
-    weights, biases = [], []
-    for i in range(4):
-        psi_rows = [
-            _context_for(i, decoded[j], phi_vecs[j], counts[j]) for j in range(len(latents))
-        ]
-        psi = np.concatenate(psi_rows, axis=0)
-        y = np.concatenate(y_all[i], axis=0)
-        params = (psi.shape[1] + 1) * 2 * c
-        if psi.shape[0] < 10 * params:
-            raise ValueError(
-                f"group {i + 1}: {psi.shape[0]} training positions < 10x {params} parameters"
-            )
-        w, b = _fit_group_heads(psi, y, ridge_lambda, SIGMA_FLOOR, seed=seed * 7 + i)
-        weights.append(w)
-        biases.append(b)
-        mu_all, sigma_all = _predict_with(w, b, c, SIGMA_FLOOR, psi)
-        std_all = (y - mu_all) / sigma_all
-        rvq_i = train_rvq(std_all, per_group[i], iterations=iterations, seed=seed * 7 + 30 + i)
-        trained.append(rvq_i)
-        mm = m_eff if m_eff is not None else rvq_i.stages
-        for j in range(len(latents)):
-            mu, sigma = _predict_with(w, b, c, SIGMA_FLOOR, psi_rows[j])
-            std = (y_all[i][j] - mu) / sigma
-            _, rec = rvq_quantize(rvq_i, std, mm)
-            decoded[j].append(sigma * rec + mu)
 
+    def close_group(i, mu, sigma, y):
+        # The closed loop decodes the training rows through the indices
+        # their own training assigned, summed in stage order as
+        # rvq_quantize sums them.
+        rvq, stack = train_rvq(
+            (y - mu) / sigma, per_group[i], iterations=iterations, seed=seed * 7 + 30 + i,
+            return_indices=True,
+        )
+        trained.append(rvq)
+        mm = m if m is not None else rvq.stages
+        if not 1 <= mm <= rvq.stages:
+            raise ValueError(f"m must be in [1, {rvq.stages}], got {mm}")
+        rec = _rvq_reconstruct(rvq, IndexStack(indices=stack.indices[:mm]))
+        return sigma * rec + mu
+
+    weights, biases = _run_sequential_fit(latents, phi_vecs, close_group, ridge_lambda, seed)
     predictor = ContextPredictor(
         weights=tuple(weights), biases=tuple(biases), channels=c,
         uses_hyper=use_hyper, sigma_min=SIGMA_FLOOR,

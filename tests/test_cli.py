@@ -351,6 +351,52 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_values_are_parsed_by_the_flags_own_type(monkeypatch, tmp_path, capsys):
+    """A config value reaches the command as the flag's parser would have
+    made it, also where the flag's default is None or a list."""
+    _fake_experiments(monkeypatch)
+    seeds = []
+
+    def entropy(seed):
+        seeds.append(seed)
+        return {"gap": 0.0, "threshold": 0.05, "sparse_warning": False,
+                "report": EntropyReport(gap=0.0, rows=(), sparse_warning=False),
+                "passed": True}
+
+    monkeypatch.setattr(cli, "pipeline_entropy_experiment", entropy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\n")
+    rc = main(["--config", str(cfg), "verify-props", "--only", "entropy",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert seeds == [7] and type(seeds[0]) is int
+
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_train", lambda args: seen.update(vars(args)) or 0)
+    cfg.write_text("data=a.eflt,b.eflt\nstages=3\nscheme=iq\n")
+    rc = main(["--config", str(cfg), "train", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert seen["data"] == ["a.eflt,b.eflt"]  # a repeatable flag given once
+    assert seen["stages"] == 3 and seen["scheme"] == "iq"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,line", [
+    (["verify-props", "--only", "entropy"], "seed=seven"),
+    (["synth", "--shape", "1,8,8", "--out", "a.eflt"], "rho=high"),
+    (["train"], "scheme=cm"),  # not one of the flag's choices
+])
+def test_config_value_the_flag_would_reject_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, command, line
+):
+    _fake_experiments(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["--config", str(cfg), *command, "--out-dir", str(tmp_path)])
+    assert rc == USAGE_ERROR
+    assert f"config key {line.split('=')[0]!r}" in capsys.readouterr().err
+
+
 def _fake_experiments(monkeypatch, fail=()):
     sentinel = object()
 

@@ -1,11 +1,12 @@
-"""Golden digests: a tiny fixed-seed C=1 model must code to known bytes.
+"""Golden digests: tiny fixed-seed models must train and code to known bytes.
 
 Training, nearest-neighbour search, packing, table building and the range
 coder are all promised to be deterministic.  These constants pin that
-promise: any change to the numerics of a C=1 rd/iq/cm round trip (a
-reordered sum, a different tie break, a changed table) changes a digest.
-A deliberate change of format or numerics must update them in the same
-commit and say why.
+promise: any change to the numerics of a C=1 rd/iq/cm round trip, or of a
+C=4 model with a hyper grid (its trained codebooks and predictors as well as
+its streams), changes a digest: a reordered sum, a different tie break, a
+changed table or seeding.  A deliberate change of format or numerics must
+update them in the same commit and say why.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from rvqcodec.schemes import (
     train_cm_model,
     train_iq_model,
     train_rd_model,
+    write_predictor_file,
 )
 
 SIZE = 32
@@ -153,6 +155,95 @@ def digests():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+# C = 4 with a hyper grid: the vector (cdist) search, k-means++ seeding over
+# 4-D rows, the hyper path of rd and the multi-channel predictor heads.
+VEC_CHANNELS = 4
+VEC_STAGES = (16, 16)
+VEC_DELTA = 0.5
+
+GOLDEN_VECTOR = {
+    "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
+    "cm-d0.5-predictor": "1dd7f132c643e2b3131382ff356a1f72ce4c52d589bb57ed902f6e7a28402208",
+    "cm-d0.5-stream": "5a84eebf6def9e5686b2b303958bfddd9b329c6ee972e35d863840d92b4f80e1",
+    "iq-codebooks": "d764b098c0cb6695b100b7674392002c13455542c3bd62d607f804ae7d020ba0",
+    "iq-m1-latent": "6d8145c80fa8862bb84a485a9199cf70cddcf575a767453f91152a2d22a27bd7",
+    "iq-m1-stream": "38516743974e51405d2f443931ee600c8faf396d8f75c6b148242b27392f109e",
+    "iq-m2-latent": "63089a5fe9e5174078b7b72dc0fc161f369764d16bf7f8d67598752a0f6bbf91",
+    "iq-m2-stream": "97366d4748215a9335262adb745d9bcd41da89a7a45d89d19d6bf664f752bdff",
+    "rd-closed-m1-codebooks": "2856cd67891b4f54839d9ebb616b416ee48aa41b1df2cee8e5bd965d51d4f450",
+    "rd-closed-m1-predictor": "c94b3e7aef45ca7c5eae67b721349908298f2000cd7610eac598e9346dfe5196",
+    "rd-codebooks": "2cf2b0da27e7c26af138671547fdc303f60a1b3b2aa24d8529400c0832703bd0",
+    "rd-m1-latent": "d4ccac498aa37d1c63fc661bdeef8384860bb77ec197866862879c04e9df1fb9",
+    "rd-m1-stream": "87a86b9de96b1cec0b38525ff5c8f91b34996c1da31c5b528bff617c19fde8a1",
+    "rd-m2-latent": "f4edcb4d26510016e784b30031f38d6cb506168c69366a4b7bba9db567cce906",
+    "rd-m2-stream": "5c1a79933dfa2f6f30ad408e8637f5f646f04ae646fb54471f1f478b8d8b9dcf",
+    "rd-predictor": "9fc250441730157fe4b93b2847b24872c3a0ed00c1754e3c01b0378215729df7",
+}
+
+
+def _vector_training_set():
+    return [
+        gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=7), index=i)
+        for i in range(6)
+    ]
+
+
+def _codebook_bytes(qset) -> bytes:
+    rvqs = qset.groups + ((qset.hyper,) if qset.hyper is not None else ())
+    return b"".join(
+        np.ascontiguousarray(cb.codewords, dtype="<f8").tobytes()
+        for rvq in rvqs
+        for cb in rvq.stage_codebooks
+    )
+
+
+def _predictor_bytes(predictor, path) -> bytes:
+    write_predictor_file(path, predictor)
+    return path.read_bytes()
+
+
+def _compute_vector_digests(tmp):
+    train = _vector_training_set()
+    latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=8), index=0)
+    rd_model = train_rd_model(
+        train, VEC_STAGES, hyper_stage_sizes=VEC_STAGES, iterations=10, seed=3
+    )
+    # Closed loop through the first stage only: the predictor of groups 2-4
+    # sees context decoded at m = 1.
+    rd_m1_model = train_rd_model(
+        train, VEC_STAGES, hyper_stage_sizes=VEC_STAGES, m=1, iterations=10, seed=3
+    )
+    iq_qset = train_iq_model(train, VEC_STAGES, iterations=10, seed=3)
+    cm_predictor = train_cm_model(train, delta=VEC_DELTA, seed=3)
+    out = {
+        "rd-codebooks": _sha(_codebook_bytes(rd_model[1])),
+        "rd-predictor": _sha(_predictor_bytes(rd_model[0], tmp / "rd.efpr")),
+        "rd-closed-m1-codebooks": _sha(_codebook_bytes(rd_m1_model[1])),
+        "rd-closed-m1-predictor": _sha(_predictor_bytes(rd_m1_model[0], tmp / "rd1.efpr")),
+        "iq-codebooks": _sha(_codebook_bytes(iq_qset)),
+        f"cm-d{VEC_DELTA}-predictor": _sha(_predictor_bytes(cm_predictor, tmp / "cm.efpr")),
+    }
+    for scheme, model in (("rd", rd_model), ("iq", iq_qset)):
+        for m in (1, 2):
+            raw, decoded = _fixed_round_trip(scheme, latent, model, m)
+            out[f"{scheme}-m{m}-stream"] = _sha(raw)
+            out[f"{scheme}-m{m}-latent"] = _sha(_latent_bytes(decoded))
+    raw, decoded = _cm_round_trip(latent, cm_predictor, VEC_DELTA)
+    out[f"cm-d{VEC_DELTA}-stream"] = _sha(raw)
+    out[f"cm-d{VEC_DELTA}-latent"] = _sha(_latent_bytes(decoded))
+    return out
+
+
+@pytest.fixture(scope="module")
+def vector_digests(tmp_path_factory):
+    return _compute_vector_digests(tmp_path_factory.mktemp("golden-vector"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VECTOR))
+def test_golden_vector_digest(vector_digests, name):
+    assert vector_digests[name] == GOLDEN_VECTOR[name]
 
 
 def test_cm_outliers_are_clamped_and_decode_outside_the_window(monkeypatch):

@@ -21,7 +21,7 @@ from rvqcodec.quantizers import (
     train_rvq,
     write_codebook_file,
 )
-from rvqcodec.quantizers import _nearest
+from rvqcodec.quantizers import _kmeanspp_seed, _nearest, _row_norms, _screened_minimum
 
 
 def test_codebook_validation():
@@ -267,3 +267,140 @@ def test_codebook_file_rejects_corruption(tmp_path):
     bad.write_bytes(raw[:-2])
     with pytest.raises(ValueError):
         read_codebook_file(bad)
+
+
+# ---------------------------------------------------------------------------
+# k-means++ seeding and reuse of training assignments.
+
+
+def _reference_kmeanspp_seed(vectors, k, rng):
+    """k-means++ seeding with one full cdist pass per center: the body the
+    screened seeding must reproduce bit for bit."""
+    n = vectors.shape[0]
+    centers = np.empty((k, vectors.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = vectors[first]
+    if vectors.shape[1] == 1:
+        def dist_to(center):
+            return (vectors[:, 0] - center[0]) ** 2
+    else:
+        def dist_to(center):
+            return cdist(vectors, center[None, :], metric="sqeuclidean")[:, 0]
+    d2 = dist_to(centers[0])
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            pick = min(pick, n - 1)
+        centers[i] = vectors[pick]
+        d2 = np.minimum(d2, dist_to(centers[i]))
+    return centers
+
+
+@st.composite
+def _seeding_rows(draw, dims=(1, 2, 3, 16)):
+    """(n, C) finite rows aimed at the screen's edges: duplicated and
+    one-ulp-apart rows (estimates within rounding of the true distance),
+    all-identical rows (zero total mass), mixed scales, rows near +-1e154
+    (|x|^2 overflows), rows near 1e-160 (products underflow), and arbitrary
+    finite doubles."""
+    c = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 40))
+    rng = rng_for(draw(st.integers(0, 2**31)))
+    kind = draw(st.sampled_from(
+        ["gaussian", "duplicated", "identical", "mixed", "huge", "tiny", "floats"]
+    ))
+    if kind == "gaussian":
+        return rng.standard_normal((n, c))
+    if kind == "duplicated":
+        base = rng.standard_normal((draw(st.integers(1, 4)), c)) * 10.0 ** rng.integers(-3, 4)
+        x = base[rng.integers(base.shape[0], size=n)]
+        bump = rng.random((n, c)) < 0.3
+        x[bump] = np.nextafter(x[bump], np.inf)
+        return x
+    if kind == "identical":
+        return np.tile(rng.standard_normal(c), (n, 1))
+    if kind == "mixed":
+        return rng.standard_normal((n, c)) * 10.0 ** rng.integers(-150, 151, size=(n, 1))
+    if kind == "huge":
+        sign = rng.choice([-1.0, 1.0], size=(n, c))
+        x = sign * 1e154 * (1.0 + 1e-3 * rng.standard_normal((n, c)))
+        normal = rng.random(n) < 0.25
+        x[normal] = rng.standard_normal((int(normal.sum()), c))
+        return x
+    if kind == "tiny":
+        return rng.standard_normal((n, c)) * 1e-160
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite | st.floats(-4, 4), min_size=n * c, max_size=n * c))
+    return np.array(values, dtype=np.float64).reshape(n, c)
+
+
+@settings(max_examples=200)
+@given(x=_seeding_rows(), k=st.integers(1, 12), seed=st.integers(0, 2**31))
+def test_kmeanspp_seed_matches_full_cdist_seeding(x, k, seed):
+    with np.errstate(over="ignore", invalid="ignore"):  # the huge and float rows
+        got = _kmeanspp_seed(x, k, rng_for(seed, stream=1))
+        want = _reference_kmeanspp_seed(x, k, rng_for(seed, stream=1))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200)
+@given(x=_seeding_rows(dims=(2, 3, 16)), seed=st.integers(0, 2**31))
+def test_screened_minimum_equals_minimum_over_cdist(x, seed):
+    """Whatever d2 holds, the screened update is np.minimum(d2, cdist): the
+    d2 values tried sit on, one ulp above and far above the true distance,
+    where an estimate without its error bound would skip rows wrongly."""
+    rng = rng_for(seed)
+    norms = _row_norms(x)
+    centers = [x[rng.integers(x.shape[0])], x[rng.integers(x.shape[0])] * 0.5]
+    for center in centers:
+        exact = cdist(x, center[None, :], metric="sqeuclidean")[:, 0]
+        other = cdist(x, x[rng.integers(x.shape[0])][None, :], metric="sqeuclidean")[:, 0]
+        for d2 in (
+            np.full(x.shape[0], np.inf),
+            exact,
+            np.nextafter(exact, np.inf),
+            np.nextafter(np.nextafter(exact, np.inf), np.inf),
+            other,
+            np.zeros(x.shape[0]),
+        ):
+            want = np.minimum(d2, exact)
+            got = _screened_minimum(x, norms, d2.copy(), center)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c,pin_zero", [(1, False), (1, True), (4, False), (4, True)])
+def test_train_codebook_report_labels_are_the_nearest_codewords(c, pin_zero):
+    x = rng_for(37).standard_normal((3000, c))
+    cb, report = train_codebook(x, 16, iterations=6, seed=5, pin_zero=pin_zero)
+    assert np.array_equal(report["labels"], nn_quantize(cb, x))
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_train_rvq_indices_are_the_rvq_quantize_stack(c):
+    x = rng_for(41).standard_normal((2500, c))
+    rvq, stack = train_rvq(x, (8, 1, 16), iterations=6, seed=2, return_indices=True)
+    want, _ = rvq_quantize(rvq, x, rvq.stages)
+    assert stack.stages == want.stages == 3
+    for got_idx, want_idx in zip(stack.indices, want.indices):
+        assert np.array_equal(got_idx, want_idx)
+    plain = train_rvq(x, (8, 1, 16), iterations=6, seed=2)
+    for a, b in zip(plain.stage_codebooks, rvq.stage_codebooks):
+        assert a.codewords.tobytes() == b.codewords.tobytes()
+
+
+def test_training_rejects_non_finite_samples():
+    x = rng_for(43).standard_normal((200, 2))
+    x[7, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        train_codebook(x, 4)
+    with pytest.raises(ValueError, match="finite"):
+        train_rvq(x, (4,))
+    with pytest.raises(ValueError, match="finite"):
+        train_rvq(x, (1,))  # a zero-codeword stage trains and searches nothing
+    x[7, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        train_rvq(x, (4, 4), return_indices=True)

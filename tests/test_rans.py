@@ -103,6 +103,33 @@ def test_rans_round_trip_per_symbol_tables():
     assert rans_decode(stream, tables) == symbols
 
 
+def test_rans_shared_table_decodes_like_per_symbol_tables():
+    """One shared table, the same table object repeated, and distinct equal
+    tables per symbol decode alike; so do two tables interleaved."""
+    rng = rng_for(53)
+    n = 2000
+    freqs, _ = gaussian_table_batch(
+        np.zeros(2), np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16
+    )
+    narrow, wide = (FrequencyTable(frequencies=f, precision=16) for f in freqs)
+    symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
+    stream = rans_encode(symbols, narrow)
+    copies = [FrequencyTable(frequencies=narrow.frequencies, precision=16) for _ in range(n)]
+    assert rans_decode(stream, narrow) == symbols
+    assert rans_decode(stream, [narrow] * n) == symbols
+    assert rans_decode(stream, copies) == symbols
+
+    mixed = [narrow if i % 3 else wide for i in range(n)]
+    stream = rans_encode(symbols, mixed)
+    listed = [copies[i] if i % 3 else FrequencyTable(wide.frequencies, 16) for i in range(n)]
+    assert rans_decode(stream, mixed) == rans_decode(stream, listed) == symbols
+
+    cut = RansStream(count=stream.count, state=stream.state, payload=stream.payload[:-3])
+    for tables in (mixed, listed):
+        with pytest.raises(ValueError):
+            rans_decode(cut, tables)
+
+
 def test_rans_empty_stream():
     table = FrequencyTable(frequencies=np.array([128, 128]), precision=8)
     stream = rans_encode([], table)

@@ -195,6 +195,12 @@ def test_train_rd_model_rejects_thin_corpora():
         train_rd_model([], (16,), iterations=2, seed=0)
 
 
+def test_train_rd_model_validates_m():
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="m must be in"):
+            train_rd_model(_corpus(12), (16, 16), m=m, iterations=2, seed=0)
+
+
 def test_hyper_path_round_trip():
     cfg = SourceConfig(channels=1, height=64, width=64, rho=0.9, variance=1.0, seed=41)
     latents = [gauss_markov_sample(cfg, index=i) for i in range(12)]
