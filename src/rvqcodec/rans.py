@@ -184,19 +184,35 @@ def _coerce_tables(symbols, tables, n):
     return tables
 
 
+def _distinct_tables(tables) -> tuple[list, list[int]]:
+    """(distinct table objects, row of each entry in that list), keyed by
+    ``id``, so a table shared by many symbols converts once."""
+    row_by_id: dict[int, int] = {}
+    distinct = []
+    row_of = []
+    for t in tables:
+        r = row_by_id.setdefault(id(t), len(distinct))
+        if r == len(distinct):
+            distinct.append(t)
+        row_of.append(r)
+    return distinct, row_of
+
+
 def rans_encode(symbols, tables) -> RansStream:
     """Encode ``symbols[i]`` under ``tables[i]`` (or one shared table)."""
     syms = [int(s) for s in symbols]
     n = len(syms)
     tables = _coerce_tables(syms, tables, n)
+    distinct, row_of = _distinct_tables(tables)
+    cum_rows = [t.cumulative() for t in distinct]
     freqs = []
     cums = []
-    for s, t in zip(syms, tables):
+    for s, r in zip(syms, row_of):
+        t = distinct[r]
         if not 0 <= s < t.size:
             raise ValueError(f"symbol {s} outside table of size {t.size}")
-        cum = t.cumulative()
         freqs.append(int(t.frequencies[s]))
-        cums.append(int(cum[s]))
+        cums.append(int(cum_rows[r][s]))
     precision = tables[0].precision if n else _MAX_PRECISION
     state, payload = _encode_core(freqs, cums, precision)
     return RansStream(count=n, state=state, payload=payload)
@@ -222,15 +238,7 @@ def rans_decode(stream: RansStream, tables) -> list[int]:
     """Recover the symbol sequence; validates the final coder state."""
     n = stream.count
     tables = _coerce_tables(None, tables, n)
-    # One row per distinct table object, so a shared table converts once.
-    row_by_id: dict[int, int] = {}
-    distinct = []
-    row_of = []
-    for t in tables:
-        r = row_by_id.setdefault(id(t), len(distinct))
-        if r == len(distinct):
-            distinct.append(t)
-        row_of.append(r)
+    distinct, row_of = _distinct_tables(tables)
     cum_rows = [t.cumulative().tolist() for t in distinct]
     freq_rows = [t.frequencies.tolist() for t in distinct]
     precision = tables[0].precision if n else _MAX_PRECISION

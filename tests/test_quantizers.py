@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -21,7 +21,15 @@ from rvqcodec.quantizers import (
     train_rvq,
     write_codebook_file,
 )
-from rvqcodec.quantizers import _kmeanspp_seed, _nearest, _row_norms, _screened_minimum
+from rvqcodec import quantizers
+from rvqcodec.quantizers import (
+    _build_search_table,
+    _chunked_sum,
+    _kmeanspp_seed,
+    _nearest,
+    _row_norms,
+    _screened_minimum,
+)
 
 
 def test_codebook_validation():
@@ -115,17 +123,37 @@ def _search_cases(draw):
 
 
 @settings(max_examples=300)
-@given(case=_search_cases())
-def test_nn_quantize_is_argmin_property(case):
+@given(case=_search_cases(), tie_seed=st.integers(0, 2**31))
+def test_nn_quantize_is_argmin_property(case, tie_seed):
+    """Both C = 1 searches are cdist + argmin: each row placed among the
+    codeword values, and the training path, codeword values placed among
+    the sorted rows in whatever order the argsort leaves equal rows.  The
+    two send the same rows to the cdist fallback: the neighbour check
+    certifies a row's result whatever interval it was given, so only the
+    fallback shows an interval that differs."""
     codewords, vectors = case
     d2 = cdist(vectors, codewords, metric="sqeuclidean")
     expected = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
+    mins = d2[np.arange(len(vectors)), expected]
     cb = Codebook(codewords)
     assert np.array_equal(nn_quantize(cb, vectors), expected)
-    labels, dist = _nearest(vectors, cb.codewords, cb._search_table)
-    assert np.array_equal(labels, expected)
-    mins = d2[np.arange(len(vectors)), expected]
-    assert dist.tobytes() == mins.tobytes()
+    x = vectors[:, 0]
+    order = np.lexsort((rng_for(tie_seed).random(x.shape[0]), x))
+    searched = []
+
+    def spy(rows, cw):
+        searched[-1] = rows.tobytes()
+        return fallback(rows, cw)
+
+    fallback = quantizers._nearest_cdist
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantizers, "_nearest_cdist", spy)
+        for ranked in (None, (order, x[order])) if cb.dim == 1 else (None,):
+            searched.append(None)
+            labels, dist = _nearest(vectors, cb.codewords, cb._search_table, ranked)
+            assert np.array_equal(labels, expected)
+            assert dist.tobytes() == mins.tobytes()
+    assert searched[-1] == searched[0]
 
 
 def test_dequantize_round_trip_on_codewords():
@@ -339,9 +367,18 @@ def _seeding_rows(draw, dims=(1, 2, 3, 16)):
 
 
 @settings(max_examples=200)
-@given(x=_seeding_rows(), k=st.integers(1, 12), seed=st.integers(0, 2**31))
-def test_kmeanspp_seed_matches_full_cdist_seeding(x, k, seed):
-    with np.errstate(over="ignore", invalid="ignore"):  # the huge and float rows
+@given(
+    x=_seeding_rows(),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**31),
+    chunk=st.sampled_from([quantizers._CHUNK, 1, 2, 3, 7]),
+)
+# Distances overflow to inf, so r = inf lies beyond every prefix sum.
+@example(x=np.array([[1e200], [-1e200], [0.0], [3.0]]), k=4, seed=0, chunk=3)
+def test_kmeanspp_seed_matches_full_cdist_seeding(x, k, seed, chunk):
+    """Small chunks make the prefix search carry its sum across chunks."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(quantizers, "_CHUNK", chunk)
         got = _kmeanspp_seed(x, k, rng_for(seed, stream=1))
         want = _reference_kmeanspp_seed(x, k, rng_for(seed, stream=1))
     assert got.tobytes() == want.tobytes()
@@ -370,6 +407,71 @@ def test_screened_minimum_equals_minimum_over_cdist(x, seed):
             want = np.minimum(d2, exact)
             got = _screened_minimum(x, norms, d2.copy(), center)
             assert got.tobytes() == want.tobytes()
+
+
+def _reference_train_codebook(x, k, iterations, seed, ema_decay, pin_zero):
+    """Lloyd training with each pass's search placing every sample among
+    the codeword values: the loop the sorted-sample training must
+    reproduce bit for bit.  Returns (centers, final labels, mse trace)."""
+    n, c = x.shape
+    rng = rng_for(seed, stream=1)
+    if pin_zero:
+        centers = np.zeros((k, c))
+        if k > 1:
+            centers[1:] = _reference_kmeanspp_seed(x, k - 1, rng)
+    else:
+        centers = _reference_kmeanspp_seed(x, k, rng)
+    ema_counts = ema_sums = None
+    trace = []
+    for _ in range(iterations):
+        labels, dist = _nearest(x, centers, _build_search_table(centers))
+        trace.append(_chunked_sum(dist) / (n * c))
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        sums = np.column_stack(
+            [np.bincount(labels, weights=col, minlength=k) for col in np.ascontiguousarray(x.T)]
+        )
+        if ema_counts is None:
+            ema_counts, ema_sums = counts.copy(), sums.copy()
+        else:
+            ema_counts = ema_decay * ema_counts + (1.0 - ema_decay) * counts
+            ema_sums = ema_decay * ema_sums + (1.0 - ema_decay) * sums
+        live = ema_counts > 0.0
+        live[0] &= not pin_zero
+        centers = np.where(
+            live[:, None], ema_sums / np.maximum(ema_counts, 1e-300)[:, None], centers
+        )
+        dead = (ema_counts < 1e-3 * (n / k)) & (counts == 0)
+        dead[0] &= not pin_zero
+        if dead.any():
+            centers[dead] = x[rng.integers(n, size=int(dead.sum()))]
+            ema_counts[dead] = counts.mean()
+            ema_sums[dead] = centers[dead] * counts.mean()
+    labels, dist = _nearest(x, centers, _build_search_table(centers))
+    trace.append(_chunked_sum(dist) / (n * c))
+    return centers, labels, trace
+
+
+@pytest.mark.parametrize("pin_zero", [False, True])
+@pytest.mark.parametrize("data", ["gaussian", "quarters", "offset"])
+def test_c1_training_matches_the_per_sample_search_loop(data, pin_zero):
+    """C = 1 training (samples argsorted once) gives the codewords, labels
+    and MSE trace of the loop that searches every sample on every pass.  The
+    quarter-rounded data have many equal samples, duplicated codewords and
+    dead-codeword reseeds."""
+    rng = rng_for(47)
+    x = rng.standard_normal((3000, 1))
+    if data == "quarters":
+        x = np.round(x * 4.0) / 4.0
+    elif data == "offset":
+        x = np.concatenate([x + 5.0, np.full((10, 1), -40.0)])
+    for k, ema_decay in ((16, 0.0), (40, 0.99)):
+        cb, report = train_codebook(
+            x, k, iterations=8, seed=3, ema_decay=ema_decay, pin_zero=pin_zero
+        )
+        centers, labels, trace = _reference_train_codebook(x, k, 8, 3, ema_decay, pin_zero)
+        assert cb.codewords.tobytes() == centers.tobytes()
+        assert np.array_equal(report["labels"], labels)
+        assert np.asarray(report["mse_trace"]).tobytes() == np.asarray(trace).tobytes()
 
 
 @pytest.mark.parametrize("c,pin_zero", [(1, False), (1, True), (4, False), (4, True)])

@@ -18,6 +18,7 @@ from rvqcodec.rans import (
     rans_decode,
     rans_encode,
 )
+from rvqcodec.rans import _encode_core
 
 
 def test_frequency_table_validation():
@@ -128,6 +129,39 @@ def test_rans_shared_table_decodes_like_per_symbol_tables():
     for tables in (mixed, listed):
         with pytest.raises(ValueError):
             rans_decode(cut, tables)
+
+
+def test_rans_shared_table_encodes_like_per_symbol_tables():
+    """One shared table, the same table object repeated, distinct equal
+    tables per symbol and two tables interleaved all encode to the bytes of
+    a per-symbol (frequency, cumulative) lookup."""
+    rng = rng_for(59)
+    n = 2000
+    freqs, _ = gaussian_table_batch(
+        np.zeros(2), np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16
+    )
+    narrow, wide = (FrequencyTable(frequencies=f, precision=16) for f in freqs)
+    symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
+
+    def per_symbol(tables):
+        f = [int(t.frequencies[s]) for s, t in zip(symbols, tables)]
+        c = [int(t.cumulative()[s]) for s, t in zip(symbols, tables)]
+        state, payload = _encode_core(f, c, 16)
+        return RansStream(count=n, state=state, payload=payload).to_bytes()
+
+    want = per_symbol([narrow] * n)
+    copies = [FrequencyTable(frequencies=narrow.frequencies, precision=16) for _ in range(n)]
+    for tables in (narrow, [narrow] * n, copies):
+        assert rans_encode(symbols, tables).to_bytes() == want
+
+    mixed = [narrow if i % 3 else wide for i in range(n)]
+    listed = [copies[i] if i % 3 else FrequencyTable(wide.frequencies, 16) for i in range(n)]
+    want = per_symbol(mixed)
+    assert rans_encode(symbols, mixed).to_bytes() == want
+    assert rans_encode(symbols, listed).to_bytes() == want
+
+    with pytest.raises(ValueError, match="outside table"):
+        rans_encode(symbols[:5] + [511], narrow)
 
 
 def test_rans_empty_stream():

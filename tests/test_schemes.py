@@ -102,6 +102,29 @@ def test_predict_applies_affine_map_and_floors_sigma():
     del p
 
 
+@pytest.mark.parametrize("c,n", [(1, 40_000), (4, 9_000), (16, 2_500)])
+def test_predict_is_the_per_dimension_loop_across_blocks(c, n):
+    """Blocked prediction (several blocks at each of these shapes) gives the
+    bytes of one loop over context dimensions on the whole array."""
+    rng = rng_for(61)
+    dims = [c * (i + 1) for i in range(4)]
+    pred = ContextPredictor(
+        weights=tuple(rng.standard_normal((d, 2 * c)) for d in dims),
+        biases=tuple(rng.standard_normal(2 * c) for _ in dims),
+        channels=c,
+        uses_hyper=True,
+    )
+    for group, d in enumerate(dims):
+        context = rng.standard_normal((n, d))
+        w, b = pred.weights[group], pred.biases[group]
+        out = np.tile(b, (n, 1))
+        for j in range(d):
+            out += context[:, j : j + 1] * w[j : j + 1, :]
+        mu, sigma = pred.predict(group, context)
+        assert mu.tobytes() == out[:, :c].tobytes()
+        assert sigma.tobytes() == np.maximum(np.exp(out[:, c:]), pred.sigma_min).tobytes()
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError, match="unknown scheme"):
         SchemeConfig(scheme="xx")
