@@ -3,10 +3,11 @@ quantization, with entropy-coded baselines and rate-distortion tooling.
 
 The package splits along the pipeline: `grids` holds the latent/group
 geometry and the synthetic source, `quantizers` the codebook machinery,
-`schemes` the three coding schemes (context-standardized RVQ, independent
-RVQ, and scalar quantization with range coding), `rans` the range coder,
-`bitstream` the fixed-length wire format, and `analysis` the measurement
-suite behind the verification battery.
+`schemes` the three coding schemes (context-standardized RVQ; independent
+RVQ, which is the same loop without a predictor; and scalar quantization
+with range coding), `rans` the range coder, `bitstream` the fixed-length
+wire format, and `analysis` the measurement suite behind the verification
+battery.
 """
 
 __version__ = "0.1.0"
@@ -56,8 +57,6 @@ from .quantizers import (
     IndexStack,
     QuantizerSet,
     ResidualVQ,
-    codebook_report,
-    dequantize,
     nn_quantize,
     read_codebook_file,
     rvq_quantize,
@@ -81,7 +80,6 @@ from .schemes import (
     SchemeConfig,
     cm_decode,
     cm_encode,
-    fit_context_predictor,
     fixed_length_bits,
     iq_decode,
     iq_encode,

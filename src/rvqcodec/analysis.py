@@ -22,6 +22,7 @@ from .quantizers import Codebook, nn_quantize, train_codebook
 from .schemes import (
     CodedLatent,
     SchemeConfig,
+    _encode_fixed,
     cm_encode,
     iq_encode,
     rd_encode,
@@ -47,7 +48,6 @@ __all__ = [
     "bd_rate",
     "write_rd_curves_csv",
     "read_rd_curves_csv",
-    "write_entropy_report_csv",
     "index_shaping_experiment",
     "density_law_experiment",
     "decorrelation_gain_experiment",
@@ -380,41 +380,36 @@ def rd_sweep(
     hold = [gauss_markov_sample(source, index=i) for i in holdout_indices]
     pixels = 256 * hold[0].height * hold[0].width  # image pixels behind the latent
 
-    curves = []
+    def point(operating_point, coded):
+        rate = sum(c.rate_bits for c in coded) / len(hold)
+        mse = _pooled_mse((x, c.reconstruction) for x, c in zip(hold, coded))
+        return RDPoint(float(operating_point), rate, rate / pixels, mse)
+
+    def curve(scheme, pts):
+        return RDCurve(scheme, tuple(sorted(pts, key=lambda p: p.rate_bits)))
+
+    fixed = []  # (scheme, stage counts, predictor or None for iq, quantizers)
     if ms_rd:
-        pred, qset = train_rd_model(
+        fixed.append(("rd", ms_rd, *train_rd_model(
             train, stage_sizes, m=None, iterations=iterations, seed=seed,
             group_stage_sizes=group_stage_sizes,
-        )
-        pts = []
-        for m in ms_rd:
-            coded = [rd_encode(x, pred, qset, m) for x in hold]
-            rate = sum(c.rate_bits for c in coded) / len(hold)
-            mse = _pooled_mse((x, c.reconstruction) for x, c in zip(hold, coded))
-            pts.append(RDPoint(float(m), rate, rate / pixels, mse))
-        curves.append(RDCurve("rd", tuple(sorted(pts, key=lambda p: p.rate_bits))))
+        )))
     if ms_iq:
-        qset = train_iq_model(
+        fixed.append(("iq", ms_iq, None, train_iq_model(
             train, stage_sizes, iterations=iterations, seed=seed,
             group_stage_sizes=group_stage_sizes,
-        )
-        pts = []
-        for m in ms_iq:
-            coded = [iq_encode(x, qset, m) for x in hold]
-            rate = sum(c.rate_bits for c in coded) / len(hold)
-            mse = _pooled_mse((x, c.reconstruction) for x, c in zip(hold, coded))
-            pts.append(RDPoint(float(m), rate, rate / pixels, mse))
-        curves.append(RDCurve("iq", tuple(sorted(pts, key=lambda p: p.rate_bits))))
+        )))
+    curves = []
+    for scheme, ms, pred, qset in fixed:
+        pts = [point(m, [_encode_fixed(x, pred, qset, m, None) for x in hold]) for m in ms]
+        curves.append(curve(scheme, pts))
     if deltas:
         pts = []
         for delta in deltas:
             pred = train_cm_model(train, delta=delta, seed=seed)
             config = SchemeConfig(scheme="cm", delta=delta)
-            coded = [cm_encode(x, pred, config) for x in hold]
-            rate = sum(c.rate_bits for c in coded) / len(hold)
-            mse = _pooled_mse((x, c.reconstruction) for x, c in zip(hold, coded))
-            pts.append(RDPoint(delta, rate, rate / pixels, mse))
-        curves.append(RDCurve("cm", tuple(sorted(pts, key=lambda p: p.rate_bits))))
+            pts.append(point(delta, [cm_encode(x, pred, config) for x in hold]))
+        curves.append(curve("cm", pts))
     return curves
 
 
@@ -518,17 +513,6 @@ def read_rd_curves_csv(path) -> list[RDCurve]:
         RDCurve(scheme, tuple(sorted(pts, key=lambda p: p.rate_bits)))
         for scheme, pts in by_scheme.items()
     ]
-
-
-def write_entropy_report_csv(path, report: EntropyReport) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("quantizer", "stage", "utilization", "delta_h", "one_minus_delta_h"))
-        for r in report.rows:
-            w.writerow(
-                [r.quantizer, r.stage, repr(r.utilization), repr(r.delta_h),
-                 repr(1.0 - r.delta_h)]
-            )
 
 
 # ---------------------------------------------------------------------------

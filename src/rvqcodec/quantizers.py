@@ -64,11 +64,9 @@ __all__ = [
     "IndexStack",
     "QuantizerSet",
     "nn_quantize",
-    "dequantize",
     "rvq_quantize",
     "train_codebook",
     "train_rvq",
-    "codebook_report",
     "write_codebook_file",
     "read_codebook_file",
 ]
@@ -287,17 +285,6 @@ def nn_quantize(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vectors must be finite")
     return _nearest(v, codebook.codewords, codebook._search_table)[0]
-
-
-def dequantize(codebook: Codebook, indices: np.ndarray) -> np.ndarray:
-    """Map indices back to codewords; out-of-range indices are an error."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= codebook.size):
-        raise ValueError(
-            f"index out of range for codebook of size {codebook.size}: "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    return codebook.codewords[idx]
 
 
 def rvq_quantize(rvq: ResidualVQ, vectors: np.ndarray, m: int) -> tuple[IndexStack, np.ndarray]:
@@ -577,30 +564,6 @@ def train_rvq(
     if return_indices:
         return rvq, IndexStack(indices=tuple(stage_indices))
     return rvq
-
-
-def codebook_report(codebook: Codebook, samples: np.ndarray) -> dict:
-    """Usage statistics of a codebook on a sample batch.
-
-    Under hard nearest-neighbor assignment the commitment error (distance of
-    inputs to their selected codeword) and the quantization error coincide;
-    both are reported for symmetry with soft-assignment training schemes.
-    """
-    x = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
-    idx = nn_quantize(codebook, x)
-    diff = x - codebook.codewords[idx]
-    mse = float(np.mean(diff * diff))
-    counts = np.bincount(idx, minlength=codebook.size).astype(np.float64)
-    probs = counts / counts.sum()
-    nz = probs[probs > 0.0]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    return {
-        "quantization_mse": mse,
-        "commitment_mse": mse,
-        "utilization": float((counts > 0).mean()),
-        "index_entropy_bits": entropy,
-        "histogram": counts,
-    }
 
 
 def write_codebook_file(path, rvq: ResidualVQ) -> None:

@@ -15,9 +15,11 @@ pipelines desynchronize on last-ulp drift.  The CM path, by contrast,
 inherits the usual sensitivity: its integer tables depend on libm exp/log,
 which is documented rather than fought.
 
-IQ is RD with no context at all, the ablation anchor.  CM replaces the
-vector quantizer with uniform scalar rounding plus a conditional-Gaussian
-range coder: same predictor interface, rate paid in actual coded bits.
+IQ, the ablation anchor, is the same encode and decode loop run with no
+predictor: each group is residual-quantized as it stands, with no context,
+no prediction and no affine map.  CM replaces the vector quantizer with
+uniform scalar rounding plus a conditional-Gaussian range coder: the same
+predictor interface without a hyper grid, rate paid in actual coded bits.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .grids import (
     GroupedLatent,
-    HyperContext,
     LatentGrid,
     block_means,
     extract_hyper_context,
@@ -50,10 +51,10 @@ from .timing import PhaseTimer
 __all__ = [
     "SIGMA_FLOOR",
     "CM_SUPPORT_RADIUS",
+    "CM_PRECISION",
     "ContextPredictor",
     "SchemeConfig",
     "CodedLatent",
-    "fit_context_predictor",
     "rd_encode",
     "rd_decode",
     "iq_encode",
@@ -70,6 +71,8 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-3
 CM_SUPPORT_RADIUS = 255
+# Frequency precision of cm's rANS tables, in bits.
+CM_PRECISION = 16
 
 # Predicted sigmas are snapped to a geometric grid of this many levels per
 # group before table construction, so a batch needs at most this many
@@ -138,14 +141,11 @@ class ContextPredictor:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Operating point of one scheme."""
+    """Operating point of one scheme: stage count m (rd, iq) or step delta (cm)."""
 
     scheme: str
-    quantizers: QuantizerSet | None = None
     m: int | None = None
     delta: float | None = None
-    precision: int = 16
-    use_hyper: bool = False
 
     def __post_init__(self):
         if self.scheme not in ("rd", "iq", "cm"):
@@ -153,13 +153,8 @@ class SchemeConfig:
         if self.scheme == "cm":
             if self.delta is None or self.delta <= 0.0:
                 raise ValueError("cm requires delta > 0")
-        elif self.m is not None:
-            if self.quantizers is not None and not 1 <= self.m <= self.quantizers.stages:
-                raise ValueError(
-                    f"m={self.m} outside [1, {self.quantizers.stages}]"
-                )
-            elif self.m < 1:
-                raise ValueError("m must be >= 1")
+        elif self.m is not None and self.m < 1:
+            raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -234,34 +229,30 @@ def _check_geometry(latent: LatentGrid, use_hyper: bool) -> None:
         )
 
 
-def _hyper_for_encode(
-    latent: LatentGrid, qset: QuantizerSet | None, m: int | None, use_hyper: bool
-) -> HyperContext | None:
-    if not use_hyper:
-        return None
-    if qset is None or qset.hyper is None:
-        raise ValueError("predictor uses a hyper grid but quantizer set has none")
-    return extract_hyper_context(latent, qset.hyper, m=m)
-
-
-def rd_encode(
+def _encode_fixed(
     latent: LatentGrid,
-    predictor: ContextPredictor,
+    predictor: ContextPredictor | None,
     qset: QuantizerSet,
     m: int,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer | None,
 ) -> CodedLatent:
-    """Sequentially standardize and residual-quantize the four groups."""
+    """The rd encode loop; with no predictor it is iq and skips context,
+    prediction and the affine map."""
     if not 1 <= m <= qset.stages:
         raise ValueError(f"m={m} outside [1, {qset.stages}]")
-    if latent.channels != predictor.channels:
+    if predictor is not None and latent.channels != predictor.channels:
         raise ValueError(
             f"latent has {latent.channels} channels, predictor {predictor.channels}"
         )
-    _check_geometry(latent, predictor.uses_hyper)
+    uses_hyper = predictor is not None and predictor.uses_hyper
+    _check_geometry(latent, uses_hyper)
     timer = timer or PhaseTimer()
 
-    hyper = _hyper_for_encode(latent, qset, m, predictor.uses_hyper)
+    hyper = None
+    if uses_hyper:
+        if qset.hyper is None:
+            raise ValueError("predictor uses a hyper grid but quantizer set has none")
+        hyper = extract_hyper_context(latent, qset.hyper, m=m)
     grouped = partition_quadtree(latent)
     gshape = grouped.groups[0].shape
     n = gshape[1] * gshape[2]
@@ -271,13 +262,15 @@ def rd_encode(
     stacks: list[IndexStack] = []
     for i, grid in enumerate(grouped.groups):
         y = _group_vectors(grid)
-        with timer.phase("autoregressive"):
-            psi = _context_for(i, decoded, phi_vec, n)
-            mu, sigma = predictor.predict(i, psi)
+        if predictor is not None:
+            with timer.phase("autoregressive"):
+                psi = _context_for(i, decoded, phi_vec, n)
+                mu, sigma = predictor.predict(i, psi)
         with timer.phase("quantize"):
-            std = (y - mu) / sigma
-            stack, rec = rvq_quantize(qset.groups[i], std, m)
-        decoded.append(sigma * rec + mu)
+            if predictor is not None:
+                y = (y - mu) / sigma
+            stack, rec = rvq_quantize(qset.groups[i], y, m)
+        decoded.append(rec if predictor is None else sigma * rec + mu)
         stacks.append(stack)
 
     recon = merge_groups(
@@ -286,27 +279,28 @@ def rd_encode(
     n_hyper = None
     if hyper is not None:
         n_hyper = (latent.height // 4) * (latent.width // 4)
-    rate = fixed_length_bits(qset, m, n, n_hyper)
     return CodedLatent(
-        scheme="rd",
+        scheme="iq" if predictor is None else "rd",
         shape=latent.shape,
         reconstruction=recon,
-        rate_bits=rate,
+        rate_bits=fixed_length_bits(qset, m, n, n_hyper),
         m=m,
         group_stacks=tuple(stacks),
         hyper_stack=hyper.indices if hyper else None,
     )
 
 
-def rd_decode(
+def _decode_fixed(
     coded: CodedLatent,
-    predictor: ContextPredictor,
+    predictor: ContextPredictor | None,
     qset: QuantizerSet,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer | None,
 ) -> LatentGrid:
-    """Rebuild the reconstruction from transmitted indices; bit-exact."""
-    if coded.scheme != "rd":
-        raise ValueError(f"expected an rd-coded latent, got {coded.scheme!r}")
+    """The rd decode loop, bit-exact with ``_encode_fixed``; with no
+    predictor it is iq."""
+    scheme = "iq" if predictor is None else "rd"
+    if coded.scheme != scheme:
+        raise ValueError(f"expected an {scheme}-coded latent, got {coded.scheme!r}")
     if coded.group_stacks is None:
         raise ValueError("coded latent carries no index stacks")
     m = coded.m
@@ -322,7 +316,7 @@ def rd_decode(
     n = gshape[1] * gshape[2]
 
     phi_vec = None
-    if predictor.uses_hyper:
+    if predictor is not None and predictor.uses_hyper:
         if qset.hyper is None:
             raise ValueError("predictor uses a hyper grid but quantizer set has none")
         if coded.hyper_stack is None:
@@ -335,15 +329,48 @@ def rd_decode(
     for i, stack in enumerate(coded.group_stacks):
         if stack.count != n:
             raise ValueError(f"group {i + 1} stack has {stack.count} entries, expected {n}")
-        with timer.phase("autoregressive"):
-            psi = _context_for(i, decoded, phi_vec, n)
-            mu, sigma = predictor.predict(i, psi)
+        if predictor is not None:
+            with timer.phase("autoregressive"):
+                psi = _context_for(i, decoded, phi_vec, n)
+                mu, sigma = predictor.predict(i, psi)
         with timer.phase("quantize"):
             rec = _rvq_reconstruct(qset.groups[i], stack)
-        decoded.append(sigma * rec + mu)
+        decoded.append(rec if predictor is None else sigma * rec + mu)
 
     groups = tuple(_vectors_to_grid(d, gshape) for d in decoded)
     return merge_groups(GroupedLatent(groups=groups, source_shape=(c, h, w)))
+
+
+def rd_encode(
+    latent: LatentGrid,
+    predictor: ContextPredictor,
+    qset: QuantizerSet,
+    m: int,
+    timer: PhaseTimer | None = None,
+) -> CodedLatent:
+    """Sequentially standardize and residual-quantize the four groups."""
+    return _encode_fixed(latent, predictor, qset, m, timer)
+
+
+def rd_decode(
+    coded: CodedLatent,
+    predictor: ContextPredictor,
+    qset: QuantizerSet,
+    timer: PhaseTimer | None = None,
+) -> LatentGrid:
+    """Rebuild the reconstruction from transmitted indices; bit-exact."""
+    return _decode_fixed(coded, predictor, qset, timer)
+
+
+def iq_encode(
+    latent: LatentGrid, qset: QuantizerSet, m: int, timer: PhaseTimer | None = None
+) -> CodedLatent:
+    """Quantize each group independently: no context, no hyper grid."""
+    return _encode_fixed(latent, None, qset, m, timer)
+
+
+def iq_decode(coded: CodedLatent, qset: QuantizerSet, timer: PhaseTimer | None = None) -> LatentGrid:
+    return _decode_fixed(coded, None, qset, timer)
 
 
 def _rvq_reconstruct(rvq: ResidualVQ, stack: IndexStack) -> np.ndarray:
@@ -356,53 +383,6 @@ def _rvq_reconstruct(rvq: ResidualVQ, stack: IndexStack) -> np.ndarray:
             raise ValueError(f"index {int(idx.max())} out of range for K={cb.size}")
         rec += cb.codewords[idx]
     return rec
-
-
-def iq_encode(
-    latent: LatentGrid, qset: QuantizerSet, m: int, timer: PhaseTimer | None = None
-) -> CodedLatent:
-    """Quantize each group independently: no context, no hyper grid."""
-    if not 1 <= m <= qset.stages:
-        raise ValueError(f"m={m} outside [1, {qset.stages}]")
-    _check_geometry(latent, use_hyper=False)
-    timer = timer or PhaseTimer()
-    grouped = partition_quadtree(latent)
-    gshape = grouped.groups[0].shape
-    n = gshape[1] * gshape[2]
-    stacks = []
-    decoded = []
-    for i, grid in enumerate(grouped.groups):
-        with timer.phase("quantize"):
-            stack, rec = rvq_quantize(qset.groups[i], _group_vectors(grid), m)
-        stacks.append(stack)
-        decoded.append(rec)
-    recon = merge_groups(
-        replace(grouped, groups=tuple(_vectors_to_grid(d, gshape) for d in decoded))
-    )
-    return CodedLatent(
-        scheme="iq",
-        shape=latent.shape,
-        reconstruction=recon,
-        rate_bits=fixed_length_bits(qset, m, n, None),
-        m=m,
-        group_stacks=tuple(stacks),
-    )
-
-
-def iq_decode(coded: CodedLatent, qset: QuantizerSet, timer: PhaseTimer | None = None) -> LatentGrid:
-    if coded.scheme != "iq":
-        raise ValueError(f"expected an iq-coded latent, got {coded.scheme!r}")
-    if coded.group_stacks is None:
-        raise ValueError("coded latent carries no index stacks")
-    timer = timer or PhaseTimer()
-    c, h, w = coded.shape
-    gshape = (c, h // 2, w // 2)
-    decoded = []
-    for i, stack in enumerate(coded.group_stacks):
-        with timer.phase("quantize"):
-            decoded.append(_rvq_reconstruct(qset.groups[i], stack))
-    groups = tuple(_vectors_to_grid(d, gshape) for d in decoded)
-    return merge_groups(GroupedLatent(groups=groups, source_shape=(c, h, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +424,12 @@ def _cm_group_tables(sigma: np.ndarray, delta: float, precision: int):
     return freq, cum, row_idx[:-1]
 
 
+def _check_cm_predictor(predictor: ContextPredictor) -> None:
+    # train_cm_model fits no hyper heads; a predictor file may still carry them.
+    if predictor.uses_hyper:
+        raise ValueError("cm predictors take no hyper grid; this one uses one")
+
+
 def cm_encode(
     latent: LatentGrid,
     predictor: ContextPredictor,
@@ -457,30 +443,19 @@ def cm_encode(
     """
     if config.scheme != "cm":
         raise ValueError("config.scheme must be 'cm'")
+    _check_cm_predictor(predictor)
     delta = float(config.delta)
-    precision = config.precision
     if latent.channels != predictor.channels:
         raise ValueError(
             f"latent has {latent.channels} channels, predictor {predictor.channels}"
         )
-    _check_geometry(latent, predictor.uses_hyper)
+    _check_geometry(latent, use_hyper=False)
     timer = timer or PhaseTimer()
     s_radius = CM_SUPPORT_RADIUS
-
-    hyper = None
-    hyper_bits = 0.0
-    if predictor.uses_hyper:
-        qset = config.quantizers
-        m_h = config.m if config.m is not None else (qset.hyper.stages if qset and qset.hyper else None)
-        hyper = _hyper_for_encode(latent, qset, m_h, True)
-        n_hyper = (latent.height // 4) * (latent.width // 4)
-        for cb in qset.hyper.stage_codebooks[:m_h]:
-            hyper_bits += n_hyper * np.log2(cb.size)
 
     grouped = partition_quadtree(latent)
     gshape = grouped.groups[0].shape
     n = gshape[1] * gshape[2]
-    phi_vec = _upsampled_phi_vectors(hyper.phi, gshape) if hyper else None
 
     decoded: list[np.ndarray] = []
     streams: list[RansStream] = []
@@ -489,7 +464,7 @@ def cm_encode(
     for i, grid in enumerate(grouped.groups):
         y = _group_vectors(grid)
         with timer.phase("autoregressive"):
-            psi = _context_for(i, decoded, phi_vec, n)
+            psi = _context_for(i, decoded, None, n)
             mu, sigma = predictor.predict(i, psi)
         with timer.phase("quantize"):
             k = np.rint((y - mu) / delta)
@@ -498,26 +473,24 @@ def cm_encode(
             k = k.astype(np.int64)
             decoded.append(mu + delta * k)
         with timer.phase("entropy_code"):
-            freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
+            freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
             syms = (k.ravel() + s_radius).astype(np.int64)
             f_sel = freq[row_idx, syms]
             c_sel = cum[row_idx, syms]
-            state, payload = _encode_core(f_sel.tolist(), c_sel.tolist(), precision)
+            state, payload = _encode_core(f_sel.tolist(), c_sel.tolist(), CM_PRECISION)
             streams.append(RansStream(count=syms.size, state=state, payload=payload))
-            self_info += float((precision - np.log2(f_sel)).sum())
+            self_info += float((CM_PRECISION - np.log2(f_sel)).sum())
 
     recon = merge_groups(
         replace(grouped, groups=tuple(_vectors_to_grid(d, gshape) for d in decoded))
     )
-    rate = float(sum(s.bits for s in streams)) + hyper_bits
     return CodedLatent(
         scheme="cm",
         shape=latent.shape,
         reconstruction=recon,
-        rate_bits=rate,
+        rate_bits=float(sum(s.bits for s in streams)),
         delta=delta,
         group_streams=tuple(streams),
-        hyper_stack=hyper.indices if hyper else None,
         clamp_count=clamps,
         self_information_bits=self_info,
     )
@@ -540,10 +513,10 @@ def cm_decode(
         raise ValueError("cm_decode needs a cm-coded latent and a cm config")
     if coded.group_streams is None:
         raise ValueError("coded latent carries no byte streams")
+    _check_cm_predictor(predictor)
     delta = float(config.delta)
     if coded.delta is not None and coded.delta != delta:
         raise ValueError(f"coded delta {coded.delta} != config delta {delta}")
-    precision = config.precision
     timer = timer or PhaseTimer()
     s_radius = CM_SUPPORT_RADIUS
 
@@ -551,28 +524,17 @@ def cm_decode(
     gshape = (c, h // 2, w // 2)
     n = gshape[1] * gshape[2]
 
-    phi_vec = None
-    if predictor.uses_hyper:
-        qset = config.quantizers
-        if qset is None or qset.hyper is None:
-            raise ValueError("predictor uses a hyper grid but quantizer set has none")
-        if coded.hyper_stack is None:
-            raise ValueError("coded latent carries no hyper indices")
-        hvecs = _rvq_reconstruct(qset.hyper, coded.hyper_stack)
-        phi = LatentGrid(hvecs.T.reshape(c, h // 4, w // 4))
-        phi_vec = _upsampled_phi_vectors(phi, gshape)
-
     decoded: list[np.ndarray] = []
     for i, stream in enumerate(coded.group_streams):
         with timer.phase("autoregressive"):
-            psi = _context_for(i, decoded, phi_vec, n)
+            psi = _context_for(i, decoded, None, n)
             mu, sigma = predictor.predict(i, psi)
         with timer.phase("entropy_code"):
             if stream.count != n * c:
                 raise ValueError(
                     f"group {i + 1} stream holds {stream.count} symbols, expected {n * c}"
                 )
-            freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
+            freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
             # Every bin outside [lo, hi) has frequency 1 in every row, so
             # the decoder only needs the rows' window columns.
             cols = np.flatnonzero((freq > 1).any(axis=0))
@@ -583,7 +545,7 @@ def cm_decode(
                 cum[:, lo : hi + 1].tolist(),
                 row_idx.tolist(),
                 lo,
-                precision,
+                CM_PRECISION,
             )
         with timer.phase("quantize"):
             k = np.asarray(syms, dtype=np.int64).reshape(n, c) - s_radius
@@ -650,34 +612,6 @@ def _fit_group_heads(
     return wmat, bias
 
 
-def _close_group_rd(qset_group, m, mu, sigma, y):
-    if qset_group is None:
-        return y.copy(), None
-    std = (y - mu) / sigma
-    stack, rec = rvq_quantize(qset_group, std, m)
-    return sigma * rec + mu, stack
-
-
-def _close_group_cm(delta, mu, sigma, y):
-    k = np.rint((y - mu) / delta)
-    np.clip(k, -CM_SUPPORT_RADIUS, CM_SUPPORT_RADIUS, out=k)
-    return mu + delta * k
-
-
-def _phi_vectors_for_training(
-    latents: list[LatentGrid], use_hyper: bool, hyper_q, m: int | None
-) -> list[np.ndarray | None]:
-    out = []
-    for lat in latents:
-        if not use_hyper:
-            out.append(None)
-            continue
-        hc = extract_hyper_context(lat, hyper_q, m=m)
-        gshape = (lat.channels, lat.height // 2, lat.width // 2)
-        out.append(_upsampled_phi_vectors(hc.phi, gshape))
-    return out
-
-
 def _predict_with(w, b, c, sigma_min, psi):
     """(mu, sigma) of raw heads, for ``ContextPredictor.predict`` and the
     fit loop, in blocks of rows so that a block's context and output stay in
@@ -692,64 +626,14 @@ def _predict_with(w, b, c, sigma_min, psi):
     return out[:, :c], np.maximum(np.exp(out[:, c:]), sigma_min)
 
 
-def fit_context_predictor(
-    training_latents: list[LatentGrid],
-    config: SchemeConfig,
-    ridge_lambda: float = 1e-3,
-    seed: int = 0,
-) -> ContextPredictor:
-    """Fit the per-group affine heads on closed-loop decoded context.
-
-    The loop is closed with the configured scheme: RD decodes each group
-    through the quantizer set (or losslessly when the config carries none),
-    CM through uniform rounding at the configured delta.  IQ has no
-    predictor, so asking for one is an error.
-    """
-    if not training_latents:
-        raise ValueError("no training latents")
-    if config.scheme == "iq":
-        raise ValueError("iq uses no context predictor")
-    c = training_latents[0].channels
-    for lat in training_latents:
-        if lat.channels != c:
-            raise ValueError("training latents must share a channel count")
-        _check_geometry(lat, config.use_hyper)
-
-    hyper_q = config.quantizers.hyper if (config.use_hyper and config.quantizers) else None
-    if config.use_hyper and hyper_q is None:
-        raise ValueError("use_hyper requires a quantizer set with a hyper quantizer")
-    phi_vecs = _phi_vectors_for_training(training_latents, config.use_hyper, hyper_q, config.m)
-
-    if config.scheme == "rd":
-        def close_group(i, mu, sigma, y):
-            q = config.quantizers.groups[i] if config.quantizers else None
-            m = config.m if config.m is not None else (q.stages if q else None)
-            out, _ = _close_group_rd(q, m, mu, sigma, y)
-            return out
-    else:
-        def close_group(i, mu, sigma, y):
-            return _close_group_cm(config.delta, mu, sigma, y)
-
-    weights, biases = _run_sequential_fit(
-        training_latents, phi_vecs, close_group, ridge_lambda, seed
-    )
-    return ContextPredictor(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        channels=c,
-        uses_hyper=config.use_hyper,
-        sigma_min=SIGMA_FLOOR,
-    )
-
-
-def _run_sequential_fit(latents, phi_vecs, close_group, lam, seed):
+def _run_sequential_fit(latents, phi, close_group, lam, seed):
     """Fit the four heads in coding order, each on context decoded through
     ``close_group(i, mu, sigma, y)``, which gets group i's rows of every
-    latent at once.  Prediction and closing act row by row, so one call on
-    the stacked latents equals one call per latent."""
+    latent at once; ``phi`` holds the stacked hyper context rows, or None.
+    Prediction and closing act row by row, so one call on the stacked
+    latents equals one call per latent."""
     c = latents[0].channels
     grouped = [partition_quadtree(lat) for lat in latents]
-    phi = None if phi_vecs[0] is None else np.concatenate(phi_vecs, axis=0)
 
     decoded: list[np.ndarray] = []
     weights, biases = [], []
@@ -797,14 +681,20 @@ def train_rd_model(
     for lat in latents:
         _check_geometry(lat, use_hyper)
 
-    hyper_q = None
+    hyper_q = phi = None
     if use_hyper:
         z_rows = [_group_vectors(block_means(lat)) for lat in latents]
         hyper_q = train_rvq(
             np.concatenate(z_rows, axis=0), hyper_stage_sizes, iterations=iterations,
             seed=seed * 7 + 11,
         )
-    phi_vecs = _phi_vectors_for_training(latents, use_hyper, hyper_q, m)
+        phi = np.concatenate([
+            _upsampled_phi_vectors(
+                extract_hyper_context(lat, hyper_q, m=m).phi,
+                (lat.channels, lat.height // 2, lat.width // 2),
+            )
+            for lat in latents
+        ], axis=0)
 
     trained: list[ResidualVQ] = []
 
@@ -823,7 +713,7 @@ def train_rd_model(
         rec = _rvq_reconstruct(rvq, IndexStack(indices=stack.indices[:mm]))
         return sigma * rec + mu
 
-    weights, biases = _run_sequential_fit(latents, phi_vecs, close_group, ridge_lambda, seed)
+    weights, biases = _run_sequential_fit(latents, phi, close_group, ridge_lambda, seed)
     predictor = ContextPredictor(
         weights=tuple(weights), biases=tuple(biases), channels=c,
         uses_hyper=use_hyper, sigma_min=SIGMA_FLOOR,
@@ -857,9 +747,28 @@ def train_cm_model(
     ridge_lambda: float = 1e-3,
     seed: int = 0,
 ) -> ContextPredictor:
-    """Fit the CM predictor closed-loop through uniform rounding at delta."""
-    config = SchemeConfig(scheme="cm", delta=delta, use_hyper=False)
-    return fit_context_predictor(latents, config, ridge_lambda=ridge_lambda, seed=seed)
+    """Fit the per-group affine heads on context decoded closed-loop through
+    uniform rounding at delta, as cm_encode decodes it."""
+    if delta <= 0.0:
+        raise ValueError("cm requires delta > 0")
+    if not latents:
+        raise ValueError("no training latents")
+    c = latents[0].channels
+    for lat in latents:
+        if lat.channels != c:
+            raise ValueError("training latents must share a channel count")
+        _check_geometry(lat, use_hyper=False)
+
+    def close_group(i, mu, sigma, y):
+        k = np.rint((y - mu) / delta)
+        np.clip(k, -CM_SUPPORT_RADIUS, CM_SUPPORT_RADIUS, out=k)
+        return mu + delta * k
+
+    weights, biases = _run_sequential_fit(latents, None, close_group, ridge_lambda, seed)
+    return ContextPredictor(
+        weights=tuple(weights), biases=tuple(biases), channels=c,
+        uses_hyper=False, sigma_min=SIGMA_FLOOR,
+    )
 
 
 # ---------------------------------------------------------------------------

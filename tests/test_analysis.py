@@ -20,7 +20,6 @@ from rvqcodec.analysis import (
     rd_sweep,
     read_rd_curves_csv,
     total_variation,
-    write_entropy_report_csv,
     write_rd_curves_csv,
 )
 from rvqcodec.grids import SourceConfig, rng_for
@@ -301,24 +300,6 @@ def test_rd_curves_csv_round_trip(tmp_path):
     bad.write_text("nope,nope\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         read_rd_curves_csv(bad)
-
-
-def test_entropy_report_csv(tmp_path):
-    n = 64
-    streams = [
-        GroupEntropyStream(
-            name="group1",
-            stage_indices=(np.tile(np.arange(4, dtype=np.int64), n // 4),),
-            stage_sizes=(4,),
-        )
-    ]
-    report = conditional_entropy_gap(streams)
-    path = tmp_path / "entropy.csv"
-    write_entropy_report_csv(path, report)
-    text = path.read_text().splitlines()
-    assert text[0] == "quantizer,stage,utilization,delta_h,one_minus_delta_h"
-    assert len(text) == 2
-    assert text[1].startswith("group1,1,")
 
 
 def test_rd_sweep_smoke_and_ordering():

@@ -19,7 +19,7 @@ from rvqcodec.grids import (
     rng_for,
     write_latent_file,
 )
-from rvqcodec.quantizers import ResidualVQ, dequantize, train_rvq
+from rvqcodec.quantizers import ResidualVQ, train_rvq
 
 
 def test_rng_for_is_deterministic_per_seed_and_stream():
@@ -168,7 +168,7 @@ def test_extract_hyper_context_quantized_path():
     assert ctx.indices.stages == 1
     assert ctx.indices.count == 16
     # phi must be the decoded grid, bit-for-bit
-    recon = dequantize(rvq.stage_codebooks[0], ctx.indices.indices[0])
+    recon = rvq.stage_codebooks[0].codewords[ctx.indices.indices[0]]
     assert np.array_equal(ctx.phi.data.reshape(1, -1).T, recon)
 
 

@@ -12,8 +12,6 @@ from rvqcodec.quantizers import (
     IndexStack,
     QuantizerSet,
     ResidualVQ,
-    codebook_report,
-    dequantize,
     nn_quantize,
     read_codebook_file,
     rvq_quantize,
@@ -156,15 +154,6 @@ def test_nn_quantize_is_argmin_property(case, tie_seed):
     assert searched[-1] == searched[0]
 
 
-def test_dequantize_round_trip_on_codewords():
-    rng = rng_for(3)
-    cb = Codebook(rng.standard_normal((8, 3)))
-    idx = np.array([5, 0, 7, 7, 2])
-    assert np.array_equal(dequantize(cb, idx), cb.codewords[idx])
-    with pytest.raises(ValueError):
-        dequantize(cb, np.array([8]))
-
-
 def test_train_codebook_is_deterministic():
     rng = rng_for(7)
     x = rng.standard_normal((4000, 4))
@@ -249,18 +238,6 @@ def test_rvq_heldout_mse_non_increasing_in_stage_count():
     assert mses[2] <= mses[1] + 1e-12
     # with three K=16 stages on Gaussian data the drop is real, not marginal
     assert mses[2] < 0.5 * mses[0]
-
-
-def test_codebook_report_on_balanced_data():
-    cw = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-    cb = Codebook(cw)
-    x = np.repeat(cw, 10, axis=0)
-    rep = codebook_report(cb, x)
-    assert rep["quantization_mse"] == 0.0
-    assert rep["commitment_mse"] == 0.0
-    assert rep["utilization"] == 1.0
-    assert rep["index_entropy_bits"] == pytest.approx(2.0)
-    assert np.array_equal(rep["histogram"], np.full(4, 10.0))
 
 
 def test_codebook_file_round_trip(tmp_path):

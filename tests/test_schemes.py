@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvqcodec import schemes
 from rvqcodec.grids import LatentGrid, SourceConfig, gauss_markov_sample, rng_for
-from rvqcodec.quantizers import QuantizerSet
+from rvqcodec.quantizers import IndexStack, QuantizerSet
 from rvqcodec.rans import RansStream, gaussian_table_batch
 from rvqcodec.schemes import (
     CM_SUPPORT_RADIUS,
@@ -182,6 +183,62 @@ def test_iq_decode_round_trip(holdout):
     assert np.array_equal(recon.data, coded.reconstruction.data)
 
 
+@pytest.fixture(scope="module")
+def iq_qset():
+    return train_iq_model(_corpus(12), (16, 16), iterations=8, seed=3)
+
+
+def _fixed_codec(scheme, rd_model, iq_qset):
+    """(quantizers, encode(latent, m), decode(coded)) of rd or iq."""
+    if scheme == "iq":
+        return (iq_qset, lambda x, m: iq_encode(x, iq_qset, m),
+                lambda coded: iq_decode(coded, iq_qset))
+    predictor, qset = rd_model
+    return (qset, lambda x, m: rd_encode(x, predictor, qset, m),
+            lambda coded: rd_decode(coded, predictor, qset))
+
+
+@pytest.mark.parametrize("scheme", ["rd", "iq"])
+def test_fixed_decode_rejects_malformed_stacks(scheme, rd_model, iq_qset, holdout):
+    qset, encode, decode = _fixed_codec(scheme, rd_model, iq_qset)
+    coded = replace(encode(holdout, 2), reconstruction=None)
+    first = coded.group_stacks[0].indices
+    k = qset.groups[0].stage_codebooks[0].size
+    out_of_range = first[0].copy()
+    out_of_range[5] = k
+
+    def with_first_stack(*indices):
+        return replace(coded, group_stacks=(IndexStack(indices),) + coded.group_stacks[1:])
+
+    bad = [
+        (with_first_stack(first[0]), "1 stages, coded m=2"),
+        (with_first_stack(*(a[:-1] for a in first)), "entries, expected"),
+        (replace(coded, m=0), "outside"),
+        (replace(coded, m=3), "outside"),
+        (replace(coded, m=None), "outside"),
+        (with_first_stack(out_of_range, first[1]), f"out of range for K={k}"),
+    ]
+    assert np.array_equal(decode(coded).data, encode(holdout, 2).reconstruction.data)
+    for received, message in bad:
+        with pytest.raises(ValueError, match=message):
+            decode(received)
+
+
+def test_iq_never_predicts(rd_model, iq_qset, holdout, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("iq must not predict")
+
+    monkeypatch.setattr(schemes, "_predict_with", boom)
+    monkeypatch.setattr(schemes.ContextPredictor, "predict", boom)
+    for m in (1, 2):
+        coded = iq_encode(holdout, iq_qset, m)
+        recon = iq_decode(replace(coded, reconstruction=None), iq_qset)
+        assert recon.data.tobytes() == coded.reconstruction.data.tobytes()
+    predictor, qset = rd_model
+    with pytest.raises(AssertionError, match="must not predict"):
+        rd_encode(holdout, predictor, qset, 1)
+
+
 def test_fixed_length_rate_accounting(rd_model, holdout):
     predictor, qset = rd_model
     coded = rd_encode(holdout, predictor, qset, m=2)
@@ -325,6 +382,21 @@ def test_cm_clamps_out_of_support_symbols(cm_model):
     assert coded.clamp_count > 0
     recon = cm_decode(replace(coded, reconstruction=None), cm_model, config)
     assert np.array_equal(recon.data, coded.reconstruction.data)
+
+
+def test_cm_rejects_hyper_predictors(cm_model, holdout):
+    hyper = ContextPredictor(
+        weights=tuple(np.zeros((i + 1, 2)) for i in range(4)),
+        biases=tuple(np.zeros(2) for _ in range(4)),
+        channels=1,
+        uses_hyper=True,
+    )
+    config = SchemeConfig(scheme="cm", delta=0.5)
+    with pytest.raises(ValueError, match="hyper"):
+        cm_encode(holdout, hyper, config)
+    coded = replace(cm_encode(holdout, cm_model, config), reconstruction=None)
+    with pytest.raises(ValueError, match="hyper"):
+        cm_decode(coded, hyper, config)
 
 
 def _all_level_tables(sigma, delta, precision):
