@@ -64,16 +64,7 @@ from .quantizers import (
     train_rvq,
     write_codebook_file,
 )
-from .rans import (
-    FrequencyTable,
-    RansStream,
-    discretized_gaussian_table,
-    gaussian_cdf,
-    gaussian_table_batch,
-    normalize_frequencies,
-    rans_decode,
-    rans_encode,
-)
+from .rans import RansStream, gaussian_cdf, gaussian_table_batch
 from .schemes import (
     CodedLatent,
     ContextPredictor,

@@ -92,22 +92,19 @@ class IndexHistogram:
         return cls(counts=counts, n=int(idx.size), k=k)
 
 
-def entropy_gap(hist: IndexHistogram, n_positions: int | None = None, k: int | None = None) -> float:
+def entropy_gap(hist: IndexHistogram) -> float:
     """Fraction of the fixed-length budget wasted by index non-uniformity.
 
     The budget is n*log2(K) bits; the empirical entropy uses the
     per-position i.i.d. plug-in convention H(J) = n*H(marginal), so the
     position count cancels and the gap reduces to 1 - H(marginal)/log2(K).
     """
-    k = hist.k if k is None else k
-    if k < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {k}")
+    if hist.k < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {hist.k}")
     if hist.n == 0:
         raise ValueError("empty histogram")
-    if n_positions is not None and n_positions < 1:
-        raise ValueError("n_positions must be positive")
     h = _plugin_entropy_bits(hist.counts)
-    gap = 1.0 - h / np.log2(k)
+    gap = 1.0 - h / np.log2(hist.k)
     return float(min(1.0, max(0.0, gap)))
 
 

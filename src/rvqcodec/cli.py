@@ -181,8 +181,11 @@ def _load_model(model_dir: str, scheme: str) -> tuple:
     )
     hyper = None
     if (d / _HYPER_CODEBOOK_FILE).is_file():
-        hyper = read_codebook_file(d / _HYPER_CODEBOOK_FILE)
-    qset = QuantizerSet(groups=groups, hyper=hyper)
+        hyper = _read_required(str(d / _HYPER_CODEBOOK_FILE), read_codebook_file, "codebook")
+    try:
+        qset = QuantizerSet(groups=groups, hyper=hyper)
+    except ValueError as e:
+        raise _CliError(f"model directory {model_dir}: {e}", IO_ERROR)
     predictor = None
     if scheme == "rd":
         predictor = _read_required(str(d / _PREDICTOR_FILE), read_predictor_file, "predictor")

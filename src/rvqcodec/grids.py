@@ -119,13 +119,12 @@ class HyperContext:
     """Side information grid shared by every group's predictor.
 
     ``phi`` lives at one quarter of the latent resolution (half the group
-    resolution).  When produced through a quantizer, ``indices`` holds the
-    transmitted per-stage index arrays and ``quantized`` is True.
+    resolution) and is the decoded grid; ``indices`` holds the transmitted
+    per-stage index arrays.
     """
 
     phi: LatentGrid
-    quantized: bool = False
-    indices: object = None  # IndexStack when quantized, else None
+    indices: object  # IndexStack
 
 
 @dataclass(frozen=True)
@@ -216,23 +215,21 @@ def block_means(latent: LatentGrid, block: int = HYPER_BLOCK) -> LatentGrid:
     return LatentGrid(r.mean(axis=(2, 4)))
 
 
-def extract_hyper_context(latent: LatentGrid, quantizer=None, m: int | None = None) -> HyperContext:
-    """Compute the hyper context (4x4 block means), optionally quantized.
+def extract_hyper_context(latent: LatentGrid, quantizer, m: int | None = None) -> HyperContext:
+    """Quantize the hyper context (4x4 block means) with ``quantizer``.
 
-    With a quantizer the block-mean vectors are coded per position with its
-    residual stages and phi is the decoded value: the exact grid the decoder
-    reconstructs from the transmitted indices.
+    The block-mean vectors are coded per position with its residual stages
+    and phi is the decoded value: the exact grid the decoder reconstructs
+    from the transmitted indices.
     """
     phi = block_means(latent, HYPER_BLOCK)
-    if quantizer is None:
-        return HyperContext(phi=phi, quantized=False, indices=None)
     from .quantizers import rvq_quantize  # deferred to avoid an import cycle
 
     c, hh, hw = phi.shape
     vectors = phi.data.reshape(c, hh * hw).T.copy()
     stack, recon = rvq_quantize(quantizer, vectors, m=quantizer.stages if m is None else m)
     decoded = LatentGrid(recon.T.reshape(c, hh, hw))
-    return HyperContext(phi=decoded, quantized=True, indices=stack)
+    return HyperContext(phi=decoded, indices=stack)
 
 
 def replicate_pad(latent: LatentGrid, multiple: int) -> LatentGrid:

@@ -1,4 +1,4 @@
-"""Asymmetric numeral system coder with per-symbol frequency tables.
+"""rANS coder over per-symbol ``(freq, cum)`` integer arrays.
 
 The coder keeps a 32-bit state with lower bound 2**16 and renormalizes one
 byte at a time.  Symbols are pushed in reverse order so the decoder pops
@@ -6,9 +6,13 @@ them first-in-first-out; the serialized stream is a little-endian 32-bit
 symbol count, the 32-bit final state, then the renormalization bytes in
 decoder reading order.
 
-Tables quantize probabilities to ``2**precision`` total mass with every
-in-support symbol at frequency >= 1, so any symbol in range stays codable.
-The Gaussian table builder uses a pinned complementary-error-function
+A table is a row of integer frequencies summing to ``2**precision`` with
+every symbol at frequency >= 1, plus its exclusive prefix sums ``cum``.
+``_encode_core`` takes each symbol's ``freq[s]`` and ``cum[s]`` as two
+parallel lists.  ``_decode_core`` takes distinct rows and one row index per
+symbol, each row restricted to a window ``[lo, hi)`` of symbols outside of
+which every frequency is 1.  ``gaussian_table_batch`` builds such rows for
+a rounded Gaussian.  It uses a pinned complementary-error-function
 implementation (power series below 1.5, Laplace continued fraction above,
 both at fixed iteration counts) rather than the platform libm, keeping the
 integer tables reproducible across machines.
@@ -22,53 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FrequencyTable",
     "RansStream",
     "RANS_LOWER_BOUND",
-    "normalize_frequencies",
-    "rans_encode",
-    "rans_decode",
     "gaussian_cdf",
-    "discretized_gaussian_table",
     "gaussian_table_batch",
 ]
 
 RANS_LOWER_BOUND = 1 << 16
 _MIN_PRECISION = 8
 _MAX_PRECISION = 16
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Integer symbol frequencies summing exactly to ``2**precision``."""
-
-    frequencies: np.ndarray
-    precision: int
-
-    def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.frequencies, dtype=np.int64))
-        if not _MIN_PRECISION <= self.precision <= _MAX_PRECISION:
-            raise ValueError(f"precision must be in [8, 16], got {self.precision}")
-        if f.ndim != 1 or f.size < 1:
-            raise ValueError("frequencies must be a non-empty 1-D array")
-        if f.min() < 1:
-            raise ValueError("every in-support symbol needs frequency >= 1")
-        total = int(f.sum())
-        if total != 1 << self.precision:
-            raise ValueError(
-                f"frequencies sum to {total}, expected {1 << self.precision}"
-            )
-        object.__setattr__(self, "frequencies", f)
-
-    @property
-    def size(self) -> int:
-        return self.frequencies.shape[0]
-
-    def cumulative(self) -> np.ndarray:
-        """Exclusive prefix sums: cum[s] = sum of frequencies below s."""
-        cum = np.zeros(self.size + 1, dtype=np.int64)
-        np.cumsum(self.frequencies, out=cum[1:])
-        return cum
 
 
 @dataclass(frozen=True)
@@ -93,37 +59,6 @@ class RansStream:
     def bits(self) -> int:
         """Coded size in bits: payload plus the 32-bit state."""
         return 8 * len(self.payload) + 32
-
-
-def normalize_frequencies(raw, precision: int) -> np.ndarray:
-    """Quantize non-negative weights onto exactly ``2**precision`` mass.
-
-    Proportional scaling with largest-remainder rounding (remainder ties go
-    to the lowest index); entries that land on zero are promoted to 1 with
-    the mass taken from the largest bin.
-    """
-    if not _MIN_PRECISION <= precision <= _MAX_PRECISION:
-        raise ValueError(f"precision must be in [8, 16], got {precision}")
-    w = np.asarray(raw, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("raw weights must be a non-empty 1-D array")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("raw weights must be finite and non-negative")
-    budget = 1 << precision
-    with np.errstate(over="ignore", divide="ignore"):
-        total = w.sum()
-        scale = budget / total
-    if total <= 0.0:
-        raise ValueError("raw weights must have positive total mass")
-    if w.size > budget:
-        raise ValueError(f"{w.size} symbols cannot all get mass >= 1 of {budget}")
-
-    if not 0.0 < scale < np.inf:
-        # A subnormal or overflowing total: divide by the largest weight
-        # first, which puts the total in [1, size].
-        w = w / w.max()
-        scale = budget / w.sum()
-    return _largest_remainder(w[None, :] * scale, budget)[0]
 
 
 def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.ndarray:
@@ -172,52 +107,6 @@ def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.
     return freq
 
 
-def _coerce_tables(symbols, tables, n):
-    if isinstance(tables, FrequencyTable):
-        tables = [tables] * n
-    if len(tables) != n:
-        raise ValueError(f"need one table per symbol: {len(tables)} tables, {n} symbols")
-    if n:
-        precisions = {t.precision for t in tables}
-        if len(precisions) != 1:
-            raise ValueError(f"tables must share one precision, got {sorted(precisions)}")
-    return tables
-
-
-def _distinct_tables(tables) -> tuple[list, list[int]]:
-    """(distinct table objects, row of each entry in that list), keyed by
-    ``id``, so a table shared by many symbols converts once."""
-    row_by_id: dict[int, int] = {}
-    distinct = []
-    row_of = []
-    for t in tables:
-        r = row_by_id.setdefault(id(t), len(distinct))
-        if r == len(distinct):
-            distinct.append(t)
-        row_of.append(r)
-    return distinct, row_of
-
-
-def rans_encode(symbols, tables) -> RansStream:
-    """Encode ``symbols[i]`` under ``tables[i]`` (or one shared table)."""
-    syms = [int(s) for s in symbols]
-    n = len(syms)
-    tables = _coerce_tables(syms, tables, n)
-    distinct, row_of = _distinct_tables(tables)
-    cum_rows = [t.cumulative() for t in distinct]
-    freqs = []
-    cums = []
-    for s, r in zip(syms, row_of):
-        t = distinct[r]
-        if not 0 <= s < t.size:
-            raise ValueError(f"symbol {s} outside table of size {t.size}")
-        freqs.append(int(t.frequencies[s]))
-        cums.append(int(cum_rows[r][s]))
-    precision = tables[0].precision if n else _MAX_PRECISION
-    state, payload = _encode_core(freqs, cums, precision)
-    return RansStream(count=n, state=state, payload=payload)
-
-
 def _encode_core(freqs: list, cums: list, precision: int) -> tuple[int, bytes]:
     """Push (freq, cum) pairs in reverse; returns final state and payload."""
     lower = RANS_LOWER_BOUND
@@ -232,17 +121,6 @@ def _encode_core(freqs: list, cums: list, precision: int) -> tuple[int, bytes]:
         x = ((x // f) << precision) + (x % f) + c
     emitted.reverse()
     return x, bytes(emitted)
-
-
-def rans_decode(stream: RansStream, tables) -> list[int]:
-    """Recover the symbol sequence; validates the final coder state."""
-    n = stream.count
-    tables = _coerce_tables(None, tables, n)
-    distinct, row_of = _distinct_tables(tables)
-    cum_rows = [t.cumulative().tolist() for t in distinct]
-    freq_rows = [t.frequencies.tolist() for t in distinct]
-    precision = tables[0].precision if n else _MAX_PRECISION
-    return _decode_core(stream, freq_rows, cum_rows, row_of, 0, precision)
 
 
 def _decode_core(
@@ -345,32 +223,6 @@ def gaussian_cdf(t) -> np.ndarray:
     return 0.5 * _erfc(-t / np.sqrt(2.0))
 
 
-def discretized_gaussian_table(
-    mu_offset: float,
-    sigma: float,
-    delta: float,
-    support_radius: int = 255,
-    precision: int = 16,
-) -> FrequencyTable:
-    """Frequency table of a rounded Gaussian on k in [-S, S].
-
-    Symbol ``s`` of the table corresponds to integer offset ``k = s - S``.
-    The bin mass is the Gaussian CDF increment over [k-0.5, k+0.5) scaled by
-    delta/sigma, with the tails beyond +-S folded into the edge bins; masses
-    are normalized by largest remainder with a floor of 1 per symbol.  A
-    single row of :func:`gaussian_table_batch`, so the scalar and batched
-    paths produce identical tables.
-    """
-    freq, _ = gaussian_table_batch(
-        np.asarray([mu_offset]),
-        np.asarray([sigma]),
-        delta,
-        support_radius=support_radius,
-        precision=precision,
-    )
-    return FrequencyTable(frequencies=freq[0], precision=precision)
-
-
 def gaussian_table_batch(
     mu_offset: np.ndarray,
     sigma: np.ndarray,
@@ -381,14 +233,16 @@ def gaussian_table_batch(
     """Vectorized table construction for one (mu_offset, sigma) pair per row.
 
     Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2); row ``i``
-    is exactly ``discretized_gaussian_table(mu_offset[i], sigma[i], ...)``.
-    Bin masses outside an active window of ``8*max(sigma)/delta +
-    max|mu_offset| + 2`` bins around zero are exact zeros by construction of
-    the folded CDF, and such bins always end at frequency 1.  So the CDF,
-    the scaling, the largest-remainder rounding and the deficit loop run on
-    the window columns only (see ``_largest_remainder`` for why that equals
-    rounding the full row: the scaled masses sum to ``2**precision`` up to
-    float rounding).  Each row's total mass is still summed over the full
+    equals the one-row call on ``(mu_offset[i], sigma[i])``.  Symbol ``s``
+    is the integer offset ``k = s - S``; its mass is the Gaussian CDF
+    increment over [k-0.5, k+0.5) scaled by delta/sigma, with the tails
+    beyond +-S folded into the edge bins.  Bin masses outside an active
+    window of ``8*max(sigma)/delta + max|mu_offset| + 2`` bins around zero
+    are exact zeros by construction of the folded CDF, and such bins always
+    end at frequency 1.  So the CDF, the scaling, the largest-remainder
+    rounding and the deficit loop run on the window columns only (see
+    ``_largest_remainder`` for why that equals rounding the full row: the
+    scaled masses sum to ``2**precision`` up to float rounding).  Each row's total mass is still summed over the full
     zero-padded row, which keeps numpy's pairwise-summation order and hence
     every table bit-identical to the full-width computation.
     """

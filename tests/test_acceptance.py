@@ -32,7 +32,7 @@ from rvqcodec.grids import (
     rng_for,
 )
 from rvqcodec.quantizers import Codebook, IndexStack, QuantizerSet, ResidualVQ
-from rvqcodec.rans import FrequencyTable, normalize_frequencies, rans_decode, rans_encode
+from rvqcodec.rans import RansStream, _decode_core, _encode_core
 from rvqcodec.schemes import (
     CodedLatent,
     SchemeConfig,
@@ -267,32 +267,66 @@ def test_criterion_7_bpp_hand_values():
     _report(7, ok, f"bpp(m=1) = {one:.6f}, bpp(m=5) = {five:.6f}")
 
 
+def _rans_round_trip(symbols, freq, row_of, lo, hi, precision) -> tuple[RansStream, list]:
+    """Encode under the full rows of ``freq``; decode through the window
+    ``[lo, hi)`` the way cm does, every bin outside it at frequency 1."""
+    cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
+    np.cumsum(freq, axis=1, out=cum[:, 1:])
+    s = np.asarray(symbols, dtype=np.int64)
+    r = np.asarray(row_of, dtype=np.int64)
+    state, payload = _encode_core(freq[r, s].tolist(), cum[r, s].tolist(), precision)
+    stream = RansStream(count=s.size, state=state, payload=payload)
+    decoded = _decode_core(
+        RansStream.from_bytes(stream.to_bytes()),
+        freq[:, lo:hi].tolist(),
+        cum[:, lo : hi + 1].tolist(),
+        r.tolist(),
+        lo,
+        precision,
+    )
+    return stream, decoded
+
+
 def test_criterion_8_rans():
     rng = rng_for(808, stream=0)
     trials = 1000
+    windowed = outside = 0
     for _ in range(trials):
         k = int(rng.integers(2, 33))
         precision = int(rng.integers(8, 17))
-        table = FrequencyTable(
-            normalize_frequencies(rng.random(k) + 1e-6, precision), precision
-        )
+        lo = int(rng.integers(0, k))
+        hi = int(rng.integers(lo + 1, k + 1))
+        rows = int(rng.integers(1, 5))
+        freq = np.ones((rows, k), dtype=np.int64)
+        for row in freq:
+            row[lo:hi] += rng.multinomial((1 << precision) - k, rng.dirichlet(np.ones(hi - lo)))
         n = int(rng.integers(0, 301))
-        symbols = [int(s) for s in rng.integers(0, k, size=n)]
-        assert rans_decode(rans_encode(symbols, table), table) == symbols
+        # Half the symbols from the window, half from the whole alphabet.
+        symbols = np.where(
+            rng.random(n) < 0.5, rng.integers(lo, hi, size=n), rng.integers(0, k, size=n)
+        )
+        row_of = rng.integers(0, rows, size=n)
+        _, decoded = _rans_round_trip(symbols, freq, row_of, lo, hi, precision)
+        assert decoded == symbols.tolist()
+        windowed += lo > 0
+        outside += int(np.count_nonzero((symbols < lo) | (symbols >= hi)))
+    assert windowed > trials // 2 and outside > trials
 
     # Rate tracks the cross-entropy of the data under the coding table.
     precision = 14
-    table = FrequencyTable(normalize_frequencies([0.75, 0.25], precision), precision)
+    freq = np.array([[12288, 4096]])
     n = 10_000
-    symbols = [int(s) for s in (rng.random(n) > 0.75)]
-    stream = rans_encode(symbols, table)
-    q = table.frequencies / float(1 << precision)
+    symbols = (rng.random(n) > 0.75).astype(np.int64)
+    stream, decoded = _rans_round_trip(symbols, freq, np.zeros(n, dtype=np.int64), 0, 2, precision)
+    assert decoded == symbols.tolist()
+    q = freq[0] / float(1 << precision)
     cross_entropy = float(-np.sum(np.log2(q[symbols])))
     ok = abs(stream.bits - cross_entropy) <= 0.01 * cross_entropy + 32
     per_symbol = stream.bits / n
     _report(
         8, ok,
-        f"{trials} round trips lossless; {stream.bits} bits vs cross-entropy"
+        f"{trials} round trips lossless ({windowed} windows with lo > 0, {outside}"
+        f" symbols outside their window); {stream.bits} bits vs cross-entropy"
         f" {cross_entropy:.0f} ({per_symbol:.4f} b/sym, analytic 0.8113)",
     )
 

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import shutil
 import time
 
+import numpy as np
 import pytest
 
 import rvqcodec.cli as cli
 from rvqcodec.analysis import CodebookEntropyRow, EntropyReport
 from rvqcodec.bitstream import BppConfig, compute_bpp
 from rvqcodec.cli import IO_ERROR, USAGE_ERROR, VERIFY_ERROR, main
+from rvqcodec.quantizers import Codebook, ResidualVQ, write_codebook_file
 
 # Frozen fixture: the pipeline below (fixed seeds, fixed model) must keep
 # producing this exact bitstream.
@@ -294,6 +297,41 @@ def test_decode_shape_mismatch_is_a_verification_error(pipeline, tmp_path):
         ]
     )
     assert rc == VERIFY_ERROR
+
+
+def _encode_and_decode_exit_codes(pipeline, model, out):
+    """Exit codes of encode and decode of the pipeline's holdout with ``model``."""
+    encode = main(
+        [
+            "encode", "--scheme", "rd", "--latent", str(pipeline["hold"]),
+            "--model-dir", str(model), "--m", "1", "--out-dir", str(out / "enc"),
+        ]
+    )
+    decode = main(
+        [
+            "decode", "--scheme", "rd", "--stream", str(pipeline["enc"] / "stream.efbs"),
+            "--model-dir", str(model), "--out-dir", str(out / "dec"),
+        ]
+    )
+    return encode, decode
+
+
+def test_malformed_hyper_codebook_is_an_io_error(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    (model / "codebook_hyper.efcb").write_bytes(b"EFCBjunk")
+    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
+    err = capsys.readouterr().err
+    assert err.count("error: codebook file") == 2 and "codebook_hyper.efcb" in err
+
+
+def test_stage_count_mismatched_model_is_an_io_error(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    two_stages = tuple(Codebook(codewords=np.zeros((2, 1))) for _ in range(2))
+    write_codebook_file(model / "codebook_hyper.efcb", ResidualVQ(stage_codebooks=two_stages))
+    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
+    assert capsys.readouterr().err.count("share a stage count") == 2
 
 
 def test_config_file_overrides_defaults_but_not_flags(tmp_path, capsys):

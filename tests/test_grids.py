@@ -19,7 +19,7 @@ from rvqcodec.grids import (
     rng_for,
     write_latent_file,
 )
-from rvqcodec.quantizers import ResidualVQ, train_rvq
+from rvqcodec.quantizers import Codebook, ResidualVQ, train_rvq
 
 
 def test_rng_for_is_deterministic_per_seed_and_stream():
@@ -148,13 +148,16 @@ def test_block_means_hand_case():
 def test_extract_hyper_context_downsamples_by_four():
     rng = rng_for(11)
     latent = LatentGrid(rng.standard_normal((2, 16, 24)))
-    ctx = extract_hyper_context(latent)
-    assert isinstance(ctx, HyperContext)
-    assert not ctx.quantized
-    assert ctx.indices is None
-    assert ctx.phi.shape == (2, 4, 6)
+    phi = block_means(latent)
     manual = latent.data.reshape(2, 4, 4, 6, 4).mean(axis=(2, 4))
-    assert np.array_equal(ctx.phi.data, manual)
+    assert np.array_equal(phi.data, manual)
+    # a one-codeword quantizer decodes every position to that codeword
+    rvq = ResidualVQ(stage_codebooks=(Codebook(codewords=np.array([[0.5, -1.0]])),))
+    ctx = extract_hyper_context(latent, rvq)
+    assert isinstance(ctx, HyperContext)
+    assert ctx.phi.shape == (2, 4, 6)
+    assert ctx.indices.count == 24
+    assert np.array_equal(ctx.phi.data, np.broadcast_to([[[0.5]], [[-1.0]]], (2, 4, 6)))
 
 
 def test_extract_hyper_context_quantized_path():
@@ -164,7 +167,6 @@ def test_extract_hyper_context_quantized_path():
     vectors = phi.data.reshape(1, -1).T.copy()
     rvq = train_rvq(vectors, (4,), iterations=10, seed=0)
     ctx = extract_hyper_context(latent, rvq, m=1)
-    assert ctx.quantized
     assert ctx.indices.stages == 1
     assert ctx.indices.count == 16
     # phi must be the decoded grid, bit-for-bit

@@ -1,5 +1,9 @@
 """Range coder: table normalization, losslessness, coded-size efficiency,
-and the pinned Gaussian CDF used by the conditional model."""
+and the pinned Gaussian CDF used by the conditional model.
+
+Tables are ``(freq, cum)`` integer rows; symbols are coded through
+``_encode_core`` and decoded through ``_decode_core``, over the full row or
+over a window ``[lo, hi)`` outside of which every frequency is 1."""
 
 import numpy as np
 import pytest
@@ -9,74 +13,96 @@ from hypothesis import strategies as st
 
 from rvqcodec.grids import rng_for
 from rvqcodec.rans import (
-    FrequencyTable,
+    RANS_LOWER_BOUND,
     RansStream,
-    discretized_gaussian_table,
+    _decode_core,
+    _encode_core,
+    _largest_remainder,
     gaussian_cdf,
     gaussian_table_batch,
-    normalize_frequencies,
-    rans_decode,
-    rans_encode,
 )
-from rvqcodec.rans import _encode_core
 
 
-def test_frequency_table_validation():
-    with pytest.raises(ValueError, match="precision"):
-        FrequencyTable(frequencies=np.array([128, 128]), precision=7)
-    with pytest.raises(ValueError, match="sum to"):
-        FrequencyTable(frequencies=np.array([100, 100]), precision=8)
-    with pytest.raises(ValueError, match="frequency >= 1"):
-        FrequencyTable(frequencies=np.array([256, 0]), precision=8)
-    t = FrequencyTable(frequencies=np.array([192, 64]), precision=8)
-    assert t.size == 2
-    assert np.array_equal(t.cumulative(), np.array([0, 192, 256]))
+def _cums(freq: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of each row of ``freq``."""
+    cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
+    np.cumsum(freq, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _encode(symbols, freq, cum, row_of, precision) -> RansStream:
+    """Encode ``symbols[i]`` under row ``row_of[i]`` of the full tables."""
+    s = np.asarray(symbols, dtype=np.int64)
+    r = np.asarray(row_of, dtype=np.int64)
+    state, payload = _encode_core(freq[r, s].tolist(), cum[r, s].tolist(), precision)
+    return RansStream(count=s.size, state=state, payload=payload)
+
+
+def _decode(stream, freq, cum, row_of, precision, lo=0, hi=None) -> list[int]:
+    """Decode with the rows' columns ``[lo, hi)`` (default: the full rows)."""
+    hi = freq.shape[1] if hi is None else hi
+    return _decode_core(
+        stream, freq[:, lo:hi].tolist(), cum[:, lo : hi + 1].tolist(), list(row_of), lo, precision
+    )
+
+
+def _window(freq: np.ndarray) -> tuple[int, int]:
+    """The columns where some row's frequency exceeds 1, as cm decodes."""
+    cols = np.flatnonzero((freq > 1).any(axis=0))
+    return int(cols[0]), int(cols[-1]) + 1
 
 
 def test_normalize_frequencies_hand_case():
-    f = normalize_frequencies([3.0, 1.0], 8)
-    assert f.tolist() == [192, 64]
-    assert f.sum() == 256
-    # totals for which 2**precision / total over- or underflows
-    assert normalize_frequencies([2.2250738585e-313], 8).tolist() == [256]
-    assert normalize_frequencies([3e-310, 1e-310], 8).tolist() == [192, 64]
-    assert normalize_frequencies([1e308, 1e308], 8).tolist() == [128, 128]
+    # 3:1 onto 256
+    assert _largest_remainder(np.array([[192.0, 64.0]]), 256).tolist() == [[192, 64]]
+    # equal remainders go to the lowest column; a bin left at zero is
+    # promoted to 1 and paid for by the largest bin
+    third = 256.0 / 3.0
+    f = _largest_remainder(np.array([[third] * 3, [0.5, 255.5, 0.0]]), 256)
+    assert f.tolist() == [[86, 85, 85], [1, 254, 1]]
+    # two bins left out of the row end at 1; their mass comes off the top
+    f = _largest_remainder(np.array([[127.0, 129.0]]), 256, outside=2)
+    assert f.tolist() == [[127, 127]]
 
 
 def test_normalize_frequencies_protects_rare_symbols():
-    f = normalize_frequencies([1e9, 1e-12, 1e-12], 8)
-    assert f.sum() == 256
-    assert f.min() >= 1
+    w = np.array([1e9, 1e-12, 1e-12])
+    f = _largest_remainder((w * (256 / w.sum()))[None, :], 256)[0]
+    assert f.tolist() == [254, 1, 1]
     # 200 promoted bins against a largest bin of exactly 200: it can give
     # only 199, so the last unit comes from the next largest bin
-    f = normalize_frequencies([200.0, 56.0] + [0.0] * 200, 8)
+    f = _largest_remainder(np.array([[200.0, 56.0] + [0.0] * 200]), 256)[0]
     assert f.tolist() == [1, 55] + [1] * 200
 
 
 def test_normalize_frequencies_validation():
-    with pytest.raises(ValueError, match="precision"):
-        normalize_frequencies([1.0], 17)
-    with pytest.raises(ValueError, match="non-negative"):
-        normalize_frequencies([1.0, -1.0], 8)
-    with pytest.raises(ValueError, match="positive total"):
-        normalize_frequencies([0.0, 0.0], 8)
-    with pytest.raises(ValueError, match="cannot all get"):
-        normalize_frequencies(np.ones(300), 8)
-    with pytest.raises(ValueError, match="1-D"):
-        normalize_frequencies(np.ones((2, 2)), 8)
+    # 300 bins cannot all get mass >= 1 of 256
+    with pytest.raises(ValueError, match="all bins at minimum"):
+        _largest_remainder(np.full((1, 300), 256.0 / 300.0), 256)
+    with pytest.raises(ValueError, match="all bins at minimum"):
+        _largest_remainder(np.full((1, 200), 256.0 / 200.0), 256, outside=100)
 
 
 @given(
     weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200),
     precision=st.integers(8, 16),
+    outside=st.integers(0, 60),
 )
-def test_normalize_frequencies_exact_mass(weights, precision):
+def test_normalize_frequencies_exact_mass(weights, precision, outside):
     w = np.asarray(weights)
-    if w.sum() <= 0 or w.size > (1 << precision):
+    budget = 1 << precision
+    if w.max() <= 0 or w.size + outside > budget:
         return
-    f = normalize_frequencies(w, precision)
-    assert int(f.sum()) == 1 << precision
+    w = w / w.max()  # keeps budget / total finite for subnormal weights
+    f = _largest_remainder((w * (budget / w.sum()))[None, :], budget, outside)[0]
+    assert int(f.sum()) + outside == budget
     assert f.min() >= 1
+
+
+def _random_tables(rng, rows: int, k: int, precision: int) -> np.ndarray:
+    """``rows`` tables of ``k`` bins, each bin >= 1, summing to 2**precision."""
+    extra = (1 << precision) - k
+    return 1 + np.stack([rng.multinomial(extra, rng.dirichlet(np.ones(k))) for _ in range(rows)])
 
 
 @given(data=st.data())
@@ -86,103 +112,85 @@ def test_rans_round_trip_randomized_tables(data):
     seed = data.draw(st.integers(0, 2**31))
     n = data.draw(st.integers(0, 400))
     rng = rng_for(seed)
-    freq = normalize_frequencies(rng.random(k) + 1e-9, precision)
-    table = FrequencyTable(frequencies=freq, precision=precision)
+    freq = _random_tables(rng, 1, k, precision)
+    cum = _cums(freq)
     symbols = rng.integers(0, k, size=n).tolist()
-    stream = rans_encode(symbols, table)
-    assert rans_decode(stream, table) == symbols
+    stream = _encode(symbols, freq, cum, [0] * n, precision)
+    assert _decode(stream, freq, cum, [0] * n, precision) == symbols
 
 
 def test_rans_round_trip_per_symbol_tables():
     rng = rng_for(51)
-    tables = [
-        FrequencyTable(frequencies=normalize_frequencies(rng.random(8) + 0.01, 12), precision=12)
-        for _ in range(200)
-    ]
+    freq = _random_tables(rng, 200, 8, 12)
+    cum = _cums(freq)
     symbols = rng.integers(0, 8, size=200).tolist()
-    stream = rans_encode(symbols, tables)
-    assert rans_decode(stream, tables) == symbols
+    stream = _encode(symbols, freq, cum, range(200), 12)
+    assert _decode(stream, freq, cum, range(200), 12) == symbols
 
 
 def test_rans_shared_table_decodes_like_per_symbol_tables():
-    """One shared table, the same table object repeated, and distinct equal
-    tables per symbol decode alike; so do two tables interleaved."""
+    """One row shared through ``row_of``, one copy of it per symbol, and two
+    rows interleaved decode alike, over the full rows and over the window
+    cm hands the decoder; a truncated stream fails every way."""
     rng = rng_for(53)
     n = 2000
-    freqs, _ = gaussian_table_batch(
+    freqs, cums = gaussian_table_batch(
         np.zeros(2), np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16
     )
-    narrow, wide = (FrequencyTable(frequencies=f, precision=16) for f in freqs)
     symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
-    stream = rans_encode(symbols, narrow)
-    copies = [FrequencyTable(frequencies=narrow.frequencies, precision=16) for _ in range(n)]
-    assert rans_decode(stream, narrow) == symbols
-    assert rans_decode(stream, [narrow] * n) == symbols
-    assert rans_decode(stream, copies) == symbols
+    narrow, narrow_cum = freqs[:1], cums[:1]
+    copies, copies_cum = np.repeat(narrow, n, axis=0), np.repeat(narrow_cum, n, axis=0)
+    stream = _encode(symbols, narrow, narrow_cum, [0] * n, 16)
+    lo, hi = _window(narrow)
+    assert lo > 0
+    assert _decode(stream, narrow, narrow_cum, [0] * n, 16) == symbols
+    assert _decode(stream, narrow, narrow_cum, [0] * n, 16, lo, hi) == symbols
+    assert _decode(stream, copies, copies_cum, range(n), 16, lo, hi) == symbols
 
-    mixed = [narrow if i % 3 else wide for i in range(n)]
-    stream = rans_encode(symbols, mixed)
-    listed = [copies[i] if i % 3 else FrequencyTable(wide.frequencies, 16) for i in range(n)]
-    assert rans_decode(stream, mixed) == rans_decode(stream, listed) == symbols
+    mixed = [i % 3 == 0 for i in range(n)]
+    stream = _encode(symbols, freqs, cums, mixed, 16)
+    lo, hi = _window(freqs)
+    assert _decode(stream, freqs, cums, mixed, 16) == symbols
+    assert _decode(stream, freqs, cums, mixed, 16, lo, hi) == symbols
 
     cut = RansStream(count=stream.count, state=stream.state, payload=stream.payload[:-3])
-    for tables in (mixed, listed):
+    for window in ((0, None), (lo, hi)):
         with pytest.raises(ValueError):
-            rans_decode(cut, tables)
-
-
-def test_rans_shared_table_encodes_like_per_symbol_tables():
-    """One shared table, the same table object repeated, distinct equal
-    tables per symbol and two tables interleaved all encode to the bytes of
-    a per-symbol (frequency, cumulative) lookup."""
-    rng = rng_for(59)
-    n = 2000
-    freqs, _ = gaussian_table_batch(
-        np.zeros(2), np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16
-    )
-    narrow, wide = (FrequencyTable(frequencies=f, precision=16) for f in freqs)
-    symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
-
-    def per_symbol(tables):
-        f = [int(t.frequencies[s]) for s, t in zip(symbols, tables)]
-        c = [int(t.cumulative()[s]) for s, t in zip(symbols, tables)]
-        state, payload = _encode_core(f, c, 16)
-        return RansStream(count=n, state=state, payload=payload).to_bytes()
-
-    want = per_symbol([narrow] * n)
-    copies = [FrequencyTable(frequencies=narrow.frequencies, precision=16) for _ in range(n)]
-    for tables in (narrow, [narrow] * n, copies):
-        assert rans_encode(symbols, tables).to_bytes() == want
-
-    mixed = [narrow if i % 3 else wide for i in range(n)]
-    listed = [copies[i] if i % 3 else FrequencyTable(wide.frequencies, 16) for i in range(n)]
-    want = per_symbol(mixed)
-    assert rans_encode(symbols, mixed).to_bytes() == want
-    assert rans_encode(symbols, listed).to_bytes() == want
-
-    with pytest.raises(ValueError, match="outside table"):
-        rans_encode(symbols[:5] + [511], narrow)
+            _decode(cut, freqs, cums, mixed, 16, *window)
 
 
 def test_rans_empty_stream():
-    table = FrequencyTable(frequencies=np.array([128, 128]), precision=8)
-    stream = rans_encode([], table)
+    freq = np.array([[128, 128]])
+    stream = _encode([], freq, _cums(freq), [], 8)
     assert stream.count == 0
-    assert rans_decode(stream, table) == []
+    assert stream.state == RANS_LOWER_BOUND and stream.payload == b""
+    assert _decode(stream, freq, _cums(freq), [], 8) == []
 
 
-def test_rans_table_count_and_precision_mismatch():
-    t8 = FrequencyTable(frequencies=np.array([128, 128]), precision=8)
-    t9 = FrequencyTable(frequencies=np.array([256, 256]), precision=9)
-    with pytest.raises(ValueError, match="one table per symbol"):
-        rans_encode([0, 1, 0], [t8, t8])
-    with pytest.raises(ValueError, match="one precision"):
-        rans_encode([0, 1], [t8, t9])
+def test_rans_decode_rejects_mismatched_input():
+    freq = np.array([[200, 56]])
+    cum = _cums(freq)
+    rng = rng_for(54)
+    symbols = (rng.random(64) < 0.3).astype(int).tolist()
+    stream = _encode(symbols, freq, cum, [0] * 64, 8)
+    assert len(stream.payload) > 1
+    with pytest.raises(ValueError, match="63 table rows for 64 symbols"):
+        _decode(stream, freq, cum, [0] * 63, 8)
+    with pytest.raises(ValueError, match="65 table rows for 64 symbols"):
+        _decode(stream, freq, cum, [0] * 65, 8)
+    cut = RansStream(count=64, state=stream.state, payload=stream.payload[:-1])
+    with pytest.raises(ValueError, match="exhausted"):
+        _decode(cut, freq, cum, [0] * 64, 8)
+    padded = RansStream(count=64, state=stream.state, payload=stream.payload + b"\x00")
+    with pytest.raises(ValueError, match="1 unread payload bytes"):
+        _decode(padded, freq, cum, [0] * 64, 8)
+    with pytest.raises(ValueError, match="final state"):
+        _decode(RansStream(count=0, state=RANS_LOWER_BOUND + 1, payload=b""), freq, cum, [], 8)
 
 
 def test_rans_stream_serialization():
-    table = FrequencyTable(frequencies=np.array([200, 56]), precision=8)
-    stream = rans_encode([0, 1, 0, 0, 1], table)
+    freq = np.array([[200, 56]])
+    stream = _encode([0, 1, 0, 0, 1], freq, _cums(freq), [0] * 5, 8)
     back = RansStream.from_bytes(stream.to_bytes())
     assert back == stream
     assert back.bits == 8 * len(stream.payload) + 32
@@ -193,12 +201,14 @@ def test_rans_stream_serialization():
 def test_rans_payload_tracks_cross_entropy():
     # Bernoulli(0.25) source, true entropy 0.811278 bits/symbol
     precision = 16
-    freq = normalize_frequencies([0.75, 0.25], precision)
-    table = FrequencyTable(frequencies=freq, precision=precision)
+    freq = np.array([[49152, 16384]])
+    cum = _cums(freq)
     rng = rng_for(88)
     symbols = (rng.random(10_000) < 0.25).astype(np.int64)
-    stream = rans_encode(symbols.tolist(), table)
-    probs = freq / float(1 << precision)
+    rows = [0] * symbols.size
+    stream = _encode(symbols, freq, cum, rows, precision)
+    assert _decode(stream, freq, cum, rows, precision) == symbols.tolist()
+    probs = freq[0] / float(1 << precision)
     cross_entropy = float(-np.log2(probs[symbols]).sum())
     assert abs(stream.bits - cross_entropy) <= 0.01 * cross_entropy + 32
     per_symbol = stream.bits / symbols.size
@@ -213,19 +223,25 @@ def test_gaussian_cdf_matches_reference():
     assert gaussian_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def _one_row(mu_offset, sigma, delta, support_radius, precision):
+    freq, cum = gaussian_table_batch(
+        np.array([mu_offset]), np.array([sigma]), delta, support_radius, precision
+    )
+    return freq[0], cum[0]
+
+
 def test_discretized_gaussian_table_mass_and_symmetry():
-    table = discretized_gaussian_table(0.0, 1.0, 0.5, support_radius=255, precision=16)
-    f = table.frequencies
+    f, cum = _one_row(0.0, 1.0, 0.5, support_radius=255, precision=16)
     assert int(f.sum()) == 1 << 16
     assert f.size == 511
+    assert np.array_equal(cum, np.concatenate([[0], np.cumsum(f)]))
     assert np.array_equal(f, f[::-1])  # zero offset: symmetric bins
     # mass concentrates where the density is
     assert f[255] == f.max()
 
 
 def test_discretized_gaussian_table_tiny_sigma_concentrates():
-    table = discretized_gaussian_table(0.0, 1e-3, 1.0, support_radius=31, precision=12)
-    f = table.frequencies
+    f, _ = _one_row(0.0, 1e-3, 1.0, support_radius=31, precision=12)
     assert int(f.sum()) == 1 << 12
     # every off-center bin holds only the floor mass of 1
     assert f[31] == (1 << 12) - 62
@@ -233,17 +249,17 @@ def test_discretized_gaussian_table_tiny_sigma_concentrates():
 
 
 def test_gaussian_table_batch_matches_scalar_rows():
+    """Rows share one active window, sized by the largest sigma and offset,
+    yet each equals the table built from its own row alone."""
     mu = np.array([-0.3, 0.0, 1.7])
     sigma = np.array([0.5, 1.0, 2.5])
     freqs, cums = gaussian_table_batch(mu, sigma, 0.25, support_radius=63, precision=14)
     assert freqs.shape == (3, 127)
     assert cums.shape == (3, 128)
     for i in range(3):
-        single = discretized_gaussian_table(
-            float(mu[i]), float(sigma[i]), 0.25, support_radius=63, precision=14
-        )
-        assert np.array_equal(freqs[i], single.frequencies)
-        assert np.array_equal(cums[i], single.cumulative())
+        f, cum = _one_row(float(mu[i]), float(sigma[i]), 0.25, support_radius=63, precision=14)
+        assert np.array_equal(freqs[i], f)
+        assert np.array_equal(cums[i], cum)
 
 
 def _full_width_tables(mu_offset, sigma, delta, support_radius, precision):
@@ -317,11 +333,15 @@ def test_gaussian_table_batch_equals_full_width_reference(
 
 def test_gaussian_table_validation():
     with pytest.raises(ValueError, match="sigma"):
-        discretized_gaussian_table(0.0, 0.0, 1.0)
+        _one_row(0.0, 0.0, 1.0, support_radius=255, precision=16)
     with pytest.raises(ValueError, match="delta"):
-        discretized_gaussian_table(0.0, 1.0, -1.0)
+        _one_row(0.0, 1.0, -1.0, support_radius=255, precision=16)
+    with pytest.raises(ValueError, match="precision"):
+        _one_row(0.0, 1.0, 1.0, support_radius=63, precision=17)
     with pytest.raises(ValueError, match="support"):
         gaussian_table_batch(np.zeros(1), np.ones(1), 1.0, support_radius=0)
+    with pytest.raises(ValueError, match="exceeds"):
+        _one_row(0.0, 1.0, 1.0, support_radius=128, precision=8)
     with pytest.raises(ValueError, match="matching shapes"):
         gaussian_table_batch(np.zeros(2), np.ones(3), 1.0)
 
@@ -331,9 +351,13 @@ def test_rans_round_trip_with_gaussian_tables():
     n = 300
     mu = rng.normal(0, 0.3, n)
     sigma = np.exp(rng.normal(0, 0.5, n))
-    freqs, _ = gaussian_table_batch(mu, sigma, 0.5, support_radius=255, precision=16)
-    tables = [FrequencyTable(frequencies=freqs[i], precision=16) for i in range(n)]
-    # symbols concentrated near the center of each table's support
-    symbols = (255 + rng.integers(-4, 5, size=n)).tolist()
-    stream = rans_encode(symbols, tables)
-    assert rans_decode(stream, tables) == symbols
+    freqs, cums = gaussian_table_batch(mu, sigma, 0.5, support_radius=255, precision=16)
+    # symbols concentrated near the center of each table's support, plus a
+    # few outliers beyond the window that decode without a table lookup
+    symbols = 255 + rng.integers(-4, 5, size=n)
+    symbols[::50] = [0, 510, 3, 500, 1, 509]
+    lo, hi = _window(freqs)
+    assert 6 < lo and hi < 505
+    stream = _encode(symbols, freqs, cums, range(n), 16)
+    assert _decode(stream, freqs, cums, range(n), 16) == symbols.tolist()
+    assert _decode(stream, freqs, cums, range(n), 16, lo, hi) == symbols.tolist()
