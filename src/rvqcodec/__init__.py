@@ -27,28 +27,22 @@ from .analysis import (
     total_variation,
 )
 from .bitstream import (
-    BppConfig,
     PackedBitstream,
     StreamHeader,
-    compute_bpp,
     pack,
     read_bitstream_file,
     unpack,
     write_bitstream_file,
 )
 from .grids import (
-    GroupedLatent,
-    HyperContext,
     LatentGrid,
     SourceConfig,
     block_means,
-    crop,
     extract_hyper_context,
     gauss_markov_sample,
     merge_groups,
     partition_quadtree,
     read_latent_file,
-    replicate_pad,
     rng_for,
     write_latent_file,
 )

@@ -1,4 +1,4 @@
-"""Fixed-length serialization of index stacks, plus rate accounting.
+"""Fixed-length serialization of index stacks.
 
 The wire format carries a 32-bit header (14-bit height, 14-bit width, 4-bit
 rate parameter q, MSB-first) followed by the indices of every quantizer in
@@ -6,8 +6,9 @@ a fixed order: hyper first, then the four groups in coding order.  Within a
 quantizer, stages are written in codebook order, positions row-major, and
 each index occupies exactly log2 K bits MSB-first.  A single zero-pad to a
 byte boundary closes the stream, so the payload length equals the
-fixed-length rate formula to within 7 bits.  No probability tables, no
-entropy coder: the stream length is known before the first index is coded.
+fixed-length rate ``schemes.fixed_length_bits`` to within 7 bits.  No
+probability tables, no entropy coder: the stream length is known before the
+first index is coded.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .quantizers import IndexStack, QuantizerSet
 __all__ = [
     "StreamHeader",
     "PackedBitstream",
-    "BppConfig",
     "pack",
     "unpack",
-    "compute_bpp",
     "write_bitstream_file",
     "read_bitstream_file",
 ]
@@ -228,46 +227,6 @@ def unpack(
     hyper_stack = stacks[0] if with_hyper else None
     group_stacks = tuple(stacks[1:]) if with_hyper else tuple(stacks)
     return header, hyper_stack, group_stacks
-
-
-@dataclass(frozen=True)
-class BppConfig:
-    """Constants of the rate formula: per-group codebook sizes, the hyper
-    codebook size (None when the hyperprior is off), and the downsampling
-    factors between image, latent, and hyper grids."""
-
-    group_sizes: tuple[int, ...]
-    hyper_size: int | None = None
-    f_y: int = LATENT_DOWNSAMPLE
-    f_z: int = HYPER_DOWNSAMPLE
-
-    def __post_init__(self):
-        if len(self.group_sizes) != 4:
-            raise ValueError(
-                f"need one size per quadtree group (4), got {len(self.group_sizes)}"
-            )
-        for k in self.group_sizes:
-            _index_bits(int(k))
-        if self.hyper_size is not None:
-            _index_bits(int(self.hyper_size))
-        if self.f_y < 1 or self.f_z < 1:
-            raise ValueError("downsampling factors must be positive")
-
-
-def compute_bpp(config: BppConfig, m: int) -> float:
-    """Bits per pixel of the fixed-length stream at stage count m.
-
-    Per conditioning pixel the hyper grid costs log2(K_z)/f_z^2 and the
-    groups average their per-index cost over the latent grid, all scaled
-    by m; with the hyperprior disabled the hyper term is dropped.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    group_term = sum(_index_bits(int(k)) for k in config.group_sizes) / 4.0
-    hyper_term = 0.0
-    if config.hyper_size is not None:
-        hyper_term = (config.f_y**2 / config.f_z**2) * _index_bits(int(config.hyper_size))
-    return (m / config.f_y**2) * (hyper_term + group_term)
 
 
 def write_bitstream_file(path, stream: PackedBitstream) -> None:

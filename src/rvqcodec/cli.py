@@ -189,7 +189,15 @@ def _load_model(model_dir: str, scheme: str) -> tuple:
     predictor = None
     if scheme == "rd":
         predictor = _read_required(str(d / _PREDICTOR_FILE), read_predictor_file, "predictor")
-    return qset, predictor
+    uses_hyper = predictor is not None and predictor.uses_hyper
+    if uses_hyper != (hyper is not None):
+        problem = (f"the {scheme} model {'uses a' if uses_hyper else 'takes no'} hyper grid, yet"
+                   f" {_HYPER_CODEBOOK_FILE} is {'present' if hyper else 'missing'}")
+    elif predictor is not None and predictor.channels != qset.groups[0].dim:
+        problem = f"predictor has {predictor.channels} channels, codebooks {qset.groups[0].dim}"
+    else:
+        return qset, predictor
+    raise _CliError(f"model directory {model_dir}: {problem}", IO_ERROR)
 
 
 # ---------------------------------------------------------------------------

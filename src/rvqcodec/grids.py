@@ -7,20 +7,20 @@ spatial downsampling factors of the notional transform (16 for the latent,
 
 Grouping splits the latent into four half-resolution subgrids by spatial
 phase, in the fixed order (0,0), (0,1), (1,0), (1,1) of (row mod 2,
-col mod 2).  Group 1 is coded first and conditions the rest.
+col mod 2).  Group 1 is coded first and conditions the rest.  Each group
+is handed out as ``(n, C)`` rows, positions row-major, the layout every
+coding loop works in; ``merge_groups`` puts the rows back onto the grid.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LatentGrid",
-    "GroupedLatent",
-    "HyperContext",
     "SourceConfig",
     "GROUP_PHASES",
     "HYPER_BLOCK",
@@ -32,8 +32,6 @@ __all__ = [
     "gauss_markov_sample",
     "block_means",
     "extract_hyper_context",
-    "replicate_pad",
-    "crop",
     "write_latent_file",
     "read_latent_file",
 ]
@@ -97,37 +95,6 @@ class LatentGrid:
 
 
 @dataclass(frozen=True)
-class GroupedLatent:
-    """The four phase subgrids of a latent, in coding order."""
-
-    groups: tuple[LatentGrid, LatentGrid, LatentGrid, LatentGrid]
-    source_shape: tuple[int, int, int]
-
-    def __post_init__(self):
-        if len(self.groups) != len(GROUP_PHASES):
-            raise ValueError("exactly four phase groups expected")
-        c, h, w = self.source_shape
-        for g in self.groups:
-            if g.shape != (c, h // 2, w // 2):
-                raise ValueError(
-                    f"group shape {g.shape} inconsistent with source {self.source_shape}"
-                )
-
-
-@dataclass(frozen=True)
-class HyperContext:
-    """Side information grid shared by every group's predictor.
-
-    ``phi`` lives at one quarter of the latent resolution (half the group
-    resolution) and is the decoded grid; ``indices`` holds the transmitted
-    per-stage index arrays.
-    """
-
-    phi: LatentGrid
-    indices: object  # IndexStack
-
-
-@dataclass(frozen=True)
 class SourceConfig:
     """Separable first-order Gauss-Markov field specification."""
 
@@ -147,26 +114,29 @@ class SourceConfig:
             raise ValueError("variance must be positive")
 
 
-def partition_quadtree(latent: LatentGrid) -> GroupedLatent:
-    """Split a latent into its four spatial phase groups.
+def partition_quadtree(latent: LatentGrid) -> tuple[np.ndarray, ...]:
+    """Split a latent into its four spatial phase groups, each as ``(n, C)``
+    rows with positions row-major.
 
     Requires even height and width so every group has identical shape.
     """
     c, h, w = latent.shape
     if h % 2 or w % 2:
         raise ValueError(f"latent spatial dims must be even, got {h}x{w}")
-    groups = tuple(
-        LatentGrid(latent.data[:, pi::2, pj::2].copy()) for pi, pj in GROUP_PHASES
-    )
-    return GroupedLatent(groups=groups, source_shape=latent.shape)
+    hwc = latent.data.transpose(1, 2, 0)
+    return tuple(hwc[pi::2, pj::2].copy().reshape(-1, c) for pi, pj in GROUP_PHASES)
 
 
-def merge_groups(grouped: GroupedLatent) -> LatentGrid:
-    """Inverse of :func:`partition_quadtree`; exact by construction."""
-    c, h, w = grouped.source_shape
+def merge_groups(rows, shape: tuple[int, int, int]) -> LatentGrid:
+    """Inverse of :func:`partition_quadtree` for a latent of ``shape``;
+    exact by construction."""
+    c, h, w = shape
+    n = (h // 2) * (w // 2)
+    if len(rows) != len(GROUP_PHASES) or any(r.shape != (n, c) for r in rows):
+        raise ValueError(f"need four ({n}, {c}) group row arrays for a {shape} latent")
     out = np.empty((c, h, w), dtype=np.float64)
-    for (pi, pj), g in zip(GROUP_PHASES, grouped.groups):
-        out[:, pi::2, pj::2] = g.data
+    for (pi, pj), r in zip(GROUP_PHASES, rows):
+        out[:, pi::2, pj::2] = r.T.reshape(c, h // 2, w // 2)
     return LatentGrid(out)
 
 
@@ -215,40 +185,18 @@ def block_means(latent: LatentGrid, block: int = HYPER_BLOCK) -> LatentGrid:
     return LatentGrid(r.mean(axis=(2, 4)))
 
 
-def extract_hyper_context(latent: LatentGrid, quantizer, m: int | None = None) -> HyperContext:
+def extract_hyper_context(latent: LatentGrid, quantizer, m: int | None = None):
     """Quantize the hyper context (4x4 block means) with ``quantizer``.
 
-    The block-mean vectors are coded per position with its residual stages
-    and phi is the decoded value: the exact grid the decoder reconstructs
-    from the transmitted indices.
+    The block-mean vectors are coded per position, row-major, with the
+    first ``m`` residual stages (all by default); returns the transmitted
+    ``IndexStack``.
     """
-    phi = block_means(latent, HYPER_BLOCK)
     from .quantizers import rvq_quantize  # deferred to avoid an import cycle
 
-    c, hh, hw = phi.shape
-    vectors = phi.data.reshape(c, hh * hw).T.copy()
-    stack, recon = rvq_quantize(quantizer, vectors, m=quantizer.stages if m is None else m)
-    decoded = LatentGrid(recon.T.reshape(c, hh, hw))
-    return HyperContext(phi=decoded, indices=stack)
-
-
-def replicate_pad(latent: LatentGrid, multiple: int) -> LatentGrid:
-    """Edge-replicate so both spatial dims are multiples of ``multiple``."""
-    c, h, w = latent.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
-        return latent
-    padded = np.pad(latent.data, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    return LatentGrid(padded)
-
-
-def crop(latent: LatentGrid, height: int, width: int) -> LatentGrid:
-    """Drop padding back off; dims must not exceed the stored grid."""
-    c, h, w = latent.shape
-    if height > h or width > w:
-        raise ValueError(f"cannot crop {h}x{w} to {height}x{width}")
-    return LatentGrid(latent.data[:, :height, :width].copy())
+    z = block_means(latent, HYPER_BLOCK)
+    rows = z.data.reshape(z.channels, -1).T
+    return rvq_quantize(quantizer, rows, m=quantizer.stages if m is None else m)[0]
 
 
 def write_latent_file(path, latent: LatentGrid) -> None:

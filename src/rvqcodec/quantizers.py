@@ -188,6 +188,9 @@ class QuantizerSet:
             stages.add(self.hyper.stages)
         if len(stages) != 1:
             raise ValueError(f"all quantizers must share a stage count, got {sorted(stages)}")
+        dims = [q.dim for q in self.groups + ((self.hyper,) if self.hyper else ())]
+        if len(set(dims)) != 1:
+            raise ValueError(f"all quantizers must share a vector dimension, got {dims}")
 
     @property
     def stages(self) -> int:

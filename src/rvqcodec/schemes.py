@@ -1,16 +1,19 @@
 """The three coding schemes: decorrelated fixed-length (RD), independent
 fixed-length (IQ), and entropy-coded scalar quantization (CM).
 
-RD codes the four phase groups sequentially.  For group i the context
+RD codes the four phase groups sequentially, each held as the ``(n, C)``
+rows that ``grids.partition_quadtree`` hands out.  For group i the context
 ``psi_i`` is the channel concatenation of the already-decoded groups at the
 co-located position, the nearest-neighbor-upsampled hyper grid ``phi`` when
-enabled, and a bias.  A per-group affine head predicts (mu, log sigma) per
-position; the group is standardized as (y - mu)/sigma, residual-quantized,
-and decoded back through the same affine map.  The decoder runs the exact
-same loop on the transmitted indices, so encoder and decoder reconstructions
-are bit-identical: prediction uses an explicit fixed-order accumulation
-rather than BLAS, and quantizer decisions have positive margin almost
-surely, which is what makes the fixed-length path robust where entropy-coded
+enabled, and a bias; ``phi`` comes from the transmitted hyper indices
+through ``_phi_rows`` alone, on the encoder, the decoder and in training.
+A per-group affine head predicts (mu, log sigma) per position; the group is
+standardized as (y - mu)/sigma, residual-quantized, and decoded back
+through the same affine map.  The decoder runs the exact same loop on the
+transmitted indices, so encoder and decoder reconstructions are
+bit-identical: prediction uses an explicit fixed-order accumulation rather
+than BLAS, and quantizer decisions have positive margin almost surely,
+which is what makes the fixed-length path robust where entropy-coded
 pipelines desynchronize on last-ulp drift.  The CM path, by contrast,
 inherits the usual sensitivity: its integer tables depend on libm exp/log,
 which is documented rather than fought.
@@ -25,12 +28,12 @@ predictor interface without a hyper grid, rate paid in actual coded bits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
-    GroupedLatent,
+    HYPER_BLOCK,
     LatentGrid,
     block_means,
     extract_hyper_context,
@@ -175,30 +178,22 @@ class CodedLatent:
     self_information_bits: float | None = None
 
 
-def _group_vectors(grid: LatentGrid) -> np.ndarray:
-    """(C, gh, gw) -> (n, C) with positions row-major."""
-    c = grid.channels
-    return grid.data.reshape(c, -1).T.copy()
+def _phi_rows(hyper: ResidualVQ, stack: IndexStack, shape: tuple[int, int, int]) -> np.ndarray:
+    """The decoded hyper grid of a ``shape`` latent, nearest-neighbor
+    upsampled to group rows: the one path from hyper indices to context."""
+    c, h, w = shape
+    hh, hw = h // HYPER_BLOCK, w // HYPER_BLOCK
+    if stack.count != hh * hw:
+        raise ValueError(f"hyper stack has {stack.count} entries, expected {hh * hw}")
+    z = _rvq_reconstruct(hyper, stack).reshape(hh, hw, c)
+    return np.repeat(np.repeat(z, 2, axis=0), 2, axis=1).reshape(-1, c)
 
 
-def _vectors_to_grid(vectors: np.ndarray, shape: tuple[int, int, int]) -> LatentGrid:
-    c, gh, gw = shape
-    return LatentGrid(vectors.T.reshape(c, gh, gw))
-
-
-def _upsampled_phi_vectors(phi: LatentGrid, group_shape: tuple[int, int, int]) -> np.ndarray:
-    """Nearest-neighbor upsample phi to the group grid, as (n, C) vectors."""
-    up = np.repeat(np.repeat(phi.data, 2, axis=1), 2, axis=2)
-    if up.shape != group_shape:
-        raise ValueError(f"phi shape {phi.shape} does not upsample to {group_shape}")
-    return up.reshape(group_shape[0], -1).T.copy()
-
-
-def _context_for(group: int, decoded: list[np.ndarray], phi_vec, n: int) -> np.ndarray:
+def _context_for(group: int, decoded: list[np.ndarray], phi, n: int) -> np.ndarray:
     """Context rows for one group: decoded groups in coding order, then phi."""
     parts = decoded[:group]
-    if phi_vec is not None:
-        parts = parts + [phi_vec]
+    if phi is not None:
+        parts = parts + [phi]
     if not parts:
         return np.empty((n, 0), dtype=np.float64)
     return np.concatenate(parts, axis=1)
@@ -224,8 +219,8 @@ def _check_geometry(latent: LatentGrid, use_hyper: bool) -> None:
     mult = 4 if use_hyper else 2
     if latent.height % mult or latent.width % mult:
         raise ValueError(
-            f"latent {latent.height}x{latent.width} must be a multiple of {mult}"
-            f" (replicate-pad first; see grids.replicate_pad)"
+            f"latent {latent.height}x{latent.width} must be a multiple of {mult}:"
+            f" 2 for the four phase groups, 4 with a hyper grid of 4x4 blocks"
         )
 
 
@@ -248,23 +243,21 @@ def _encode_fixed(
     _check_geometry(latent, uses_hyper)
     timer = timer or PhaseTimer()
 
-    hyper = None
+    hyper_stack = phi = None
     if uses_hyper:
         if qset.hyper is None:
             raise ValueError("predictor uses a hyper grid but quantizer set has none")
-        hyper = extract_hyper_context(latent, qset.hyper, m=m)
-    grouped = partition_quadtree(latent)
-    gshape = grouped.groups[0].shape
-    n = gshape[1] * gshape[2]
-    phi_vec = _upsampled_phi_vectors(hyper.phi, gshape) if hyper else None
+        hyper_stack = extract_hyper_context(latent, qset.hyper, m=m)
+        phi = _phi_rows(qset.hyper, hyper_stack, latent.shape)
+    groups = partition_quadtree(latent)
+    n = groups[0].shape[0]
 
     decoded: list[np.ndarray] = []
     stacks: list[IndexStack] = []
-    for i, grid in enumerate(grouped.groups):
-        y = _group_vectors(grid)
+    for i, y in enumerate(groups):
         if predictor is not None:
             with timer.phase("autoregressive"):
-                psi = _context_for(i, decoded, phi_vec, n)
+                psi = _context_for(i, decoded, phi, n)
                 mu, sigma = predictor.predict(i, psi)
         with timer.phase("quantize"):
             if predictor is not None:
@@ -273,20 +266,15 @@ def _encode_fixed(
         decoded.append(rec if predictor is None else sigma * rec + mu)
         stacks.append(stack)
 
-    recon = merge_groups(
-        replace(grouped, groups=tuple(_vectors_to_grid(d, gshape) for d in decoded))
-    )
-    n_hyper = None
-    if hyper is not None:
-        n_hyper = (latent.height // 4) * (latent.width // 4)
+    n_hyper = hyper_stack.count if uses_hyper else None
     return CodedLatent(
         scheme="iq" if predictor is None else "rd",
         shape=latent.shape,
-        reconstruction=recon,
+        reconstruction=merge_groups(decoded, latent.shape),
         rate_bits=fixed_length_bits(qset, m, n, n_hyper),
         m=m,
         group_stacks=tuple(stacks),
-        hyper_stack=hyper.indices if hyper else None,
+        hyper_stack=hyper_stack,
     )
 
 
@@ -310,20 +298,18 @@ def _decode_fixed(
         if s.stages != m:
             raise ValueError(f"stack has {s.stages} stages, coded m={m}")
     timer = timer or PhaseTimer()
-
     c, h, w = coded.shape
-    gshape = (c, h // 2, w // 2)
-    n = gshape[1] * gshape[2]
+    n = (h // 2) * (w // 2)
 
-    phi_vec = None
+    phi = None
     if predictor is not None and predictor.uses_hyper:
         if qset.hyper is None:
             raise ValueError("predictor uses a hyper grid but quantizer set has none")
         if coded.hyper_stack is None:
             raise ValueError("coded latent carries no hyper indices")
-        hvecs = _rvq_reconstruct(qset.hyper, coded.hyper_stack)
-        phi = LatentGrid(hvecs.T.reshape(c, h // 4, w // 4))
-        phi_vec = _upsampled_phi_vectors(phi, gshape)
+        if coded.hyper_stack.stages != m:
+            raise ValueError(f"hyper stack has {coded.hyper_stack.stages} stages, coded m={m}")
+        phi = _phi_rows(qset.hyper, coded.hyper_stack, coded.shape)
 
     decoded: list[np.ndarray] = []
     for i, stack in enumerate(coded.group_stacks):
@@ -331,14 +317,12 @@ def _decode_fixed(
             raise ValueError(f"group {i + 1} stack has {stack.count} entries, expected {n}")
         if predictor is not None:
             with timer.phase("autoregressive"):
-                psi = _context_for(i, decoded, phi_vec, n)
+                psi = _context_for(i, decoded, phi, n)
                 mu, sigma = predictor.predict(i, psi)
         with timer.phase("quantize"):
             rec = _rvq_reconstruct(qset.groups[i], stack)
         decoded.append(rec if predictor is None else sigma * rec + mu)
-
-    groups = tuple(_vectors_to_grid(d, gshape) for d in decoded)
-    return merge_groups(GroupedLatent(groups=groups, source_shape=(c, h, w)))
+    return merge_groups(decoded, coded.shape)
 
 
 def rd_encode(
@@ -453,16 +437,14 @@ def cm_encode(
     timer = timer or PhaseTimer()
     s_radius = CM_SUPPORT_RADIUS
 
-    grouped = partition_quadtree(latent)
-    gshape = grouped.groups[0].shape
-    n = gshape[1] * gshape[2]
+    groups = partition_quadtree(latent)
+    n = groups[0].shape[0]
 
     decoded: list[np.ndarray] = []
     streams: list[RansStream] = []
     clamps = 0
     self_info = 0.0
-    for i, grid in enumerate(grouped.groups):
-        y = _group_vectors(grid)
+    for i, y in enumerate(groups):
         with timer.phase("autoregressive"):
             psi = _context_for(i, decoded, None, n)
             mu, sigma = predictor.predict(i, psi)
@@ -481,13 +463,10 @@ def cm_encode(
             streams.append(RansStream(count=syms.size, state=state, payload=payload))
             self_info += float((CM_PRECISION - np.log2(f_sel)).sum())
 
-    recon = merge_groups(
-        replace(grouped, groups=tuple(_vectors_to_grid(d, gshape) for d in decoded))
-    )
     return CodedLatent(
         scheme="cm",
         shape=latent.shape,
-        reconstruction=recon,
+        reconstruction=merge_groups(decoded, latent.shape),
         rate_bits=float(sum(s.bits for s in streams)),
         delta=delta,
         group_streams=tuple(streams),
@@ -521,8 +500,7 @@ def cm_decode(
     s_radius = CM_SUPPORT_RADIUS
 
     c, h, w = coded.shape
-    gshape = (c, h // 2, w // 2)
-    n = gshape[1] * gshape[2]
+    n = (h // 2) * (w // 2)
 
     decoded: list[np.ndarray] = []
     for i, stream in enumerate(coded.group_streams):
@@ -550,9 +528,7 @@ def cm_decode(
         with timer.phase("quantize"):
             k = np.asarray(syms, dtype=np.int64).reshape(n, c) - s_radius
             decoded.append(mu + delta * k)
-
-    groups = tuple(_vectors_to_grid(d, gshape) for d in decoded)
-    return merge_groups(GroupedLatent(groups=groups, source_shape=(c, h, w)))
+    return merge_groups(decoded, coded.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +614,7 @@ def _run_sequential_fit(latents, phi, close_group, lam, seed):
     decoded: list[np.ndarray] = []
     weights, biases = [], []
     for i in range(4):
-        y = np.concatenate([_group_vectors(g.groups[i]) for g in grouped], axis=0)
+        y = np.concatenate([g[i] for g in grouped], axis=0)
         psi = _context_for(i, decoded, phi, y.shape[0])
         params = (psi.shape[1] + 1) * 2 * c
         if psi.shape[0] < 10 * params:
@@ -683,16 +659,13 @@ def train_rd_model(
 
     hyper_q = phi = None
     if use_hyper:
-        z_rows = [_group_vectors(block_means(lat)) for lat in latents]
+        z_rows = [block_means(lat).data.reshape(lat.channels, -1).T for lat in latents]
         hyper_q = train_rvq(
             np.concatenate(z_rows, axis=0), hyper_stage_sizes, iterations=iterations,
             seed=seed * 7 + 11,
         )
         phi = np.concatenate([
-            _upsampled_phi_vectors(
-                extract_hyper_context(lat, hyper_q, m=m).phi,
-                (lat.channels, lat.height // 2, lat.width // 2),
-            )
+            _phi_rows(hyper_q, extract_hyper_context(lat, hyper_q, m=m), lat.shape)
             for lat in latents
         ], axis=0)
 
@@ -736,7 +709,7 @@ def train_iq_model(
     grouped = [partition_quadtree(lat) for lat in latents]
     books = []
     for i in range(4):
-        pool = np.concatenate([_group_vectors(g.groups[i]) for g in grouped], axis=0)
+        pool = np.concatenate([g[i] for g in grouped], axis=0)
         books.append(train_rvq(pool, per_group[i], iterations=iterations, seed=seed * 7 + 50 + i))
     return QuantizerSet(groups=tuple(books), hyper=None)
 

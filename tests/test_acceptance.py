@@ -24,7 +24,7 @@ from rvqcodec.analysis import (
     pipeline_entropy_experiment,
     rate_dominance_experiment,
 )
-from rvqcodec.bitstream import BppConfig, StreamHeader, compute_bpp, pack, unpack
+from rvqcodec.bitstream import StreamHeader, pack, unpack
 from rvqcodec.grids import (
     LATENT_DOWNSAMPLE,
     SourceConfig,
@@ -38,6 +38,7 @@ from rvqcodec.schemes import (
     SchemeConfig,
     cm_decode,
     cm_encode,
+    fixed_length_bits,
     rd_decode,
     rd_encode,
     train_cm_model,
@@ -223,9 +224,9 @@ def test_criterion_6_bitstream_exactness():
             IndexStack(indices=tuple(rng.integers(0, k, size=n_group) for _ in range(m)))
             for k in sizes
         )
+        n_hyper = (height // 64) * (width // 64) if use_hyper else None
         hyper = None
         if use_hyper:
-            n_hyper = (height // 64) * (width // 64)
             hyper = IndexStack(
                 indices=tuple(rng.integers(0, hyper_k, size=n_hyper) for _ in range(m))
             )
@@ -245,8 +246,7 @@ def test_criterion_6_bitstream_exactness():
         repacked = pack(got_header, got_hyper, got_groups, qset)
         assert repacked.payload == stream.payload
 
-        formula = compute_bpp(BppConfig(group_sizes=sizes, hyper_size=hyper_k), m)
-        pad = 8 * len(stream.payload) - formula * height * width
+        pad = 8 * len(stream.payload) - fixed_length_bits(qset, m, n_group, n_hyper)
         assert 0.0 <= pad <= 7.0
         max_pad = max(max_pad, pad)
 
@@ -254,17 +254,20 @@ def test_criterion_6_bitstream_exactness():
     assert golden == bytes([0x08, 0x00, 0x30, 0x05])
     _report(
         6, True,
-        f"{trials} randomized round trips byte-exact, payload = formula x pixels"
+        f"{trials} randomized round trips byte-exact, payload = fixed-length rate"
         f" (max padding {max_pad:.0f} bits), header layout matches hand bytes",
     )
 
 
 def test_criterion_7_bpp_hand_values():
-    config = BppConfig(group_sizes=(1024, 512, 256, 128), hyper_size=1024)
-    one = compute_bpp(config, 1)
-    five = compute_bpp(config, 5)
-    ok = abs(one - 0.035645) <= 1e-6 and abs(five - 0.178223) <= 1e-6
-    _report(7, ok, f"bpp(m=1) = {one:.6f}, bpp(m=5) = {five:.6f}")
+    # 1024x1024 pixels: 64x64 latent, 32x32 per group, 16x16 hyper grid
+    qset = QuantizerSet(
+        groups=tuple(_zero_rvq((k,) * 5) for k in (1024, 512, 256, 128)),
+        hyper=_zero_rvq((1024,) * 5),
+    )
+    one, five = (fixed_length_bits(qset, m, 32 * 32, 16 * 16) / 1024**2 for m in (1, 5))
+    ok = one == 0.03564453125 and five == 0.17822265625
+    _report(7, ok, f"bpp(m=1) = {one:.11f}, bpp(m=5) = {five:.11f}")
 
 
 def _rans_round_trip(symbols, freq, row_of, lo, hi, precision) -> tuple[RansStream, list]:

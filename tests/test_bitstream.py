@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rvqcodec.bitstream import (
-    BppConfig,
     PackedBitstream,
     StreamHeader,
-    compute_bpp,
     pack,
     read_bitstream_file,
     unpack,
@@ -17,6 +15,7 @@ from rvqcodec.bitstream import (
 )
 from rvqcodec.grids import rng_for
 from rvqcodec.quantizers import Codebook, IndexStack, QuantizerSet, ResidualVQ
+from rvqcodec.schemes import fixed_length_bits
 
 
 def _zero_rvq(stage_sizes, dim=1):
@@ -163,18 +162,9 @@ def test_pack_unpack_inverse_property(data):
     for orig, got in zip(groups, back_groups):
         for a, b in zip(orig.indices, got.indices):
             assert np.array_equal(a, b)
-    # payload bits equal the BPP formula times the pixel count, up to the
-    # final byte's padding
-    cfg = BppConfig(
-        group_sizes=tuple(g[0] for g in per_group),
-        hyper_size=hyper_sizes[0] if use_hyper else None,
-    )
-    if all(len(set(g)) == 1 for g in per_group) and (
-        not use_hyper or len(set(hyper_sizes)) == 1
-    ):
-        exact = compute_bpp(cfg, m) * height * width
-        padded = 8 * len(stream.payload)
-        assert 0 <= padded - exact < 8
+    # payload bits equal the fixed-length rate, up to the final byte's padding
+    exact = fixed_length_bits(qset, m, n_group, n_hyper)
+    assert 0 <= 8 * len(stream.payload) - exact < 8
 
 
 def test_pack_validates_inputs():
@@ -290,31 +280,29 @@ def test_bitstream_file_round_trip(tmp_path):
         read_bitstream_file(bad)
 
 
-def test_compute_bpp_hand_values():
-    cfg = BppConfig(group_sizes=(1024, 512, 256, 128), hyper_size=1024)
-    assert compute_bpp(cfg, 1) == pytest.approx(0.035645, abs=1e-6)
-    assert compute_bpp(cfg, 5) == pytest.approx(0.178223, abs=1e-6)
+def _rate_qset(group_sizes, hyper_size, stages):
+    return _qset([(k,) * stages for k in group_sizes],
+                 hyper=(hyper_size,) * stages if hyper_size else None)
+
+
+def test_fixed_length_rate_hand_values():
+    # 1024x1024 pixels: 64x64 latent, 32x32 per group, 16x16 hyper grid
+    qset = _rate_qset((1024, 512, 256, 128), 1024, stages=5)
+    one = fixed_length_bits(qset, 1, 32 * 32, 16 * 16) / 1024**2
+    five = fixed_length_bits(qset, 5, 32 * 32, 16 * 16) / 1024**2
+    assert one == pytest.approx(0.035645, abs=1e-6)
+    assert five == pytest.approx(0.178223, abs=1e-6)
     # exact binary values, not just within tolerance
-    assert compute_bpp(cfg, 1) == 0.03564453125
-    assert compute_bpp(cfg, 5) == 0.17822265625
+    assert one == 0.03564453125
+    assert five == 0.17822265625
 
 
-def test_compute_bpp_degenerate_cases():
-    assert compute_bpp(BppConfig(group_sizes=(1, 1, 1, 1)), 3) == 0.0
-    assert compute_bpp(BppConfig(group_sizes=(1, 1, 1, 1), hyper_size=1), 3) == 0.0
-    no_hyper = BppConfig(group_sizes=(1024, 512, 256, 128))
-    with_unit_hyper = BppConfig(group_sizes=(1024, 512, 256, 128), hyper_size=1)
-    assert compute_bpp(no_hyper, 2) == compute_bpp(with_unit_hyper, 2)
-
-
-def test_bpp_config_validation():
-    with pytest.raises(ValueError, match="4"):
-        BppConfig(group_sizes=(4, 4))
-    with pytest.raises(ValueError, match="power of two"):
-        BppConfig(group_sizes=(3, 4, 4, 4))
-    with pytest.raises(ValueError, match="power of two"):
-        BppConfig(group_sizes=(4, 4, 4, 4), hyper_size=6)
-    # m = 0 is the empty stream, not an error
-    assert compute_bpp(BppConfig(group_sizes=(4, 4, 4, 4)), 0) == 0.0
-    with pytest.raises(ValueError, match="non-negative"):
-        compute_bpp(BppConfig(group_sizes=(4, 4, 4, 4)), -1)
+def test_fixed_length_rate_degenerate_cases():
+    # one-codeword stages cost nothing, with or without a hyper grid
+    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), None, 3), 3, 1024, None) == 0.0
+    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), 1, 3), 3, 1024, 256) == 0.0
+    sizes = (1024, 512, 256, 128)
+    no_hyper = fixed_length_bits(_rate_qset(sizes, None, 2), 2, 1024, None)
+    assert no_hyper == fixed_length_bits(_rate_qset(sizes, 1, 2), 2, 1024, 256)
+    with pytest.raises(ValueError, match="no hyper quantizer"):
+        fixed_length_bits(_rate_qset(sizes, None, 2), 2, 1024, 256)

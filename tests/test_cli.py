@@ -10,9 +10,9 @@ import pytest
 
 import rvqcodec.cli as cli
 from rvqcodec.analysis import CodebookEntropyRow, EntropyReport
-from rvqcodec.bitstream import BppConfig, compute_bpp
 from rvqcodec.cli import IO_ERROR, USAGE_ERROR, VERIFY_ERROR, main
 from rvqcodec.quantizers import Codebook, ResidualVQ, write_codebook_file
+from rvqcodec.schemes import ContextPredictor, fixed_length_bits, write_predictor_file
 
 # Frozen fixture: the pipeline below (fixed seeds, fixed model) must keep
 # producing this exact bitstream.
@@ -179,7 +179,9 @@ def test_encode_reports_formula_bpp(pipeline, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    expected = compute_bpp(BppConfig(group_sizes=(8, 8, 8, 8)), 1)
+    # a 1x32x32 latent is 512x512 pixels with 16x16 positions per group
+    qset, _ = cli._load_model(str(pipeline["model"]), "rd")
+    expected = fixed_length_bits(qset, 1, 16 * 16, None) / 512**2
     assert f"bpp={expected:.6f}" in out
     manifest = json.loads((enc2 / "manifest.json").read_text())
     timings = manifest["timings_ms"]
@@ -299,21 +301,66 @@ def test_decode_shape_mismatch_is_a_verification_error(pipeline, tmp_path):
     assert rc == VERIFY_ERROR
 
 
-def _encode_and_decode_exit_codes(pipeline, model, out):
+def _encode_and_decode_exit_codes(pipeline, model, out, scheme="rd"):
     """Exit codes of encode and decode of the pipeline's holdout with ``model``."""
     encode = main(
         [
-            "encode", "--scheme", "rd", "--latent", str(pipeline["hold"]),
+            "encode", "--scheme", scheme, "--latent", str(pipeline["hold"]),
             "--model-dir", str(model), "--m", "1", "--out-dir", str(out / "enc"),
         ]
     )
     decode = main(
         [
-            "decode", "--scheme", "rd", "--stream", str(pipeline["enc"] / "stream.efbs"),
+            "decode", "--scheme", scheme, "--stream", str(pipeline["enc"] / "stream.efbs"),
             "--model-dir", str(model), "--out-dir", str(out / "dec"),
         ]
     )
     return encode, decode
+
+
+def _train(pipeline, out, *flags):
+    data = ",".join(str(pipeline["data"] / f"lat{i}.eflt") for i in range(10))
+    rc = main(
+        ["train", "--data", data, "--stages", "1", "--Ks", "8,8,8,8", "--iters", "4",
+         "--seed", "0", "--out-dir", str(out), *flags]
+    )
+    assert rc == 0
+    return out
+
+
+def test_model_files_that_disagree_are_an_io_error(pipeline, tmp_path, capsys):
+    hyper = _train(pipeline, tmp_path / "hyper", "--scheme", "rd", "--hyper", "on", "--Kz", "4")
+    iq = _train(pipeline, tmp_path / "iq", "--scheme", "iq")
+    plain = tmp_path / "plain"
+    shutil.copytree(pipeline["model"], plain)
+    shutil.copy(hyper / "codebook_hyper.efcb", plain)
+    shutil.copy(hyper / "codebook_hyper.efcb", iq)
+    (hyper / "codebook_hyper.efcb").unlink()
+    wide = tmp_path / "wide"
+    shutil.copytree(pipeline["model"], wide)
+    write_predictor_file(wide / "predictor.efpr", ContextPredictor(
+        weights=tuple(np.zeros((2 * i, 4)) for i in range(4)),
+        biases=tuple(np.zeros(4) for _ in range(4)), channels=2, uses_hyper=False,
+    ))
+    cases = [
+        (hyper, "rd", "the rd model uses a hyper grid, yet codebook_hyper.efcb is missing"),
+        (plain, "rd", "the rd model takes no hyper grid, yet codebook_hyper.efcb is present"),
+        (iq, "iq", "the iq model takes no hyper grid, yet codebook_hyper.efcb is present"),
+        (wide, "rd", "predictor has 2 channels, codebooks 1"),
+    ]
+    for model, scheme, message in cases:
+        codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / model.name, scheme)
+        assert codes == (IO_ERROR, IO_ERROR)
+        assert capsys.readouterr().err.count(message) == 2
+
+
+def test_codebooks_of_mixed_dimension_are_an_io_error(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    wide = ResidualVQ(stage_codebooks=(Codebook(codewords=np.zeros((8, 2))),))
+    write_codebook_file(model / "codebook_group2.efcb", wide)
+    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
+    assert capsys.readouterr().err.count("vector dimension, got [1, 2, 1, 1]") == 2
 
 
 def test_malformed_hyper_codebook_is_an_io_error(pipeline, tmp_path, capsys):

@@ -1,25 +1,23 @@
-"""Grid containers, quadtree grouping, the Gauss-Markov source, and latent files."""
+"""Grid containers, quadtree grouping as group rows, the hyper grid, the
+Gauss-Markov source, and latent files."""
 
 import numpy as np
 import pytest
 
 from rvqcodec.grids import (
     GROUP_PHASES,
-    HyperContext,
     LatentGrid,
     SourceConfig,
     block_means,
-    crop,
     extract_hyper_context,
     gauss_markov_sample,
     merge_groups,
     partition_quadtree,
     read_latent_file,
-    replicate_pad,
     rng_for,
     write_latent_file,
 )
-from rvqcodec.quantizers import Codebook, ResidualVQ, train_rvq
+from rvqcodec.quantizers import Codebook, IndexStack, ResidualVQ, rvq_quantize, train_rvq
 
 
 def test_rng_for_is_deterministic_per_seed_and_stream():
@@ -61,11 +59,13 @@ def test_partition_merge_inverse_exhaustive(c, h, w):
     # every position gets a unique value, so equality checks the bijection
     data = np.arange(c * h * w, dtype=np.float64).reshape(c, h, w)
     latent = LatentGrid(data)
-    grouped = partition_quadtree(latent)
-    assert grouped.source_shape == (c, h, w)
-    for g, (dr, dc) in zip(grouped.groups, GROUP_PHASES):
-        assert np.array_equal(g.data, data[:, dr::2, dc::2])
-    back = merge_groups(grouped)
+    rows = partition_quadtree(latent)
+    assert len(rows) == 4
+    for r, (dr, dc) in zip(rows, GROUP_PHASES):
+        assert r.dtype == np.float64 and r.flags.c_contiguous
+        assert np.array_equal(r, data[:, dr::2, dc::2].reshape(c, -1).T)
+        assert not np.shares_memory(r, latent.data)
+    back = merge_groups(rows, (c, h, w))
     assert np.array_equal(back.data, data)
 
 
@@ -76,11 +76,23 @@ def test_partition_requires_even_dims():
         partition_quadtree(LatentGrid(np.zeros((1, 4, 5))))
 
 
+def test_merge_rejects_rows_that_do_not_fit_the_shape():
+    rows = partition_quadtree(LatentGrid(np.zeros((2, 4, 6))))
+    with pytest.raises(ValueError, match=r"\(4, 2\)"):
+        merge_groups(rows, (2, 4, 5))
+    with pytest.raises(ValueError, match="four"):
+        merge_groups(rows[:3], (2, 4, 6))
+    with pytest.raises(ValueError, match=r"\(6, 2\)"):
+        merge_groups(rows[:3] + (rows[3][:1],), (2, 4, 6))
+    with pytest.raises(ValueError, match=r"\(6, 1\)"):
+        merge_groups(rows, (1, 4, 6))
+
+
 def test_group_phase_order_on_2x2():
     latent = LatentGrid(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    grouped = partition_quadtree(latent)
-    got = [float(g.data.ravel()[0]) for g in grouped.groups]
-    assert got == [1.0, 2.0, 3.0, 4.0]
+    rows = partition_quadtree(latent)
+    assert [r.shape for r in rows] == [(1, 1)] * 4
+    assert [float(r[0, 0]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_source_config_validation():
@@ -151,13 +163,12 @@ def test_extract_hyper_context_downsamples_by_four():
     phi = block_means(latent)
     manual = latent.data.reshape(2, 4, 4, 6, 4).mean(axis=(2, 4))
     assert np.array_equal(phi.data, manual)
-    # a one-codeword quantizer decodes every position to that codeword
+    # a one-codeword quantizer codes every one of the 4x6 positions as 0
     rvq = ResidualVQ(stage_codebooks=(Codebook(codewords=np.array([[0.5, -1.0]])),))
-    ctx = extract_hyper_context(latent, rvq)
-    assert isinstance(ctx, HyperContext)
-    assert ctx.phi.shape == (2, 4, 6)
-    assert ctx.indices.count == 24
-    assert np.array_equal(ctx.phi.data, np.broadcast_to([[[0.5]], [[-1.0]]], (2, 4, 6)))
+    stack = extract_hyper_context(latent, rvq)
+    assert isinstance(stack, IndexStack)
+    assert (stack.stages, stack.count) == (1, 24)
+    assert not stack.indices[0].any()
 
 
 def test_extract_hyper_context_quantized_path():
@@ -165,29 +176,13 @@ def test_extract_hyper_context_quantized_path():
     latent = LatentGrid(rng.standard_normal((1, 16, 16)))
     phi = block_means(latent, 4)
     vectors = phi.data.reshape(1, -1).T.copy()
-    rvq = train_rvq(vectors, (4,), iterations=10, seed=0)
-    ctx = extract_hyper_context(latent, rvq, m=1)
-    assert ctx.indices.stages == 1
-    assert ctx.indices.count == 16
-    # phi must be the decoded grid, bit-for-bit
-    recon = rvq.stage_codebooks[0].codewords[ctx.indices.indices[0]]
-    assert np.array_equal(ctx.phi.data.reshape(1, -1).T, recon)
-
-
-def test_replicate_pad_and_crop_round_trip():
-    data = np.arange(15, dtype=np.float64).reshape(1, 3, 5)
-    latent = LatentGrid(data)
-    padded = replicate_pad(latent, 4)
-    assert padded.shape == (1, 4, 8)
-    # edge replication, not zeros
-    assert np.array_equal(padded.data[0, 3, :5], data[0, 2, :])
-    assert np.array_equal(padded.data[0, :3, 5], data[0, :, 4])
-    assert np.array_equal(padded.data[0, 3, 5:], np.full(3, data[0, 2, 4]))
-    back = crop(padded, 3, 5)
-    assert np.array_equal(back.data, data)
-    assert replicate_pad(latent, 1) is latent
-    with pytest.raises(ValueError, match="cannot crop"):
-        crop(latent, 4, 5)
+    rvq = train_rvq(vectors, (4, 4), iterations=10, seed=0)
+    stack = extract_hyper_context(latent, rvq, m=1)
+    assert stack.stages == 1
+    assert stack.count == 16
+    # the indices are those of the block-mean rows, positions row-major
+    assert np.array_equal(stack.indices[0], rvq_quantize(rvq, vectors, 1)[0].indices[0])
+    assert extract_hyper_context(latent, rvq).stages == 2
 
 
 def test_latent_file_round_trip(tmp_path):

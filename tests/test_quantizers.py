@@ -61,8 +61,20 @@ def test_quantizer_set_requires_shared_stage_count():
     )
     with pytest.raises(ValueError, match="stage count"):
         QuantizerSet(groups=(one, one, one, two))
+    with pytest.raises(ValueError, match="exactly four"):
+        QuantizerSet(groups=(one, one, one))
     qs = QuantizerSet(groups=(one, one, one, one))
     assert qs.stages == 1 and qs.hyper is None
+
+
+def test_quantizer_set_requires_shared_dimension():
+    one = ResidualVQ(stage_codebooks=(Codebook(np.zeros((2, 1))),))
+    two = ResidualVQ(stage_codebooks=(Codebook(np.zeros((2, 2))),))
+    with pytest.raises(ValueError, match=r"vector dimension, got \[1, 2, 1, 1\]"):
+        QuantizerSet(groups=(one, two, one, one))
+    with pytest.raises(ValueError, match=r"vector dimension, got \[1, 1, 1, 1, 2\]"):
+        QuantizerSet(groups=(one, one, one, one), hyper=two)
+    assert QuantizerSet(groups=(two,) * 4, hyper=two).hyper is two
 
 
 def test_nn_quantize_matches_brute_force_on_1000_cases():

@@ -9,8 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqcodec import schemes
-from rvqcodec.grids import LatentGrid, SourceConfig, gauss_markov_sample, rng_for
-from rvqcodec.quantizers import IndexStack, QuantizerSet
+from rvqcodec.grids import (
+    LatentGrid,
+    SourceConfig,
+    block_means,
+    extract_hyper_context,
+    gauss_markov_sample,
+    rng_for,
+)
+from rvqcodec.quantizers import (
+    Codebook,
+    IndexStack,
+    QuantizerSet,
+    ResidualVQ,
+    rvq_quantize,
+    train_rvq,
+)
 from rvqcodec.rans import RansStream, gaussian_table_batch
 from rvqcodec.schemes import (
     CM_SUPPORT_RADIUS,
@@ -188,8 +202,14 @@ def iq_qset():
     return train_iq_model(_corpus(12), (16, 16), iterations=8, seed=3)
 
 
+@pytest.fixture(scope="module")
+def rd_hyper_model():
+    return train_rd_model(_corpus(12), (16, 16), hyper_stage_sizes=(4, 4), iterations=8, seed=3)
+
+
 def _fixed_codec(scheme, rd_model, iq_qset):
-    """(quantizers, encode(latent, m), decode(coded)) of rd or iq."""
+    """(quantizers, encode(latent, m), decode(coded)) of iq, or of rd with
+    ``rd_model``."""
     if scheme == "iq":
         return (iq_qset, lambda x, m: iq_encode(x, iq_qset, m),
                 lambda coded: iq_decode(coded, iq_qset))
@@ -198,9 +218,12 @@ def _fixed_codec(scheme, rd_model, iq_qset):
             lambda coded: rd_decode(coded, predictor, qset))
 
 
-@pytest.mark.parametrize("scheme", ["rd", "iq"])
-def test_fixed_decode_rejects_malformed_stacks(scheme, rd_model, iq_qset, holdout):
-    qset, encode, decode = _fixed_codec(scheme, rd_model, iq_qset)
+@pytest.mark.parametrize("scheme", ["rd", "iq", "rd-hyper"])
+def test_fixed_decode_rejects_malformed_stacks(
+    scheme, rd_model, rd_hyper_model, iq_qset, holdout
+):
+    model = rd_hyper_model if scheme == "rd-hyper" else rd_model
+    qset, encode, decode = _fixed_codec(scheme, model, iq_qset)
     coded = replace(encode(holdout, 2), reconstruction=None)
     first = coded.group_stacks[0].indices
     k = qset.groups[0].stage_codebooks[0].size
@@ -218,6 +241,16 @@ def test_fixed_decode_rejects_malformed_stacks(scheme, rd_model, iq_qset, holdou
         (replace(coded, m=None), "outside"),
         (with_first_stack(out_of_range, first[1]), f"out of range for K={k}"),
     ]
+    if scheme == "rd-hyper":
+        hyper = coded.hyper_stack.indices
+        # an m = 1 latent still carrying the 2-stage hyper stack of m = 2
+        one_stage = tuple(IndexStack(s.indices[:1]) for s in coded.group_stacks)
+        bad += [
+            (replace(coded, m=1, group_stacks=one_stage), "hyper stack has 2 stages, coded m=1"),
+            (replace(coded, hyper_stack=IndexStack(tuple(a[:-1] for a in hyper))),
+             "hyper stack has 63 entries, expected 64"),
+            (replace(coded, hyper_stack=None), "no hyper indices"),
+        ]
     assert np.array_equal(decode(coded).data, encode(holdout, 2).reconstruction.data)
     for received, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -296,6 +329,36 @@ def test_hyper_path_round_trip():
     assert np.array_equal(recon.data, coded.reconstruction.data)
     # hyper grid positions pay rate too
     assert coded.rate_bits == fixed_length_bits(qset, 1, 32 * 32, 16 * 16)
+
+
+def _grid_of_rows(rows, c, h, w):
+    """(n, C) rows, positions row-major, as a (C, h, w) grid."""
+    return rows.T.reshape(c, h, w)
+
+
+def test_phi_rows_is_the_decoded_hyper_grid():
+    rng = rng_for(12)
+    latent = LatentGrid(rng.standard_normal((1, 16, 16)))
+    vectors = block_means(latent).data.reshape(1, -1).T.copy()
+    rvq = train_rvq(vectors, (4, 4), iterations=10, seed=0)
+    for m in (1, 2):
+        stack, recon = rvq_quantize(rvq, vectors, m)
+        # phi is the encoder's decoded grid, bit for bit, each hyper position
+        # covering 2x2 positions of the 8x8 group grid
+        up = _grid_of_rows(schemes._phi_rows(rvq, stack, latent.shape), 1, 8, 8)
+        assert up[:, ::2, ::2].reshape(1, -1).T.tobytes() == recon.tobytes()
+        for dr, dc in ((0, 1), (1, 0), (1, 1)):
+            assert np.array_equal(up[:, dr::2, dc::2], up[:, ::2, ::2])
+    with pytest.raises(ValueError, match="15 entries, expected 16"):
+        schemes._phi_rows(rvq, IndexStack((stack.indices[0][:-1],)), latent.shape)
+
+
+def test_phi_rows_broadcasts_a_one_codeword_hyper_grid():
+    latent = LatentGrid(rng_for(11).standard_normal((2, 16, 24)))
+    rvq = ResidualVQ(stage_codebooks=(Codebook(codewords=np.array([[0.5, -1.0]])),))
+    rows = schemes._phi_rows(rvq, extract_hyper_context(latent, rvq), latent.shape)
+    up = _grid_of_rows(rows, 2, 8, 12)
+    assert np.array_equal(up, np.broadcast_to([[[0.5]], [[-1.0]]], (2, 8, 12)))
 
 
 def test_hyper_geometry_must_divide_by_four(rd_model):
