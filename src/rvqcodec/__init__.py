@@ -29,6 +29,7 @@ from .analysis import (
 from .bitstream import (
     PackedBitstream,
     StreamHeader,
+    fixed_length_bits,
     pack,
     read_bitstream_file,
     unpack,
@@ -65,7 +66,6 @@ from .schemes import (
     SchemeConfig,
     cm_decode,
     cm_encode,
-    fixed_length_bits,
     iq_decode,
     iq_encode,
     rd_decode,

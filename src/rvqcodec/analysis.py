@@ -334,37 +334,50 @@ class RDCurve:
         return np.array([p.mse for p in self.points])
 
 
-def _pooled_mse(pairs) -> float:
-    se = 0.0
+_HOLDOUT_OFFSET = 1000  # holdout latents draw from streams >= this index
+
+
+def _corpus(source: SourceConfig, train_count: int, holdout_count: int):
+    """(training, holdout) latents of ``source``: streams from 0 and from
+    ``_HOLDOUT_OFFSET``, so the two never share a latent."""
+    train = [gauss_markov_sample(source, index=i) for i in range(train_count)]
+    hold = [
+        gauss_markov_sample(source, index=_HOLDOUT_OFFSET + i) for i in range(holdout_count)
+    ]
+    return train, hold
+
+
+def _measure(hold, encode) -> tuple[float, float, int]:
+    """(bits, squared error, elements) summed over ``encode`` of each
+    holdout latent, in holdout order."""
+    bits = se = 0.0
     n = 0
-    for ref, rec in pairs:
-        se += float(np.sum((ref.data - rec.data) ** 2))
-        n += ref.data.size
-    return se / n
+    for x in hold:
+        coded = encode(x)
+        bits += coded.rate_bits
+        se += float(np.sum((x.data - coded.reconstruction.data) ** 2))
+        n += x.data.size
+    return bits, se, n
 
 
 def rd_sweep(
     source: SourceConfig,
     scheme_points: list[SchemeConfig],
     stage_sizes: tuple[int, ...],
-    train_indices,
-    holdout_indices,
+    train_count: int,
+    holdout_count: int,
     group_stage_sizes: tuple[tuple[int, ...], ...] | None = None,
     iterations: int = 20,
     seed: int = 0,
 ) -> list[RDCurve]:
     """Train each requested scheme once and measure all its operating points.
 
-    Training and holdout latents are disjoint streams of the same source.
-    Rates are measured (fixed-length accounting for rd/iq, coded bytes for
-    cm) and distortion is held-out MSE pooled over the holdout set.
+    Training and holdout latents come from ``_corpus``.  Rates are measured
+    (fixed-length accounting for rd/iq, coded bytes for cm) and distortion
+    is held-out MSE pooled over the holdout set.
     """
-    train_indices = list(train_indices)
-    holdout_indices = list(holdout_indices)
-    if not train_indices or not holdout_indices:
+    if train_count < 1 or holdout_count < 1:
         raise ValueError("need at least one training and one holdout latent")
-    if set(train_indices) & set(holdout_indices):
-        raise ValueError("training and holdout indices overlap")
 
     ms_rd = sorted({p.m for p in scheme_points if p.scheme == "rd"})
     ms_iq = sorted({p.m for p in scheme_points if p.scheme == "iq"})
@@ -373,14 +386,13 @@ def rd_sweep(
         if p.scheme in ("rd", "iq") and p.m is None:
             raise ValueError(f"{p.scheme} operating point needs m")
 
-    train = [gauss_markov_sample(source, index=i) for i in train_indices]
-    hold = [gauss_markov_sample(source, index=i) for i in holdout_indices]
+    train, hold = _corpus(source, train_count, holdout_count)
     pixels = 256 * hold[0].height * hold[0].width  # image pixels behind the latent
 
-    def point(operating_point, coded):
-        rate = sum(c.rate_bits for c in coded) / len(hold)
-        mse = _pooled_mse((x, c.reconstruction) for x, c in zip(hold, coded))
-        return RDPoint(float(operating_point), rate, rate / pixels, mse)
+    def point(operating_point, encode):
+        bits, se, n = _measure(hold, encode)
+        rate = bits / len(hold)
+        return RDPoint(float(operating_point), rate, rate / pixels, se / n)
 
     def curve(scheme, pts):
         return RDCurve(scheme, tuple(sorted(pts, key=lambda p: p.rate_bits)))
@@ -398,14 +410,14 @@ def rd_sweep(
         )))
     curves = []
     for scheme, ms, pred, qset in fixed:
-        pts = [point(m, [_encode_fixed(x, pred, qset, m, None) for x in hold]) for m in ms]
+        pts = [point(m, lambda x: _encode_fixed(x, pred, qset, m, None)) for m in ms]
         curves.append(curve(scheme, pts))
     if deltas:
         pts = []
         for delta in deltas:
             pred = train_cm_model(train, delta=delta, seed=seed)
             config = SchemeConfig(scheme="cm", delta=delta)
-            pts.append(point(delta, [cm_encode(x, pred, config) for x in hold]))
+            pts.append(point(delta, lambda x: cm_encode(x, pred, config)))
         curves.append(curve("cm", pts))
     return curves
 
@@ -577,7 +589,6 @@ def density_law_experiment(
 
 
 _PROP2_SOURCE = SourceConfig(channels=1, height=128, width=128, rho=0.9, variance=1.0, seed=21)
-_HOLDOUT_OFFSET = 1000  # holdout latents draw from streams >= this index
 
 
 def decorrelation_gain_experiment(
@@ -595,10 +606,7 @@ def decorrelation_gain_experiment(
     Both schemes share the per-group codebook ladder, so the rates match
     point for point and distortion is the only comparison axis.
     """
-    train = [gauss_markov_sample(source, index=i) for i in range(train_count)]
-    hold = [
-        gauss_markov_sample(source, index=_HOLDOUT_OFFSET + i) for i in range(holdout_count)
-    ]
+    train, hold = _corpus(source, train_count, holdout_count)
     stages = max(ms)
     gss = tuple((k,) * stages for k in ladder)
     pred, qset_rd = train_rd_model(
@@ -608,10 +616,9 @@ def decorrelation_gain_experiment(
 
     rows = []
     for m in ms:
-        mse_rd = _pooled_mse(
-            (x, rd_encode(x, pred, qset_rd, m).reconstruction) for x in hold
-        )
-        mse_iq = _pooled_mse((x, iq_encode(x, qset_iq, m).reconstruction) for x in hold)
+        _, se_rd, n = _measure(hold, lambda x: rd_encode(x, pred, qset_rd, m))
+        _, se_iq, n = _measure(hold, lambda x: iq_encode(x, qset_iq, m))
+        mse_rd, mse_iq = se_rd / n, se_iq / n
         rows.append(
             {
                 "m": m,
@@ -699,22 +706,14 @@ def rate_dominance_experiment(
     matched against each entropy-coded point.  Rates are measured bits per
     latent element on the holdout set.
     """
-    train = [gauss_markov_sample(source, index=i) for i in range(train_count)]
-    hold = [
-        gauss_markov_sample(source, index=_HOLDOUT_OFFSET + i) for i in range(holdout_count)
-    ]
-    n_elems = sum(x.data.size for x in hold)
+    train, hold = _corpus(source, train_count, holdout_count)
 
     cm_points = []
     for delta in deltas:
         pred = train_cm_model(train, delta=delta, seed=seed)
         config = SchemeConfig(scheme="cm", delta=delta)
-        bits = se = 0.0
-        for x in hold:
-            coded = cm_encode(x, pred, config)
-            bits += coded.rate_bits
-            se += float(np.sum((coded.reconstruction.data - x.data) ** 2))
-        cm_points.append({"delta": delta, "rate": bits / n_elems, "mse": se / n_elems})
+        bits, se, n = _measure(hold, lambda x: cm_encode(x, pred, config))
+        cm_points.append({"delta": delta, "rate": bits / n, "mse": se / n})
 
     # Analytic screen: single-stage model at the largest size provides the
     # per-group sigmas and context weights the variance recursion needs.
@@ -738,12 +737,8 @@ def rate_dominance_experiment(
             train, (), m=1, iterations=30, seed=seed,
             group_stage_sizes=tuple((k,) for k in ks),
         )
-        bits = se = 0.0
-        for x in hold:
-            coded = rd_encode(x, pred, qset, 1)
-            bits += coded.rate_bits
-            se += float(np.sum((coded.reconstruction.data - x.data) ** 2))
-        rd_points.append({"sizes": ks, "rate": bits / n_elems, "mse": se / n_elems})
+        bits, se, n = _measure(hold, lambda x: rd_encode(x, pred, qset, 1))
+        rd_points.append({"sizes": ks, "rate": bits / n, "mse": se / n})
 
     rows = []
     for point in cm_points:
@@ -776,10 +771,7 @@ def pipeline_entropy_experiment(
 ) -> dict:
     """Conditional entropy gap of a trained single-stage pipeline on held-out
     data, with groups 2-4 conditioned on co-located group-1 indices."""
-    train = [gauss_markov_sample(source, index=i) for i in range(train_count)]
-    hold = [
-        gauss_markov_sample(source, index=_HOLDOUT_OFFSET + i) for i in range(holdout_count)
-    ]
+    train, hold = _corpus(source, train_count, holdout_count)
     pred, qset = train_rd_model(train, (k,), m=1, iterations=iterations, seed=seed)
     coded = [rd_encode(x, pred, qset, 1) for x in hold]
     report = conditional_entropy_gap(

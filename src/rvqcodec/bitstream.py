@@ -1,14 +1,15 @@
-"""Fixed-length serialization of index stacks.
+"""Fixed-length serialization of index stacks, and the rate it implies.
 
 The wire format carries a 32-bit header (14-bit height, 14-bit width, 4-bit
 rate parameter q, MSB-first) followed by the indices of every quantizer in
 a fixed order: hyper first, then the four groups in coding order.  Within a
 quantizer, stages are written in codebook order, positions row-major, and
 each index occupies exactly log2 K bits MSB-first.  A single zero-pad to a
-byte boundary closes the stream, so the payload length equals the
-fixed-length rate ``schemes.fixed_length_bits`` to within 7 bits.  No
-probability tables, no entropy coder: the stream length is known before the
-first index is coded.
+byte boundary closes the stream.  ``_layout`` is the one statement of that
+order and of each quantizer's position count; ``pack``, ``unpack`` and the
+rate ``fixed_length_bits`` all read it, so the payload length equals the
+rate to within 7 bits.  No probability tables, no entropy coder: the stream
+length is known before the first index is coded.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import HYPER_DOWNSAMPLE, LATENT_DOWNSAMPLE
-from .quantizers import IndexStack, QuantizerSet
+from .grids import HYPER_BLOCK, LATENT_DOWNSAMPLE
+from .quantizers import IndexStack, QuantizerSet, ResidualVQ
 
 __all__ = [
     "StreamHeader",
     "PackedBitstream",
+    "fixed_length_bits",
     "pack",
     "unpack",
     "write_bitstream_file",
@@ -92,26 +94,40 @@ def _bits_to_fields(bits: np.ndarray, width: int) -> np.ndarray:
     return bits.reshape(-1, width).astype(np.int64) @ weights
 
 
-def _geometry(header: StreamHeader, with_hyper: bool) -> tuple[int, int | None]:
-    """Positions per group and per hyper grid implied by the header dims."""
+def _geometry(header: StreamHeader, channels: int) -> tuple[int, int, int]:
+    """The ``(C, h, w)`` latent shape behind a header."""
     f = LATENT_DOWNSAMPLE
     if header.height % (2 * f) or header.width % (2 * f):
         raise ValueError(
             f"header {header.height}x{header.width} is not a multiple of {2 * f};"
             f" the latent grid must split into four phase groups"
         )
-    h, w = header.height // f, header.width // f
-    n_group = (h // 2) * (w // 2)
-    n_hyper = None
-    if with_hyper:
-        fz = HYPER_DOWNSAMPLE
-        if header.height % fz or header.width % fz:
+    return channels, header.height // f, header.width // f
+
+
+def _layout(qset: QuantizerSet, shape: tuple[int, int, int]) -> list[tuple[ResidualVQ, int]]:
+    """Each quantizer with its position count, in wire order: the hyper grid
+    first if the set has one, then the four phase groups."""
+    _, h, w = shape
+    runs = [(rvq, (h // 2) * (w // 2)) for rvq in qset.groups]
+    if qset.hyper is not None:
+        if h % HYPER_BLOCK or w % HYPER_BLOCK:
             raise ValueError(
-                f"header {header.height}x{header.width} is not a multiple of {fz};"
+                f"latent {h}x{w} is not a multiple of {HYPER_BLOCK};"
                 f" hyper positions would not form a whole grid"
             )
-        n_hyper = (header.height // fz) * (header.width // fz)
-    return n_group, n_hyper
+        runs.insert(0, (qset.hyper, (h // HYPER_BLOCK) * (w // HYPER_BLOCK)))
+    return runs
+
+
+def fixed_length_bits(qset: QuantizerSet, m: int, shape: tuple[int, int, int]) -> float:
+    """Fixed-length rate in bits of the first m stages on a ``shape`` latent:
+    every index costs log2 of its stage size."""
+    bits = 0.0
+    for rvq, n in _layout(qset, shape):
+        for cb in rvq.stage_codebooks[:m]:
+            bits += n * np.log2(cb.size)
+    return float(bits)
 
 
 def pack(
@@ -120,55 +136,37 @@ def pack(
     group_stacks: tuple[IndexStack, ...],
     qset: QuantizerSet,
 ) -> PackedBitstream:
-    """Serialize index stacks in the fixed quantizer order.
-
-    Every index costs exactly log2 K bits, so the total payload length is
-    checked against the rate formula before padding: the stream IS its own
-    rate bookkeeping.
-    """
+    """Serialize index stacks in the order of ``_layout``; every index costs
+    exactly log2 K bits."""
     m = header.q
-    if m < 1:
-        raise ValueError("header q must encode at least one stage")
+    if not 1 <= m <= qset.stages:
+        raise ValueError(f"header q={m} outside the set's stages [1, {qset.stages}]")
     if len(group_stacks) != 4:
         raise ValueError(f"need exactly 4 group stacks, got {len(group_stacks)}")
     if (qset.hyper is None) != (hyper_stack is None):
         raise ValueError(
             "hyper quantizer and hyper stack must be given together or not at all"
         )
-    n_group, n_hyper = _geometry(header, with_hyper=hyper_stack is not None)
+    stacks = ([] if hyper_stack is None else [hyper_stack]) + list(group_stacks)
+    layout = _layout(qset, _geometry(header, qset.groups[0].dim))
 
-    seq = []
-    if hyper_stack is not None:
-        seq.append((hyper_stack, qset.hyper, n_hyper))
-    seq.extend((s, rvq, n_group) for s, rvq in zip(group_stacks, qset.groups))
-
-    expected_bits = 0
-    for stack, rvq, n_exp in seq:
+    runs = []
+    for stack, (rvq, n) in zip(stacks, layout):
         if stack.stages != m:
             raise ValueError(f"stack has {stack.stages} stages, header q={m}")
-        if stack.count != n_exp:
+        if stack.count != n:
             raise ValueError(
-                f"stack holds {stack.count} positions, header geometry implies {n_exp}"
+                f"stack holds {stack.count} positions, header geometry implies {n}"
             )
         for idx, cb in zip(stack.indices, rvq.stage_codebooks[:m]):
+            width = _index_bits(cb.size)
             if idx.size and int(idx.max()) >= cb.size:
                 raise ValueError(
                     f"index {int(idx.max())} out of range for codebook size {cb.size}"
                 )
-            expected_bits += stack.count * _index_bits(cb.size)
-
-    runs = []
-    for stack, rvq, _ in seq:
-        for idx, cb in zip(stack.indices, rvq.stage_codebooks[:m]):
-            width = _index_bits(cb.size)
             if width:
                 runs.append(_fields_to_bits(idx, width))
     bits = np.concatenate(runs) if runs else np.zeros(0, dtype=np.uint8)
-
-    if bits.size != expected_bits:
-        raise AssertionError(
-            f"packed {bits.size} bits, rate formula says {expected_bits}"
-        )
     # np.packbits zero-fills the trailing partial byte: the terminal padding.
     return PackedBitstream(header=header, payload=np.packbits(bits).tobytes())
 
@@ -183,18 +181,14 @@ def unpack(
     """
     header = stream.header
     m = header.q
-    with_hyper = qset.hyper is not None
-    n_group, n_hyper = _geometry(header, with_hyper)
+    shape = _geometry(header, qset.groups[0].dim)
     if m < 1 or m > qset.stages:
         raise ValueError(f"header q={m} outside [1, {qset.stages}]")
-
-    quantizers = ([qset.hyper] if with_hyper else []) + list(qset.groups)
-    counts = ([n_hyper] if with_hyper else []) + [n_group] * 4
-    need_bits = sum(
-        n * _index_bits(cb.size)
-        for n, rvq in zip(counts, quantizers)
-        for cb in rvq.stage_codebooks[:m]
-    )
+    runs = [
+        (n, [_index_bits(cb.size) for cb in rvq.stage_codebooks[:m]])
+        for rvq, n in _layout(qset, shape)
+    ]
+    need_bits = int(fixed_length_bits(qset, m, shape))
     have_bits = 8 * len(stream.payload)
     if have_bits < need_bits:
         raise ValueError(
@@ -213,10 +207,9 @@ def unpack(
         raise ValueError("non-zero padding bits after the last index")
     cursor = 0
     stacks = []
-    for n, rvq in zip(counts, quantizers):
+    for n, widths in runs:
         stage_rows = []
-        for cb in rvq.stage_codebooks[:m]:
-            width = _index_bits(cb.size)
+        for width in widths:
             if width == 0:
                 stage_rows.append(np.zeros(n, dtype=np.int64))
                 continue
@@ -224,9 +217,9 @@ def unpack(
             cursor += n * width
         stacks.append(IndexStack(indices=tuple(stage_rows)))
 
-    hyper_stack = stacks[0] if with_hyper else None
-    group_stacks = tuple(stacks[1:]) if with_hyper else tuple(stacks)
-    return header, hyper_stack, group_stacks
+    if qset.hyper is None:
+        return header, None, tuple(stacks)
+    return header, stacks[0], tuple(stacks[1:])
 
 
 def write_bitstream_file(path, stream: PackedBitstream) -> None:

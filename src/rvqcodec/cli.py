@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .bitstream import (
     StreamHeader,
+    _geometry,
     pack,
     read_bitstream_file,
     unpack,
@@ -233,11 +234,8 @@ def cmd_train(args) -> int:
     sizes = _parse_ints(args.Ks, "--Ks")
     if len(sizes) != 4:
         raise _CliError(f"--Ks expects four group sizes, got {len(sizes)}", USAGE_ERROR)
-    if args.scheme not in ("rd", "iq"):
-        raise _CliError(
-            f"--scheme must be rd or iq for training codebooks, got {args.scheme!r}",
-            USAGE_ERROR,
-        )
+    if args.scheme == "iq" and args.hyper == "on":
+        raise _CliError("iq has no context and therefore no hyper grid", USAGE_ERROR)
     data_paths = [p for chunk in args.data for p in chunk.split(",")]
     if not data_paths:
         raise _CliError("--data requires at least one latent file", USAGE_ERROR)
@@ -246,21 +244,23 @@ def cmd_train(args) -> int:
     group_stage_sizes = tuple((k,) * args.stages for k in sizes)
     hyper_sizes = (args.Kz,) * args.stages if args.hyper == "on" else None
 
+    try:
+        if args.scheme == "rd":
+            predictor, qset = train_rd_model(
+                latents, (), hyper_stage_sizes=hyper_sizes, m=None,
+                iterations=args.iters, seed=args.seed, group_stage_sizes=group_stage_sizes,
+            )
+        else:
+            predictor, qset = None, train_iq_model(
+                latents, (), iterations=args.iters, seed=args.seed,
+                group_stage_sizes=group_stage_sizes,
+            )
+    except ValueError as e:
+        raise _CliError(f"training data unusable: {e}", USAGE_ERROR)
     artifacts = {}
-    if args.scheme == "rd":
-        predictor, qset = train_rd_model(
-            latents, (), hyper_stage_sizes=hyper_sizes, m=None,
-            iterations=args.iters, seed=args.seed, group_stage_sizes=group_stage_sizes,
-        )
+    if predictor is not None:
         write_predictor_file(out / _PREDICTOR_FILE, predictor)
         artifacts["predictor"] = out / _PREDICTOR_FILE
-    else:
-        if args.hyper == "on":
-            raise _CliError("iq has no context and therefore no hyper grid", USAGE_ERROR)
-        qset = train_iq_model(
-            latents, (), iterations=args.iters, seed=args.seed,
-            group_stage_sizes=group_stage_sizes,
-        )
     for name, rvq in zip(_GROUP_CODEBOOK_FILES, qset.groups):
         write_codebook_file(out / name, rvq)
         artifacts[name] = out / name
@@ -279,11 +279,6 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     out = _out_dir(args)
-    if args.scheme == "cm":
-        raise _CliError(
-            "cm produces entropy-coded streams, not fixed-length bitstreams;"
-            " use the sweep command to measure it", USAGE_ERROR,
-        )
     latent = _read_required(args.latent, read_latent_file, "latent")
     qset, predictor = _load_model(args.model_dir, args.scheme)
     timer = PhaseTimer()
@@ -305,13 +300,7 @@ def cmd_encode(args) -> int:
     if args.recon is not None:
         write_latent_file(out / args.recon, coded.reconstruction)
 
-    payload_bits = 8 * len(stream.payload)
     bpp = coded.rate_bits / (header.height * header.width)
-    if abs(payload_bits - coded.rate_bits) > 7:
-        raise _CliError(
-            f"payload {payload_bits} bits deviates from the rate formula"
-            f" {coded.rate_bits}", VERIFY_ERROR,
-        )
     config = {
         "scheme": args.scheme, "m": args.m, "latent": args.latent,
         "model_dir": args.model_dir,
@@ -326,8 +315,6 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     out = _out_dir(args)
-    if args.scheme == "cm":
-        raise _CliError("cm streams are not decodable from files; use sweep", USAGE_ERROR)
     stream = _read_required(args.stream, read_bitstream_file, "bitstream")
     qset, predictor = _load_model(args.model_dir, args.scheme)
     timer = PhaseTimer()
@@ -337,14 +324,9 @@ def cmd_decode(args) -> int:
     except ValueError as e:
         raise _CliError(f"bitstream file {args.stream}: {e}", IO_ERROR)
     try:
-        shape = (
-            qset.groups[0].dim,
-            header.height // LATENT_DOWNSAMPLE,
-            header.width // LATENT_DOWNSAMPLE,
-        )
         coded = CodedLatent(
-            scheme=args.scheme, shape=shape, reconstruction=None,
-            rate_bits=float(8 * len(stream.payload)), m=header.q,
+            scheme=args.scheme, shape=_geometry(header, qset.groups[0].dim),
+            reconstruction=None, rate_bits=float(8 * len(stream.payload)), m=header.q,
             group_stacks=group_stacks, hyper_stack=hyper_stack,
         )
         if args.scheme == "rd":
@@ -446,9 +428,7 @@ def cmd_sweep(args) -> int:
 
     try:
         curves = rd_sweep(
-            source, points, (),
-            train_indices=range(args.train_count),
-            holdout_indices=range(1000, 1000 + args.holdout_count),
+            source, points, (), args.train_count, args.holdout_count,
             group_stage_sizes=tuple((k,) * args.stages for k in sizes),
             iterations=args.iters, seed=args.seed,
         )
@@ -541,7 +521,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="encode a latent to a fixed-length bitstream")
-    p.add_argument("--scheme", default="rd", choices=("rd", "iq", "cm"))
+    p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--latent", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--m", type=int, required=True, help="stage count to transmit")
@@ -551,7 +531,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a bitstream to a latent")
-    p.add_argument("--scheme", default="rd", choices=("rd", "iq", "cm"))
+    p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--stream", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", default="recon.eflt")
@@ -572,8 +552,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--source-seed", type=int, default=21)
     p.add_argument("--schemes", default="rd,iq")
     p.add_argument("--ms", default="1,2,3")
-    p.add_argument("--deltas", default="2.0,1.0,0.5")
-    p.add_argument("--Ks", default="256,128,64,32")
+    p.add_argument("--deltas", default="1.0,0.5,0.25,0.125,0.0625")
+    p.add_argument("--Ks", default="8,4,4,2")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--train-count", type=int, default=8)
     p.add_argument("--holdout-count", type=int, default=8)

@@ -2,8 +2,9 @@
 
 A latent is a dense ``(C, h, w)`` float64 array.  The codec never touches
 pixels: synthetic latents stand in for analysis-transform output, and the
-spatial downsampling factors of the notional transform (16 for the latent,
-64 for the hyper latent) only enter rate accounting and header geometry.
+spatial downsampling factor of the notional transform (16 for the latent,
+times ``HYPER_BLOCK`` for the hyper latent) only enters rate accounting and
+header geometry.
 
 Grouping splits the latent into four half-resolution subgrids by spatial
 phase, in the fixed order (0,0), (0,1), (1,0), (1,1) of (row mod 2,
@@ -25,7 +26,6 @@ __all__ = [
     "GROUP_PHASES",
     "HYPER_BLOCK",
     "LATENT_DOWNSAMPLE",
-    "HYPER_DOWNSAMPLE",
     "rng_for",
     "partition_quadtree",
     "merge_groups",
@@ -42,10 +42,9 @@ GROUP_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Hyper context is a non-overlapping block mean over the latent grid.
 HYPER_BLOCK = 4
 
-# Notional downsampling factors of the (identity) transforms, used for
-# header geometry and bits-per-pixel accounting.
+# Notional downsampling factor of the (identity) analysis transform, used
+# for header geometry and bits-per-pixel accounting.
 LATENT_DOWNSAMPLE = 16
-HYPER_DOWNSAMPLE = 64
 
 _LATENT_MAGIC = b"EFLT"
 _LATENT_VERSION = 1

@@ -20,9 +20,11 @@ which is documented rather than fought.
 
 IQ, the ablation anchor, is the same encode and decode loop run with no
 predictor: each group is residual-quantized as it stands, with no context,
-no prediction and no affine map.  CM replaces the vector quantizer with
-uniform scalar rounding plus a conditional-Gaussian range coder: the same
-predictor interface without a hyper grid, rate paid in actual coded bits.
+no prediction and no affine map.  Both charge the fixed-length rate of
+``bitstream.fixed_length_bits``, which reads the stream layout ``pack``
+writes.  CM replaces the vector quantizer with uniform scalar rounding plus
+a conditional-Gaussian range coder: the same predictor interface without a
+hyper grid, rate paid in actual coded bits.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitstream import fixed_length_bits
 from .grids import (
     HYPER_BLOCK,
     LatentGrid,
@@ -67,7 +70,6 @@ __all__ = [
     "train_rd_model",
     "train_iq_model",
     "train_cm_model",
-    "fixed_length_bits",
     "write_predictor_file",
     "read_predictor_file",
 ]
@@ -199,22 +201,6 @@ def _context_for(group: int, decoded: list[np.ndarray], phi, n: int) -> np.ndarr
     return np.concatenate(parts, axis=1)
 
 
-def fixed_length_bits(
-    qset: QuantizerSet, m: int, group_positions: int, hyper_positions: int | None
-) -> float:
-    """Fixed-length rate in bits: every index costs log2 of its stage size."""
-    bits = 0.0
-    for q in qset.groups:
-        for cb in q.stage_codebooks[:m]:
-            bits += group_positions * np.log2(cb.size)
-    if hyper_positions is not None:
-        if qset.hyper is None:
-            raise ValueError("hyper positions given but no hyper quantizer")
-        for cb in qset.hyper.stage_codebooks[:m]:
-            bits += hyper_positions * np.log2(cb.size)
-    return float(bits)
-
-
 def _check_geometry(latent: LatentGrid, use_hyper: bool) -> None:
     mult = 4 if use_hyper else 2
     if latent.height % mult or latent.width % mult:
@@ -222,6 +208,33 @@ def _check_geometry(latent: LatentGrid, use_hyper: bool) -> None:
             f"latent {latent.height}x{latent.width} must be a multiple of {mult}:"
             f" 2 for the four phase groups, 4 with a hyper grid of 4x4 blocks"
         )
+
+
+def _check_corpus(latents: list[LatentGrid], use_hyper: bool) -> int:
+    """Channel count of a training corpus: non-empty, one channel count,
+    every latent of a codable shape."""
+    if not latents:
+        raise ValueError("no training latents")
+    c = latents[0].channels
+    for lat in latents:
+        if lat.channels != c:
+            raise ValueError(
+                f"training latents must share a channel count, got {c} and {lat.channels}"
+            )
+        _check_geometry(lat, use_hyper)
+    return c
+
+
+def _check_hyper(predictor: ContextPredictor | None, qset: QuantizerSet) -> bool:
+    """Whether the coding loop runs a hyper grid: only if the predictor uses
+    one (iq has none), and the quantizer set has one exactly then."""
+    uses_hyper = predictor is not None and predictor.uses_hyper
+    if uses_hyper and qset.hyper is None:
+        raise ValueError("predictor uses a hyper grid but quantizer set has none")
+    if not uses_hyper and qset.hyper is not None:
+        taker = "iq" if predictor is None else "the predictor"
+        raise ValueError(f"quantizer set has a hyper quantizer but {taker} takes no hyper grid")
+    return uses_hyper
 
 
 def _encode_fixed(
@@ -239,14 +252,12 @@ def _encode_fixed(
         raise ValueError(
             f"latent has {latent.channels} channels, predictor {predictor.channels}"
         )
-    uses_hyper = predictor is not None and predictor.uses_hyper
+    uses_hyper = _check_hyper(predictor, qset)
     _check_geometry(latent, uses_hyper)
     timer = timer or PhaseTimer()
 
     hyper_stack = phi = None
     if uses_hyper:
-        if qset.hyper is None:
-            raise ValueError("predictor uses a hyper grid but quantizer set has none")
         hyper_stack = extract_hyper_context(latent, qset.hyper, m=m)
         phi = _phi_rows(qset.hyper, hyper_stack, latent.shape)
     groups = partition_quadtree(latent)
@@ -266,12 +277,11 @@ def _encode_fixed(
         decoded.append(rec if predictor is None else sigma * rec + mu)
         stacks.append(stack)
 
-    n_hyper = hyper_stack.count if uses_hyper else None
     return CodedLatent(
         scheme="iq" if predictor is None else "rd",
         shape=latent.shape,
         reconstruction=merge_groups(decoded, latent.shape),
-        rate_bits=fixed_length_bits(qset, m, n, n_hyper),
+        rate_bits=fixed_length_bits(qset, m, latent.shape),
         m=m,
         group_stacks=tuple(stacks),
         hyper_stack=hyper_stack,
@@ -302,9 +312,7 @@ def _decode_fixed(
     n = (h // 2) * (w // 2)
 
     phi = None
-    if predictor is not None and predictor.uses_hyper:
-        if qset.hyper is None:
-            raise ValueError("predictor uses a hyper grid but quantizer set has none")
+    if _check_hyper(predictor, qset):
         if coded.hyper_stack is None:
             raise ValueError("coded latent carries no hyper indices")
         if coded.hyper_stack.stages != m:
@@ -647,15 +655,11 @@ def train_rd_model(
     pass.  ``stage_sizes`` applies to every group unless per-group ladders
     are given via ``group_stage_sizes``.
     """
-    if not latents:
-        raise ValueError("no training latents")
-    c = latents[0].channels
+    use_hyper = hyper_stage_sizes is not None
+    c = _check_corpus(latents, use_hyper)
     per_group = group_stage_sizes or tuple([tuple(stage_sizes)] * 4)
     if len(per_group) != 4:
         raise ValueError("need stage sizes for exactly four groups")
-    use_hyper = hyper_stage_sizes is not None
-    for lat in latents:
-        _check_geometry(lat, use_hyper)
 
     hyper_q = phi = None
     if use_hyper:
@@ -703,8 +707,7 @@ def train_iq_model(
     group_stage_sizes: tuple[tuple[int, ...], ...] | None = None,
 ) -> QuantizerSet:
     """Train one residual quantizer per group on the raw group vectors."""
-    if not latents:
-        raise ValueError("no training latents")
+    _check_corpus(latents, use_hyper=False)
     per_group = group_stage_sizes or tuple([tuple(stage_sizes)] * 4)
     grouped = [partition_quadtree(lat) for lat in latents]
     books = []
@@ -724,13 +727,7 @@ def train_cm_model(
     uniform rounding at delta, as cm_encode decodes it."""
     if delta <= 0.0:
         raise ValueError("cm requires delta > 0")
-    if not latents:
-        raise ValueError("no training latents")
-    c = latents[0].channels
-    for lat in latents:
-        if lat.channels != c:
-            raise ValueError("training latents must share a channel count")
-        _check_geometry(lat, use_hyper=False)
+    c = _check_corpus(latents, use_hyper=False)
 
     def close_group(i, mu, sigma, y):
         k = np.rint((y - mu) / delta)

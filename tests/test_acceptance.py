@@ -24,7 +24,7 @@ from rvqcodec.analysis import (
     pipeline_entropy_experiment,
     rate_dominance_experiment,
 )
-from rvqcodec.bitstream import StreamHeader, pack, unpack
+from rvqcodec.bitstream import StreamHeader, fixed_length_bits, pack, unpack
 from rvqcodec.grids import (
     LATENT_DOWNSAMPLE,
     SourceConfig,
@@ -38,7 +38,6 @@ from rvqcodec.schemes import (
     SchemeConfig,
     cm_decode,
     cm_encode,
-    fixed_length_bits,
     rd_decode,
     rd_encode,
     train_cm_model,
@@ -246,7 +245,8 @@ def test_criterion_6_bitstream_exactness():
         repacked = pack(got_header, got_hyper, got_groups, qset)
         assert repacked.payload == stream.payload
 
-        pad = 8 * len(stream.payload) - fixed_length_bits(qset, m, n_group, n_hyper)
+        shape = (1, height // LATENT_DOWNSAMPLE, width // LATENT_DOWNSAMPLE)
+        pad = 8 * len(stream.payload) - fixed_length_bits(qset, m, shape)
         assert 0.0 <= pad <= 7.0
         max_pad = max(max_pad, pad)
 
@@ -265,7 +265,7 @@ def test_criterion_7_bpp_hand_values():
         groups=tuple(_zero_rvq((k,) * 5) for k in (1024, 512, 256, 128)),
         hyper=_zero_rvq((1024,) * 5),
     )
-    one, five = (fixed_length_bits(qset, m, 32 * 32, 16 * 16) / 1024**2 for m in (1, 5))
+    one, five = (fixed_length_bits(qset, m, (1, 64, 64)) / 1024**2 for m in (1, 5))
     ok = one == 0.03564453125 and five == 0.17822265625
     _report(7, ok, f"bpp(m=1) = {one:.11f}, bpp(m=5) = {five:.11f}")
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rvqcodec.bitstream import (
     PackedBitstream,
     StreamHeader,
+    fixed_length_bits,
     pack,
     read_bitstream_file,
     unpack,
@@ -15,7 +16,6 @@ from rvqcodec.bitstream import (
 )
 from rvqcodec.grids import rng_for
 from rvqcodec.quantizers import Codebook, IndexStack, QuantizerSet, ResidualVQ
-from rvqcodec.schemes import fixed_length_bits
 
 
 def _zero_rvq(stage_sizes, dim=1):
@@ -163,7 +163,7 @@ def test_pack_unpack_inverse_property(data):
         for a, b in zip(orig.indices, got.indices):
             assert np.array_equal(a, b)
     # payload bits equal the fixed-length rate, up to the final byte's padding
-    exact = fixed_length_bits(qset, m, n_group, n_hyper)
+    exact = fixed_length_bits(qset, m, (1, height // 16, width // 16))
     assert 0 <= 8 * len(stream.payload) - exact < 8
 
 
@@ -189,6 +189,9 @@ def test_pack_validates_inputs():
         pack(
             StreamHeader(height=64, width=64, q=2), None, groups, qset
         )  # q exceeds the quantizer's stage count
+    two_stage = tuple(IndexStack(indices=g.indices * 2) for g in groups)
+    with pytest.raises(ValueError, match=r"q=2 outside the set's stages \[1, 1\]"):
+        pack(StreamHeader(height=64, width=64, q=2), None, two_stage, qset)
     with pytest.raises(ValueError, match="hyper"):
         hyper = IndexStack(indices=(np.zeros(1, dtype=np.int64),))
         pack(header, hyper, groups, qset)  # qset has no hyper quantizer
@@ -288,8 +291,8 @@ def _rate_qset(group_sizes, hyper_size, stages):
 def test_fixed_length_rate_hand_values():
     # 1024x1024 pixels: 64x64 latent, 32x32 per group, 16x16 hyper grid
     qset = _rate_qset((1024, 512, 256, 128), 1024, stages=5)
-    one = fixed_length_bits(qset, 1, 32 * 32, 16 * 16) / 1024**2
-    five = fixed_length_bits(qset, 5, 32 * 32, 16 * 16) / 1024**2
+    one = fixed_length_bits(qset, 1, (1, 64, 64)) / 1024**2
+    five = fixed_length_bits(qset, 5, (1, 64, 64)) / 1024**2
     assert one == pytest.approx(0.035645, abs=1e-6)
     assert five == pytest.approx(0.178223, abs=1e-6)
     # exact binary values, not just within tolerance
@@ -299,10 +302,13 @@ def test_fixed_length_rate_hand_values():
 
 def test_fixed_length_rate_degenerate_cases():
     # one-codeword stages cost nothing, with or without a hyper grid
-    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), None, 3), 3, 1024, None) == 0.0
-    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), 1, 3), 3, 1024, 256) == 0.0
+    shape = (1, 64, 64)  # 1024 positions per group, 256 hyper positions
+    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), None, 3), 3, shape) == 0.0
+    assert fixed_length_bits(_rate_qset((1, 1, 1, 1), 1, 3), 3, shape) == 0.0
     sizes = (1024, 512, 256, 128)
-    no_hyper = fixed_length_bits(_rate_qset(sizes, None, 2), 2, 1024, None)
-    assert no_hyper == fixed_length_bits(_rate_qset(sizes, 1, 2), 2, 1024, 256)
-    with pytest.raises(ValueError, match="no hyper quantizer"):
-        fixed_length_bits(_rate_qset(sizes, None, 2), 2, 1024, 256)
+    no_hyper = fixed_length_bits(_rate_qset(sizes, None, 2), 2, shape)
+    assert no_hyper == fixed_length_bits(_rate_qset(sizes, 1, 2), 2, shape)
+    # the set's own hyper quantizer decides whether hyper positions pay
+    assert fixed_length_bits(_rate_qset(sizes, 4, 2), 2, shape) == no_hyper + 256 * 2 * 2
+    with pytest.raises(ValueError, match="multiple of 4"):
+        fixed_length_bits(_rate_qset(sizes, 4, 2), 2, (1, 6, 8))

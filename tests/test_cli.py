@@ -10,9 +10,10 @@ import pytest
 
 import rvqcodec.cli as cli
 from rvqcodec.analysis import CodebookEntropyRow, EntropyReport
+from rvqcodec.bitstream import fixed_length_bits
 from rvqcodec.cli import IO_ERROR, USAGE_ERROR, VERIFY_ERROR, main
 from rvqcodec.quantizers import Codebook, ResidualVQ, write_codebook_file
-from rvqcodec.schemes import ContextPredictor, fixed_length_bits, write_predictor_file
+from rvqcodec.schemes import ContextPredictor, write_predictor_file
 
 # Frozen fixture: the pipeline below (fixed seeds, fixed model) must keep
 # producing this exact bitstream.
@@ -157,6 +158,21 @@ def test_train_usage_errors(pipeline, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scheme", ["rd", "iq"])
+def test_train_on_unusable_latents_is_a_usage_error(tmp_path, capsys, scheme):
+    one = _synth(tmp_path, "c1.eflt", 0, shape="1,16,16")
+    two = _synth(tmp_path, "c2.eflt", 1, shape="2,16,16")
+    rc = main(["train", "--scheme", scheme, "--data", f"{one},{two}",
+               "--Ks", "4,4,4,4", "--iters", "2", "--out-dir", str(tmp_path / "mixed")])
+    assert rc == USAGE_ERROR
+    assert "share a channel count, got 1 and 2" in capsys.readouterr().err
+    # 64 positions per group cannot train the default K=1024 codebooks
+    rc = main(["train", "--scheme", scheme, "--data", str(one),
+               "--out-dir", str(tmp_path / "few")])
+    assert rc == USAGE_ERROR
+    assert "need at least K=1024 samples, got 64" in capsys.readouterr().err
+
+
 def test_train_default_ladder_matches_contract():
     _, subparsers = cli.build_parser()
     assert subparsers["train"].get_default("Ks") == "1024,512,256,128"
@@ -181,7 +197,7 @@ def test_encode_reports_formula_bpp(pipeline, capsys):
     out = capsys.readouterr().out
     # a 1x32x32 latent is 512x512 pixels with 16x16 positions per group
     qset, _ = cli._load_model(str(pipeline["model"]), "rd")
-    expected = fixed_length_bits(qset, 1, 16 * 16, None) / 512**2
+    expected = fixed_length_bits(qset, 1, (1, 32, 32)) / 512**2
     assert f"bpp={expected:.6f}" in out
     manifest = json.loads((enc2 / "manifest.json").read_text())
     timings = manifest["timings_ms"]
@@ -223,14 +239,16 @@ def test_decode_round_trip_matches_encoder_reconstruction(pipeline, capsys):
 
 
 def test_encode_rejects_cm(pipeline, tmp_path):
-    rc = main(
-        [
-            "encode", "--scheme", "cm", "--latent", str(pipeline["hold"]),
-            "--model-dir", str(pipeline["model"]), "--m", "1",
-            "--out-dir", str(tmp_path),
-        ]
-    )
-    assert rc == USAGE_ERROR
+    # cm writes entropy-coded streams, not fixed-length bitstream files
+    for argv in (
+        ["encode", "--scheme", "cm", "--latent", str(pipeline["hold"]),
+         "--model-dir", str(pipeline["model"]), "--m", "1"],
+        ["decode", "--scheme", "cm", "--stream", str(pipeline["enc"] / "stream.efbs"),
+         "--model-dir", str(pipeline["model"])],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert exc.value.code == USAGE_ERROR
 
 
 def test_encode_m_beyond_model_stages_fails_verification(pipeline, tmp_path):
@@ -646,3 +664,16 @@ def test_bdrate_unknown_scheme_is_usage_error(sweep_dir, tmp_path):
          "--anchor-scheme", "vq", "--out-dir", str(tmp_path)]
     )
     assert rc == USAGE_ERROR
+
+
+def test_default_sweep_ladder_gives_bdrate_against_cm(tmp_path, capsys):
+    # the default codebook ladder and delta ladder overlap in distortion,
+    # so the README's sweep -> bdrate recipe yields a number
+    rc = main(["sweep", "--schemes", "rd,iq,cm", "--shape", "1,32,32", "--train-count", "4",
+               "--holdout-count", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    csv_path = str(tmp_path / "rd_curves.csv")
+    rc = main(["bdrate", "--anchor", csv_path, "--test", csv_path, "--anchor-scheme", "cm",
+               "--test-scheme", "rd", "--out-dir", str(tmp_path / "bd")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1].endswith("%")

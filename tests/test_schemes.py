@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqcodec import schemes
+from rvqcodec.bitstream import fixed_length_bits
 from rvqcodec.grids import (
     LatentGrid,
     SourceConfig,
@@ -33,7 +34,6 @@ from rvqcodec.schemes import (
     SchemeConfig,
     cm_decode,
     cm_encode,
-    fixed_length_bits,
     iq_decode,
     iq_encode,
     rd_decode,
@@ -275,14 +275,25 @@ def test_iq_never_predicts(rd_model, iq_qset, holdout, monkeypatch):
 def test_fixed_length_rate_accounting(rd_model, holdout):
     predictor, qset = rd_model
     coded = rd_encode(holdout, predictor, qset, m=2)
-    n_group = (holdout.height // 2) * (holdout.width // 2) // 4 * 1
-    # 16x16 latent -> 8x8 groups of 64 positions each; two K=16 stages
-    assert n_group == 64
-    expected = fixed_length_bits(qset, 2, 256, None)
+    # 32x32 latent -> four 16x16 groups of 256 positions each; two K=16 stages
+    assert holdout.shape == (1, 32, 32)
+    expected = fixed_length_bits(qset, 2, holdout.shape)
     assert expected == 4 * 256 * 2 * np.log2(16)
     assert coded.rate_bits == expected
-    with pytest.raises(ValueError, match="hyper"):
-        fixed_length_bits(qset, 1, 256, 16)
+
+
+def test_encode_rejects_hyper_quantizer_the_loop_would_not_code(rd_model, iq_qset, holdout):
+    # iq, and rd with a plain predictor, code no hyper grid, so a set that
+    # carries a hyper quantizer describes a stream they cannot write
+    predictor, qset = rd_model
+    with pytest.raises(ValueError, match="the predictor takes no hyper grid"):
+        rd_encode(holdout, predictor, replace(qset, hyper=qset.groups[0]), 1)
+    coded = iq_encode(holdout, iq_qset, 1)
+    with_hyper = replace(iq_qset, hyper=iq_qset.groups[0])
+    with pytest.raises(ValueError, match="iq takes no hyper grid"):
+        iq_encode(holdout, with_hyper, 1)
+    with pytest.raises(ValueError, match="iq takes no hyper grid"):
+        iq_decode(coded, with_hyper)
 
 
 def test_encode_rejects_bad_m(rd_model, holdout):
@@ -327,8 +338,9 @@ def test_hyper_path_round_trip():
     assert coded.hyper_stack is not None
     recon = rd_decode(replace(coded, reconstruction=None), predictor, qset)
     assert np.array_equal(recon.data, coded.reconstruction.data)
-    # hyper grid positions pay rate too
-    assert coded.rate_bits == fixed_length_bits(qset, 1, 32 * 32, 16 * 16)
+    # hyper grid positions pay rate too: 4 x 1024 group and 256 hyper
+    # positions of one K=16 stage
+    assert coded.rate_bits == fixed_length_bits(qset, 1, held.shape) == (4 * 1024 + 256) * 4
 
 
 def _grid_of_rows(rows, c, h, w):
