@@ -7,18 +7,24 @@ never increase the reconstruction error of any input vector, which makes
 distortion monotone in the stage count.
 
 Distances are computed in float64 with a fixed summation order, so
-assignments are reproducible across runs and platforms.  For C > 1 the
-search is ``scipy.spatial.distance.cdist`` (explicit per-coordinate
-accumulation) followed by ``argmin``.  For C = 1 it is an exact sorted
-search: each codebook is sorted once, ``searchsorted`` finds the two
-neighbours of every input, and the same fl((x - c)**2) that ``cdist``
-computes is compared between them, ties going to the lowest original
-index.  Those distances never decrease away from the input on either side,
-so the minimum lies at a neighbour; a row whose minimum may also be reached
-beyond its neighbours (distinct codewords rounding to equal distances at
-large |x|, or a non-finite distance) falls back to ``cdist`` + ``argmin``.
-Indices and per-row minimum distances are therefore bit-identical to the
-``cdist`` search on every input.
+assignments are reproducible across runs and platforms.  The reference
+search is ``scipy.spatial.distance.cdist`` followed by ``argmin``: per
+pair, cdist adds fl((x_j - c_j)**2) over j = 0, 1, ... in order, and argmin
+breaks ties to the lowest index.  The two faster searches below return its
+indices and per-row minimum distances bit for bit, and hand it every row
+they cannot settle themselves.
+
+For C = 1 the search is exact and sorted: each codebook is sorted once,
+``searchsorted`` finds the two neighbours of every input, and the same
+fl((x - c)**2) that ``cdist`` computes is compared between them, ties going
+to the lowest original index.  Those distances never decrease away from the
+input on either side, so the minimum lies at a neighbour; a row whose
+minimum may also be reached beyond its neighbours (distinct codewords
+rounding to equal distances at large |x|, or a non-finite distance) falls
+back to ``cdist`` + ``argmin``.  The comparison works per element, in
+``_CHUNK``-row blocks that stay in cache: one search of 300,000 rows at
+K = 64 took 11.2 ms against 17.3 ms over whole-array temporaries (sorted
+samples, below), and 31.2 ms against 41.8 ms without.
 
 Lloyd training searches the same C = 1 samples on every pass, so
 ``train_codebook`` argsorts them once, and each pass places the K codeword
@@ -34,15 +40,41 @@ comparison and cdist fallback after it are unchanged.  At n = 32,768 and
 K = 64 finding q took 0.14 ms per pass against 2.2 ms, and the argsort
 0.84 ms once per call (one core of a Xeon, numpy 2.4).
 
+For C > 1 the search is screened by a matrix product once K >= 64 and
+K * C >= 512 (``_nearest_screened``).  In blocks of 2**17 / K rows, so a
+block's estimates (1 MB) stay in cache, one GEMM of [x, 1] with
+[-2 c; |c|^2] estimates every distance less the row's |x|^2, which is the
+same for all of the row's codewords; each estimate is within E/2 of
+cdist - |x|^2 (``_estimate_error``).  When a row's runner-up estimate
+exceeds its lowest by more than 2E, every other codeword's cdist distance
+is strictly above the lowest one's, so that codeword is cdist's argmin, and
+its distance, summed over j in cdist's order, is cdist's value (bit for bit
+on 1,080,000 pairs, C up to 100, scales 1e-300 to 1e150).  Ties,
+duplicated codewords, near-ties and blocks where (max|x| + max|c|)^2 could
+overflow go to cdist.  An earlier screen built the whole n x K estimate and
+a candidate count over it before any row could skip cdist, and ran at
+0.46-0.61x the speed of cdist + argmin; this one keeps each block in cache,
+takes two argmins per row and sums one distance per row.  The screen's cost
+per row grows with K and hardly with C, cdist's with K * C.  Speed-up of
+one search, cdist time over screen time, at n = 1,024 and 22,528 rows (one
+core of a Xeon, OpenBLAS on one thread; C = 16, K = 256, n = 22,528 took
+68 ms against 17 ms):
+
+    K           16          32          64          128         256
+    C = 2    0.50 0.59   0.56 0.92   0.71 1.23   0.89 1.63   1.36 2.40
+    C = 4    0.64 0.75   0.93 1.04   1.31 1.41   1.62 1.92   1.92 2.70
+    C = 8    0.63 0.71   0.95 1.08   1.48 1.53   1.89 1.97   2.17 2.55
+    C = 16   0.65 0.68   1.05 1.08   2.52 1.67   2.61 2.45   3.01 3.94
+    C = 32   0.81 0.67   1.38 1.12   2.11 1.67   2.88 2.46   3.38 3.41
+
+Cells with K < 64 or K * C < 512 read below 1 in this or other runs on
+the same box (C = 4, K = 64 at n = 1,024: 0.86-1.31), so they stay with
+cdist.
+
 k-means++ seeding over C > 1 rows screens each new center with one gemv,
 ``|x|^2 - 2 x.c + |c|^2``, and runs cdist only on rows the center may bring
-closer: that estimate is within E = 8 (C + 4) 2**-53 (max|x| + |c|)^2 (plus
-an underflow term) of cdist, so every row it skips is one whose distance
-cdist would not have lowered (derivation in ``_screened_minimum``).  Lloyd's
-own C > 1 assignment keeps plain cdist + argmin: its K-way argmin needs the
-whole n x K estimate and a candidate count over it before any row can skip
-cdist, and a screen built that way ran at 0.46x the speed of cdist + argmin
-at K = 16 and 0.61x at K = 256 (22,528 rows of C = 16, one core).
+closer: that estimate is within E of cdist, so every row it skips is one
+whose distance cdist would not have lowered (``_screened_minimum``).
 Training returns the final pass's assignments, so callers do not search
 the same samples again.
 """
@@ -79,9 +111,17 @@ _CODEBOOK_VERSION = 1
 _DEAD_FRACTION = 1e-3
 _EMA_DECAY = 0.99
 
-# Row chunk of the cdist search (bounds the (chunk x K) distance buffer to a
-# few MB), of its distance sums and of the k-means++ prefix search.
+# Row chunk of the cdist search (a chunk's distance buffer is 16 MB at
+# K = 256), of its distance sums, whose order ``_chunked_sum`` repeats, of
+# the C = 1 neighbour comparison and of the k-means++ prefix search.
 _CHUNK = 8192
+
+# The C > 1 search is screened by a matrix product from K = 64 codewords
+# and K * C = 512 (crossover table in the module docstring), in blocks of
+# 2**17 estimates: 1 MB of float64, 512 rows at K = 256.
+_SCREEN_MIN_K = 64
+_SCREEN_MIN_KC = 512
+_SCREEN_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -232,18 +272,23 @@ def _nearest(
     """Nearest codeword per row as (index, squared distance).
 
     ``table`` is ``_build_search_table(codewords)``; without one (C > 1)
-    this is the cdist search.  With one, see the module docstring: the two
-    sorted neighbours are compared, and a row whose minimum also reaches the
-    next value out on either side, or is not finite, is searched by cdist.
-    ``ranked`` is ``(order, vectors[order, 0])`` for an argsort ``order`` of
-    ``vectors[:, 0]``: with it the codeword values are placed among the
-    sorted rows instead of each row among the codeword values, with the
-    same result.
+    this is the cdist search, screened by ``_nearest_screened`` for the
+    codebook sizes where that is faster.  With one, see the module
+    docstring: the two sorted neighbours are compared, and a row whose
+    minimum also reaches the next value out on either side, or is not
+    finite, is searched by cdist.  ``ranked`` is ``(order, vectors[order,
+    0])`` for an argsort ``order`` of ``vectors[:, 0]``: with it the
+    codeword values are placed among the sorted rows instead of each row
+    among the codeword values, with the same result.
     """
     if table is None:
+        k, c = codewords.shape
+        if k >= _SCREEN_MIN_K and k * c >= _SCREEN_MIN_KC:
+            return _nearest_screened(vectors, codewords)
         return _nearest_cdist(vectors, codewords)
     values, first = table
     x = vectors[:, 0]
+    n = x.shape[0]
     # values[2:-2][q - 1] < x <= values[2:-2][q]: the two neighbours of x sit
     # at values[q + 1] and values[q + 2], the next ones out at q and q + 3.
     if ranked is None:
@@ -253,21 +298,84 @@ def _nearest(
         # position i has q = #{j: p[j] <= i} values below it.
         order, sorted_x = ranked
         p = np.searchsorted(sorted_x, values[2:-2], side="right")
-        runs = np.diff(p, prepend=0, append=x.shape[0])
-        q = np.empty(x.shape[0], dtype=np.intp)
+        runs = np.diff(p, prepend=0, append=n)
+        q = np.empty(n, dtype=np.intp)
         q[order] = np.repeat(np.arange(p.shape[0] + 1), runs)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows go to cdist
-        d_lo = (x - values[1:][q]) ** 2
-        d_hi = (x - values[2:][q]) ** 2
-        i_lo = first[1:][q]
-        i_hi = first[2:][q]
-        labels = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (i_hi < i_lo)), i_hi, i_lo)
-        dist = np.minimum(d_lo, d_hi)
-        # Nothing compares above an infinite or NaN distance, so this also
-        # sends every row with a non-finite minimum to cdist.
-        exact = ((x - values[q]) ** 2 > dist) & ((x - values[3:][q]) ** 2 > dist)
-    if not exact.all():
-        rows = np.flatnonzero(~exact)
+    labels = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.float64)
+    unsure = []
+    # Per-element passes over cache-sized row blocks: no bit depends on them.
+    for lo in range(0, n, _CHUNK):
+        xb, qb = x[lo : lo + _CHUNK], q[lo : lo + _CHUNK]
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows go to cdist
+            d_lo = (xb - values[1:][qb]) ** 2
+            d_hi = (xb - values[2:][qb]) ** 2
+            i_lo = first[1:][qb]
+            i_hi = first[2:][qb]
+            labels[lo : lo + _CHUNK] = np.where(
+                (d_hi < d_lo) | ((d_hi == d_lo) & (i_hi < i_lo)), i_hi, i_lo
+            )
+            best = np.minimum(d_lo, d_hi, out=dist[lo : lo + _CHUNK])
+            # Nothing compares above an infinite or NaN distance, so this
+            # also sends every row with a non-finite minimum to cdist.
+            exact = ((xb - values[qb]) ** 2 > best) & ((xb - values[3:][qb]) ** 2 > best)
+        if not exact.all():
+            unsure.append(lo + np.flatnonzero(~exact))
+    if unsure:
+        rows = np.concatenate(unsure)
+        labels[rows], dist[rows] = _nearest_cdist(vectors[rows], codewords)
+    return labels, dist
+
+
+def _nearest_screened(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_nearest_cdist(vectors, codewords)``, bit for bit, with cdist run
+    only on the rows a matrix-product screen cannot settle.
+
+    Per block of ``_SCREEN_ENTRIES // K`` rows, one GEMM of ``[x, 1]`` with
+    ``[-2 c; |c|^2]`` estimates each distance less the row's ``|x|^2``.
+    A row whose runner-up estimate exceeds its lowest by more than 2E
+    (``_estimate_error``) has one strictly nearest codeword; its distance
+    is then summed as cdist sums it.  Every other row goes to cdist.
+    """
+    n, c = vectors.shape
+    k = codewords.shape[0]
+    with np.errstate(over="ignore"):  # then no block passes the guard below
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        c2 = np.einsum("ij,ij->i", codewords, codewords)
+        max_c = np.sqrt(c2.max())
+        weights = np.concatenate([-2.0 * codewords.T, c2[None, :]])
+    rows_per = max(1, _SCREEN_ENTRIES // k)
+    augmented = np.ones((min(rows_per, n), c + 1))
+    buffer = np.empty((min(rows_per, n), k))
+    labels = np.zeros(n, dtype=np.int64)
+    sure = np.zeros(n, dtype=bool)
+    for lo in range(0, n, rows_per):
+        x = vectors[lo : lo + rows_per]
+        m = x.shape[0]
+        max_x = np.sqrt(sq_norms[lo : lo + m].max())
+        # Below 2**510 nothing the screen or cdist computes can overflow.
+        if not max_x + max_c <= 2.0**510:
+            continue
+        augmented[:m, :c] = x
+        est = np.matmul(augmented[:m], weights, out=buffer[:m])
+        flat = est.reshape(-1)
+        row_starts = np.arange(0, m * k, k)
+        best = np.argmin(est, axis=1)
+        lowest = flat[row_starts + best]
+        flat[row_starts + best] = np.inf
+        gap = flat[row_starts + np.argmin(est, axis=1)] - lowest
+        labels[lo : lo + m] = best
+        np.greater(gap, 2.0 * _estimate_error(c, max_x, max_c), out=sure[lo : lo + m])
+    # cdist's per-pair order: fl((x_j - c_j)**2) added over j = 0, 1, ...
+    diff = codewords[labels]
+    with np.errstate(over="ignore"):  # unsure rows are searched again below
+        diff -= vectors
+        diff *= diff
+        dist = diff[:, 0].copy()
+        for j in range(1, c):
+            dist += diff[:, j]
+    if not sure.all():
+        rows = np.flatnonzero(~sure)
         labels[rows], dist[rows] = _nearest_cdist(vectors[rows], codewords)
     return labels, dist
 
@@ -319,6 +427,34 @@ def _row_norms(vectors: np.ndarray) -> tuple[np.ndarray, float]:
         return sq_norms, float(np.sqrt(sq_norms.max()))
 
 
+def _estimate_error(c: int, max_x, max_c):
+    """E = 8 (C + 4) 2**-53 (max|x| + max|c|)**2 + 8 (C + 4) 2**-1074, a bound
+    on how far a matrix-product distance estimate of C-dimensional rows of
+    norm at most max|x| and codewords of norm at most max|c| lies from cdist.
+
+    With u = 2**-53, P = (|x| + |c|)^2 >= D = |x - c|^2 and
+    gamma_m = m u/(1 - m u):
+
+    - cdist sums C terms fl(fl(x_j - c_j)^2) in a fixed order, so
+      |cdist - D| <= gamma_(C+2) D <= gamma_(C+2) P;
+    - |x|^2, x.c and |c|^2, summed in any order, are within gamma_C of
+      |x|^2, |x||c| (Cauchy-Schwarz) and |c|^2, gamma_C P in all; the two
+      additions of ``|x|^2 - 2 x.c + |c|^2`` add at most 2u(1 + gamma_C) P;
+    - so |cdist - approx| <= (2C + 4) u P (1 + O(C u)), under a quarter of
+      E.  The spare factor covers the rounding of E, of max|x| (taken from
+      the computed |x|^2) and of the test that uses E.  Gradual underflow
+      voids relative bounds; each underflowing product errs by at most
+      2**-1075 absolutely, which the second term of E covers.
+
+    ``_nearest_screened`` leaves the row constant |x|^2 out and adds |c|^2
+    inside the product, one (C + 1)-term dot product of ``[x, 1]`` and
+    ``[-2 c, fl(|c|^2)]`` in any order: within gamma_(C+1) (2|x||c| + |c|^2)
+    plus gamma_C |c|^2 of D - |x|^2, so cdist - |x|^2 is within
+    (3C + 3) u P (1 + O(C u)) of it, under half of E.
+    """
+    return 8.0 * (c + 4) * (2.0**-53 * (max_x + max_c) ** 2 + 2.0**-1074)
+
+
 def _screened_minimum(
     vectors: np.ndarray, norms: tuple[np.ndarray, float], d2: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
@@ -326,32 +462,16 @@ def _screened_minimum(
     place; cdist runs only on the rows a gemv screen cannot rule out.
 
     ``norms`` is ``_row_norms(vectors)``.  The screen estimates each row's
-    distance as ``approx = |x|^2 - 2 x.c + |c|^2`` and sends a row to cdist
-    when ``approx - E < d2`` or that test is not finite.  With u = 2**-53,
-    P = (|x| + |c|)^2 >= D = |x - c|^2 and gamma_m = m u/(1 - m u):
-
-    - cdist sums C terms fl(fl(x_j - c_j)^2) in a fixed order, so
-      |cdist - D| <= gamma_(C+2) D <= gamma_(C+2) P;
-    - |x|^2, x.c and |c|^2, summed in any order, are within gamma_C of
-      |x|^2, |x||c| (Cauchy-Schwarz) and |c|^2, gamma_C P in all; the two
-      additions add at most 2u(1 + gamma_C) P;
-    - so |cdist - approx| <= (2C + 4) u P (1 + O(C u)), under a quarter of
-      E = 8 (C + 4) u (max|x| + |c|)^2.  The spare factor covers the rounding
-      of E, of max|x| (taken from the computed |x|^2) and of approx - E.
-      Gradual underflow voids relative bounds; each underflowing product
-      errs by at most 2**-1075 absolutely, which the term
-      8 (C + 4) 2**-1074 added to E covers.
-
-    A skipped row's cdist is therefore >= its ``d2``, where ``np.minimum``
-    leaves ``d2`` unchanged.  An overflow makes the test infinite or NaN,
-    and such rows go to cdist.
+    distance as ``approx = |x|^2 - 2 x.c + |c|^2``, within E of cdist
+    (``_estimate_error``), and sends a row to cdist when ``approx - E < d2``
+    or that test is not finite.  A skipped row's cdist is therefore >= its
+    ``d2``, where ``np.minimum`` leaves ``d2`` unchanged.  An overflow makes
+    the test infinite or NaN, and such rows go to cdist.
     """
     sq_norms, max_norm = norms
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = float(center @ center)
-        bound = 8.0 * (center.shape[0] + 4) * (
-            2.0**-53 * (max_norm + np.sqrt(c2)) ** 2 + 2.0**-1074
-        )
+        bound = _estimate_error(center.shape[0], max_norm, np.sqrt(c2))
         test = sq_norms - 2.0 * (vectors @ center) + c2 - bound
         rows = np.flatnonzero((test < d2) | ~np.isfinite(test))
     if rows.size:

@@ -266,3 +266,58 @@ def test_cm_outliers_are_clamped_and_decode_outside_the_window(monkeypatch):
     lo, hi, syms = seen[0]
     assert min(syms) < lo and max(syms) >= hi
     assert {0, 2 * CM_SUPPORT_RADIUS} <= set(syms)  # the clamped spikes
+
+
+# C = 4 with 128-codeword stages, group and hyper: every search of training
+# and encoding takes the screened search of ``quantizers._nearest``
+# (K >= 64, K * C >= 512).  Recorded with the plain cdist search, so the
+# screen is pinned to its bytes.  The 1,792 training rows of a group make
+# 1.75 screened blocks.
+SCREEN_STAGES = (128, 128)
+
+GOLDEN_SCREEN = {
+    "iq-codebooks": "af25adfc2a9a08618819b9a331d0498b857ec588972b53df031a881a8276d9ec",
+    "iq-m1-latent": "187d7fa9ac20d0692ec60044f14af28c3cf0a9a65a9ee4430612aae4d0f596a6",
+    "iq-m1-stream": "1800acd8445eb2432a12804df1766e9093b6134f4c8e8bd92a8c444cc9dc6d08",
+    "iq-m2-latent": "62fa96b91013df0072784e57ffb1e8ba9189d5f2cb652802db1783abfe6bf384",
+    "iq-m2-stream": "cedbaf570ab215613bf49baea83d37a952abd7865c76149b2b60f63a3f757887",
+    "rd-codebooks": "75b9ce00e0ea8df1897ae2a2f2964205ac2975f6e72a87493643fa06b2d5f732",
+    "rd-m1-latent": "5f9b3a359e2ae816f233852c0be33b6883497e74a74479ad04bbf3462917b305",
+    "rd-m1-stream": "db20977bcb7244aea7b3c7cfdaffd10d739313d7f4afb01ccfc80a64859caeff",
+    "rd-m2-latent": "5c9f8a4dd5aa6382d57c785bca3d72207e1d6e9c5fe5f8ab422d2abc4f465d53",
+    "rd-m2-stream": "f4388ef76f7b625257134fac969b784dfeb75cfed1734392bd9388d194c49140",
+    "rd-predictor": "e23fe798cddb45fc3ed5f9a4a1cfec6b99612a760a91fbe291b161c615aa001c",
+}
+
+
+def _compute_screen_digests(tmp):
+    train = [
+        gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=9), index=i)
+        for i in range(7)
+    ]
+    latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=10), index=0)
+    rd_model = train_rd_model(
+        train, SCREEN_STAGES, hyper_stage_sizes=SCREEN_STAGES, iterations=10, seed=4
+    )
+    iq_qset = train_iq_model(train, SCREEN_STAGES, iterations=10, seed=4)
+    out = {
+        "rd-codebooks": _sha(_codebook_bytes(rd_model[1])),
+        "rd-predictor": _sha(_predictor_bytes(rd_model[0], tmp / "rd.efpr")),
+        "iq-codebooks": _sha(_codebook_bytes(iq_qset)),
+    }
+    for scheme, model in (("rd", rd_model), ("iq", iq_qset)):
+        for m in (1, 2):
+            raw, decoded = _fixed_round_trip(scheme, latent, model, m)
+            out[f"{scheme}-m{m}-stream"] = _sha(raw)
+            out[f"{scheme}-m{m}-latent"] = _sha(_latent_bytes(decoded))
+    return out
+
+
+@pytest.fixture(scope="module")
+def screen_digests(tmp_path_factory):
+    return _compute_screen_digests(tmp_path_factory.mktemp("golden-screen"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCREEN))
+def test_golden_screen_digest(screen_digests, name):
+    assert screen_digests[name] == GOLDEN_SCREEN[name]

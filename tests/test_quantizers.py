@@ -133,14 +133,19 @@ def _search_cases(draw):
 
 
 @settings(max_examples=300)
-@given(case=_search_cases(), tie_seed=st.integers(0, 2**31))
-def test_nn_quantize_is_argmin_property(case, tie_seed):
+@given(
+    case=_search_cases(),
+    tie_seed=st.integers(0, 2**31),
+    chunk=st.sampled_from([quantizers._CHUNK, 1, 3]),
+)
+def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
     """Both C = 1 searches are cdist + argmin: each row placed among the
     codeword values, and the training path, codeword values placed among
     the sorted rows in whatever order the argsort leaves equal rows.  The
     two send the same rows to the cdist fallback: the neighbour check
     certifies a row's result whatever interval it was given, so only the
-    fallback shows an interval that differs."""
+    fallback shows an interval that differs.  Small chunks split the
+    neighbour comparison into blocks whose fallback rows are gathered."""
     codewords, vectors = case
     d2 = cdist(vectors, codewords, metric="sqeuclidean")
     expected = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
@@ -158,12 +163,116 @@ def test_nn_quantize_is_argmin_property(case, tie_seed):
     fallback = quantizers._nearest_cdist
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantizers, "_nearest_cdist", spy)
+        mp.setattr(quantizers, "_CHUNK", chunk)
         for ranked in (None, (order, x[order])) if cb.dim == 1 else (None,):
             searched.append(None)
             labels, dist = _nearest(vectors, cb.codewords, cb._search_table, ranked)
             assert np.array_equal(labels, expected)
             assert dist.tobytes() == mins.tobytes()
     assert searched[-1] == searched[0]
+
+
+def _screened_k(c):
+    """The smallest codebook size ``_nearest`` screens at dimension c."""
+    return max(quantizers._SCREEN_MIN_K, -(-quantizers._SCREEN_MIN_KC // c))
+
+
+def _block_rows(k):
+    return quantizers._SCREEN_ENTRIES // k
+
+
+@st.composite
+def _screen_cases(draw):
+    """(vectors, codewords) at C in {2, 3, 16} and K at the screen's
+    threshold for C or at 256, with rows from ``_seeding_rows``: Gaussian
+    codewords, or codewords drawn from the rows, some duplicated and some
+    one ulp apart, so rows tie and near-tie between codewords.  K = 1 and
+    K = 2 never reach the screen."""
+    c = draw(st.sampled_from([2, 3, 16]))
+    k = draw(st.sampled_from([_screened_k(c), 256]))
+    x = draw(_seeding_rows(dims=(c,)))
+    rng = rng_for(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        cw = rng.standard_normal((k, c)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        cw = x[rng.integers(x.shape[0], size=k)]
+        bump = rng.random(k) < 0.3
+        cw[bump] = np.nextafter(cw[bump], 0.0)
+    return x, cw
+
+
+def _tie_case():
+    """Duplicated codewords, rows on them and rows equidistant from two."""
+    cw = rng_for(61).standard_normal((64, 16))
+    cw[9] = cw[4]
+    cw[11] = -cw[10]
+    x = np.concatenate([cw[[4, 9, 10]], np.zeros((1, 16)), 0.5 * (cw[[2]] + cw[[3]])])
+    return x, cw
+
+
+def _ulp_case():
+    """Codewords one ulp apart, and rows on and between them."""
+    cw = rng_for(62).standard_normal((128, 4))
+    cw[1::2] = np.nextafter(cw[0::2], np.inf)
+    return np.concatenate([cw[:8], 0.5 * (cw[:8] + cw[1:9])]), cw
+
+
+def _scale_case(scale):
+    """Rows of one scale with codewords of another; blocks of ``_block_rows``
+    rows with one row left over."""
+    rng = rng_for(63)
+    cw = rng.standard_normal((256, 2))
+    x = rng.standard_normal((_block_rows(256) + 1, 2)) * scale
+    x[::7] = rng.standard_normal((x[::7].shape[0], 2))
+    return x, cw
+
+
+@settings(max_examples=200)
+@given(case=_screen_cases())
+@example(case=_tie_case())
+@example(case=_ulp_case())
+@example(case=_scale_case(1e154))  # |x|^2 near and past overflow
+@example(case=_scale_case(1e155))
+@example(case=_scale_case(1e-320))  # subnormal rows
+@example(case=(rng_for(64).standard_normal((2 * _block_rows(64) + 3, 16)),
+               rng_for(65).standard_normal((64, 16))))
+@example(case=(np.zeros((0, 16)), rng_for(65).standard_normal((64, 16))))
+def test_screened_search_is_the_cdist_search(case):
+    """The GEMM-screened search returns the labels and distances of cdist +
+    argmin bit for bit, whatever it settles itself and whatever it hands to
+    cdist: ties to the lowest index, overflowing rows, subnormal rows."""
+    x, cw = case
+    assert cw.shape[0] >= _screened_k(cw.shape[1])
+    want_labels, want_dist = quantizers._nearest_cdist(x, cw)
+    labels, dist = _nearest(x, cw, None)
+    assert labels.tobytes() == want_labels.tobytes()
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+def test_screened_search_runs_cdist_only_on_unsettled_rows(monkeypatch):
+    """On well-separated data the screen settles every row without cdist;
+    rows tied between duplicated codewords go to cdist, which gives them
+    the lower index.  Pins that the C > 1 search does not fall back to a
+    full cdist pass."""
+    rng = rng_for(66)
+    cw = 10.0 * rng.standard_normal((256, 16))
+    x = cw[rng.integers(256, size=3000)] + 0.1 * rng.standard_normal((3000, 16))
+    searched = []
+    fallback = quantizers._nearest_cdist
+
+    def spy(rows, codewords):
+        searched.append(rows.shape[0])
+        return fallback(rows, codewords)
+
+    tied = cw.copy()
+    tied[200] = tied[7]
+    want = fallback(x, cw)[0]
+    want_tied = fallback(x, tied)[0]
+    monkeypatch.setattr(quantizers, "_nearest_cdist", spy)
+    assert np.array_equal(nn_quantize(Codebook(cw), x), want)
+    assert searched == []
+    assert np.array_equal(nn_quantize(Codebook(tied), x), want_tied)
+    assert searched == [int((want_tied == 7).sum())] and searched[0] > 0
 
 
 def test_train_codebook_is_deterministic():
