@@ -77,10 +77,18 @@ class PackedBitstream:
         return _HEADER_BITS + 8 * len(self.payload)
 
 
+# Widest index field: ``_bits_to_fields`` assembles fields in float64,
+# whose integers are exact up to 2**53.
+_MAX_INDEX_BITS = 53
+
+
 def _index_bits(k: int) -> int:
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError(f"codebook size {k} is not a power of two")
-    return k.bit_length() - 1
+    width = k.bit_length() - 1
+    if width > _MAX_INDEX_BITS:
+        raise ValueError(f"codebook size 2**{width} exceeds 2**{_MAX_INDEX_BITS}")
+    return width
 
 
 def _fields_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
@@ -90,8 +98,19 @@ def _fields_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
 
 
 def _bits_to_fields(bits: np.ndarray, width: int) -> np.ndarray:
-    weights = np.left_shift(np.int64(1), np.arange(width - 1, -1, -1, dtype=np.int64))
-    return bits.reshape(-1, width).astype(np.int64) @ weights
+    """Fixed-width MSB-first fields from their flattened bit planes.
+
+    One float GEMV against the weights ``2**(width-1) .. 1``: float32 up to
+    24 bits, float64 up to 53 (``_index_bits`` rejects wider fields).  It
+    is exact in any summation order, FMA included: every product is 0 or a
+    power of two, and every partial sum is an integer below ``2**width``,
+    which the dtype holds exactly, so no sum is ever rounded.  That is why
+    BLAS is safe here and not in prediction, whose products and sums round
+    and so depend on the order BLAS picks.
+    """
+    dtype = np.float32 if width <= 24 else np.float64
+    weights = np.ldexp(dtype(1), np.arange(width - 1, -1, -1))
+    return (bits.reshape(-1, width).astype(dtype) @ weights).astype(np.int64)
 
 
 def _geometry(header: StreamHeader, channels: int) -> tuple[int, int, int]:

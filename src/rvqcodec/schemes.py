@@ -12,11 +12,12 @@ standardized as (y - mu)/sigma, residual-quantized, and decoded back
 through the same affine map.  The decoder runs the exact same loop on the
 transmitted indices, so encoder and decoder reconstructions are
 bit-identical: prediction uses an explicit fixed-order accumulation rather
-than BLAS, and quantizer decisions have positive margin almost surely,
-which is what makes the fixed-length path robust where entropy-coded
-pipelines desynchronize on last-ulp drift.  The CM path, by contrast,
-inherits the usual sensitivity: its integer tables depend on libm exp/log,
-which is documented rather than fought.
+than BLAS (channel-major, one whole-row update per context dimension in
+cache-sized blocks, ``_predict_with``), and quantizer decisions have
+positive margin almost surely, which is what makes the fixed-length path
+robust where entropy-coded pipelines desynchronize on last-ulp drift.
+The CM path, by contrast, inherits the usual sensitivity: its integer
+tables depend on libm exp/log, which is documented rather than fought.
 
 IQ, the ablation anchor, is the same encode and decode loop run with no
 predictor: each group is residual-quantized as it stands, with no context,
@@ -86,10 +87,14 @@ CM_PRECISION = 16
 _CM_SIGMA_LEVELS = 256
 
 _SIGMA_BUCKETS = 16
-# Output elements per block of ``_predict_with``: 1,024 rows at C = 16 and
-# 16,384 at C = 1.  A fixed 1,024 rows made C = 1 prediction on 4,096 rows
-# 15% slower than one whole-array pass, the per-call cost outweighing cache.
-_PREDICT_BLOCK = 32768
+# Output elements per block of ``_predict_with``'s channel-major (2C, n)
+# accumulator: 4,096 rows at C = 16 and 65,536 at C = 1.  On 22,528 rows
+# at C = 16 with 32 and 64 context dimensions (vector-hyper's stacked fit),
+# against a row-major loop over (n, 2C) rows in blocks of 2**15, 2**15
+# elements (1,024 rows) took 1.10-1.41x its time, 2**17 took 0.50-0.69x and
+# 2**18 0.72-0.90x: short rows pay per-call cost, long ones leave cache.
+# At C = 1 every size from 2**13 to 2**18 took 0.22-0.33x.
+_PREDICT_BLOCK = 2**17
 _PREDICTOR_MAGIC = b"EFPR"
 _PREDICTOR_VERSION = 1
 
@@ -136,7 +141,11 @@ class ContextPredictor:
         """(mu, sigma) per position, each (n, C); sigma is floored.
 
         The matrix product is an explicit loop over context dimensions so
-        the summation order is fixed on every platform (``_predict_with``).
+        the summation order is fixed on every platform: each output element
+        adds ``context[r, d] * w[d, k]`` to its bias in order d = 0, 1, ...
+        The loop runs channel-major on a ``(2C, n)`` accumulator, a whole
+        row per dimension, in blocks of ``_PREDICT_BLOCK`` elements
+        (``_predict_with``); ``context`` may have any memory layout.
         """
         w = self.weights[group]
         if context.shape != (context.shape[0], w.shape[0]):
@@ -597,17 +606,32 @@ def _fit_group_heads(
 
 
 def _predict_with(w, b, c, sigma_min, psi):
-    """(mu, sigma) of raw heads, for ``ContextPredictor.predict`` and the
-    fit loop, in blocks of rows so that a block's context and output stay in
-    cache across the loop over context dimensions; every operation is per
-    element, so blocking changes no bit."""
-    out = np.tile(b, (psi.shape[0], 1))
-    rows = max(1, _PREDICT_BLOCK // out.shape[1])
-    for lo in range(0, psi.shape[0], rows):
-        block, context = out[lo : lo + rows], psi[lo : lo + rows]
+    """(mu, sigma) of raw heads, each a C-contiguous (n, C) array, for
+    ``ContextPredictor.predict`` and the fit loop.
+
+    The heads accumulate channel-major: a ``(2C, n)`` array starts at the
+    bias, and context dimension d adds ``w[d][:, None] * context[d]`` in
+    order d = 0, 1, ..., where ``context`` is a block of ``psi`` rows
+    transposed to a C-contiguous ``(d, rows)`` array.  Each element sees
+    ``fl(acc + fl(psi * w))`` in d order, the sequence of a row-major
+    loop over ``(n, 2C)`` rows, so the layout changes no bit, and a C = 1
+    update is whole-row work.  Rows go in blocks so that a block's context
+    and output stay in cache across the loop over d; blocking is per
+    element too.  ``exp`` runs on contiguous log-sigma rows; numpy 2.4's
+    AVX-512 ``exp`` gives the same bytes on them as on a strided column
+    (4 million values and every golden latent), but ``exp`` itself is not
+    yet pinned across CPUs."""
+    n = psi.shape[0]
+    out = np.empty((w.shape[1], n))
+    out[:] = b[:, None]
+    rows = max(1, _PREDICT_BLOCK // out.shape[0])
+    for lo in range(0, n, rows):
+        block = out[:, lo : lo + rows]
+        context = np.ascontiguousarray(psi[lo : lo + rows].T)
         for d in range(w.shape[0]):
-            block += context[:, d : d + 1] * w[d : d + 1, :]
-    return out[:, :c], np.maximum(np.exp(out[:, c:]), sigma_min)
+            block += w[d][:, None] * context[d]
+    sigma = np.maximum(np.exp(out[c:]), sigma_min)
+    return np.ascontiguousarray(out[:c].T), np.ascontiguousarray(sigma.T)
 
 
 def _run_sequential_fit(latents, phi, close_group, lam, seed):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from rvqcodec.bitstream import (
     PackedBitstream,
     StreamHeader,
+    _bits_to_fields,
+    _fields_to_bits,
+    _index_bits,
     fixed_length_bits,
     pack,
     read_bitstream_file,
@@ -128,9 +131,36 @@ def test_pack_is_deterministic():
     assert a.header == b.header and a.payload == b.payload
 
 
+@pytest.mark.parametrize("width", range(1, 54))
+def test_bits_to_fields_is_the_integer_sum_at_every_width(width):
+    """The float GEMV equals the int64 weighted sum of the bit planes at
+    every width ``_index_bits`` accepts, across the float32/float64 switch
+    at 24/25 bits, on all-zero, all-one and random fields."""
+    rng = rng_for(width)
+    top = (1 << width) - 1
+    fields = np.concatenate([
+        np.zeros(5, dtype=np.int64),
+        np.full(5, top, dtype=np.int64),
+        rng.integers(0, top, size=200, dtype=np.int64, endpoint=True),
+    ])
+    bits = _fields_to_bits(fields, width)
+    weights = np.left_shift(np.int64(1), np.arange(width - 1, -1, -1, dtype=np.int64))
+    reference = bits.reshape(-1, width).astype(np.int64) @ weights
+    assert np.array_equal(reference, fields)
+    got = _bits_to_fields(bits, width)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference)
+
+
+def test_index_width_is_capped_at_53_bits():
+    assert _index_bits(1 << 53) == 53
+    with pytest.raises(ValueError, match="exceeds"):
+        _index_bits(1 << 54)
+
+
 @given(data=st.data())
 def test_pack_unpack_inverse_property(data):
-    sizes = st.sampled_from([1, 2, 4, 8, 16])
+    sizes = st.sampled_from([1, 2, 4, 8, 16, 64, 256, 4096])
     per_group = [
         [data.draw(sizes) for _ in range(data.draw(st.integers(1, 3)))]
         for _ in range(4)

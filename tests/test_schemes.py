@@ -117,27 +117,44 @@ def test_predict_applies_affine_map_and_floors_sigma():
     del p
 
 
-@pytest.mark.parametrize("c,n", [(1, 40_000), (4, 9_000), (16, 2_500)])
-def test_predict_is_the_per_dimension_loop_across_blocks(c, n):
-    """Blocked prediction (several blocks at each of these shapes) gives the
-    bytes of one loop over context dimensions on the whole array."""
+@pytest.mark.parametrize(
+    "c,n", [(1, 40_000), (4, 9_000), (16, 2_500), (1, 140_000), (16, 9_000)]
+)
+def test_predict_is_the_per_dimension_loop_across_blocks(c, n, monkeypatch):
+    """Blocked channel-major prediction gives the bytes of one row-major
+    loop over context dimensions on the whole array: at the default block
+    size (several blocks at C = 1 on 140,000 rows and C = 16 on 9,000) and
+    at a small patched one, where every shape spans many blocks and the
+    last is ragged; with a hyper grid and without, where group 1 is
+    bias-only (d = 0); and with each context also passed as a column
+    slice."""
+    small_block = 1_234
+    assert n % max(1, small_block // (2 * c))
     rng = rng_for(61)
-    dims = [c * (i + 1) for i in range(4)]
-    pred = ContextPredictor(
-        weights=tuple(rng.standard_normal((d, 2 * c)) for d in dims),
-        biases=tuple(rng.standard_normal(2 * c) for _ in dims),
-        channels=c,
-        uses_hyper=True,
-    )
-    for group, d in enumerate(dims):
-        context = rng.standard_normal((n, d))
-        w, b = pred.weights[group], pred.biases[group]
-        out = np.tile(b, (n, 1))
-        for j in range(d):
-            out += context[:, j : j + 1] * w[j : j + 1, :]
-        mu, sigma = pred.predict(group, context)
-        assert mu.tobytes() == out[:, :c].tobytes()
-        assert sigma.tobytes() == np.maximum(np.exp(out[:, c:]), pred.sigma_min).tobytes()
+    for uses_hyper in (True, False):
+        dims = [c * (i + (1 if uses_hyper else 0)) for i in range(4)]
+        pred = ContextPredictor(
+            weights=tuple(rng.standard_normal((d, 2 * c)) for d in dims),
+            biases=tuple(rng.standard_normal(2 * c) for _ in dims),
+            channels=c,
+            uses_hyper=uses_hyper,
+        )
+        for group, d in enumerate(dims):
+            wide = rng.standard_normal((n, d + 1))
+            context = np.ascontiguousarray(wide[:, 1:])
+            w, b = pred.weights[group], pred.biases[group]
+            out = np.tile(b, (n, 1))
+            for j in range(d):
+                out += context[:, j : j + 1] * w[j : j + 1, :]
+            for block in (schemes._PREDICT_BLOCK, small_block):
+                monkeypatch.setattr(schemes, "_PREDICT_BLOCK", block)
+                for ctx in (context, wide[:, 1:]):
+                    mu, sigma = pred.predict(group, ctx)
+                    assert mu.tobytes() == out[:, :c].tobytes()
+                    assert (
+                        sigma.tobytes()
+                        == np.maximum(np.exp(out[:, c:]), pred.sigma_min).tobytes()
+                    )
 
 
 def test_scheme_config_validation():
