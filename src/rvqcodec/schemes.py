@@ -88,13 +88,19 @@ _CM_SIGMA_LEVELS = 256
 
 _SIGMA_BUCKETS = 16
 # Output elements per block of ``_predict_with``'s channel-major (2C, n)
-# accumulator: 4,096 rows at C = 16 and 65,536 at C = 1.  On 22,528 rows
-# at C = 16 with 32 and 64 context dimensions (vector-hyper's stacked fit),
-# against a row-major loop over (n, 2C) rows in blocks of 2**15, 2**15
-# elements (1,024 rows) took 1.10-1.41x its time, 2**17 took 0.50-0.69x and
-# 2**18 0.72-0.90x: short rows pay per-call cost, long ones leave cache.
-# At C = 1 every size from 2**13 to 2**18 took 0.22-0.33x.
-_PREDICT_BLOCK = 2**17
+# accumulator: 2,048 rows at C = 16 and 32,768 at C = 1, so that a block's
+# context and output (1.5 MB at C = 16 with 64 context dimensions) stay in
+# a 2 MB L2.  Summed over 16-64 context dimensions on 22,528 rows at
+# C = 16 (vector-hyper's stacked fit), against 2**16, 2**17 took 1.22x the
+# time (2**16 won 14 of 15 alternating rounds), 2**15 1.07x, 2**18 1.63x
+# and 2**13 1.8x.  On vector-hyper's 1,024-row groups 2**13 and 2**14 took
+# 2.3x and 1.4x the time of one block, which every size from 2**15 up
+# gives.  C = 1 read the same at every size from 2**13 to 2**18 (256 to
+# 32,768 rows).
+_PREDICT_BLOCK = 2**16
+# ufunc buffer size, in elements, in effect inside the loop: see
+# ``_predict_with``.  A multiple of 16, which numpy 1.x requires.
+_PREDICT_BUFSIZE = 64
 _PREDICTOR_MAGIC = b"EFPR"
 _PREDICTOR_VERSION = 1
 
@@ -145,7 +151,11 @@ class ContextPredictor:
         adds ``context[r, d] * w[d, k]`` to its bias in order d = 0, 1, ...
         The loop runs channel-major on a ``(2C, n)`` accumulator, a whole
         row per dimension, in blocks of ``_PREDICT_BLOCK`` elements
-        (``_predict_with``); ``context`` may have any memory layout.
+        (``_predict_with``); ``context`` may have any memory layout.  It
+        runs with numpy's ufunc buffer at ``_PREDICT_BUFSIZE`` elements,
+        which keeps the broadcast product of short rows (vector-hyper's
+        1,024-row groups) off numpy's buffered path, about 2x faster there;
+        the caller's buffer size is restored and no bit depends on it.
         """
         w = self.weights[group]
         if context.shape != (context.shape[0], w.shape[0]):
@@ -617,19 +627,42 @@ def _predict_with(w, b, c, sigma_min, psi):
     loop over ``(n, 2C)`` rows, so the layout changes no bit, and a C = 1
     update is whole-row work.  Rows go in blocks so that a block's context
     and output stay in cache across the loop over d; blocking is per
-    element too.  ``exp`` runs on contiguous log-sigma rows; numpy 2.4's
-    AVX-512 ``exp`` gives the same bytes on them as on a strided column
-    (4 million values and every golden latent), but ``exp`` itself is not
-    yet pinned across CPUs."""
+    element too.
+
+    The loop runs with numpy's ufunc buffer set to ``_PREDICT_BUFSIZE``
+    and restores the caller's size on the way out, also on an exception.
+    At the default 8,192 elements, numpy 2.4 sends the broadcast product
+    ``(2C, 1) * (rows,)`` through its buffered path when the rows are
+    short: at 2C = 4 to 128 and 1,024 to 2,049 rows it ran at 0.9-1.3
+    ns/elem, against 0.2-0.4 with a 64-element buffer, and from 3,000 rows
+    both read the same.  vector-hyper's groups are 1,024 rows at C = 16,
+    where one call at d = 16/32/48/64 took 0.79/1.63/2.43/3.15 ms at the
+    default size and 0.42/0.75/1.09/1.59 ms at 64.  The buffer size
+    changes no element's operations or their order, so no bit.
+    ``np.errstate`` does not scope it on numpy 1.x, hence the explicit save
+    and restore.  The scope stays this narrow because the loop has no
+    reductions: a buffered reduction blocks its pairwise sum by the buffer
+    size (``x[:, ::3].sum()`` on a (300, 1000) array gives other bits at
+    64 than at 8,192), so a scope over the quantizers' or rANS code could
+    move bytes.
+
+    ``exp`` runs on contiguous log-sigma rows; numpy 2.4's AVX-512 ``exp``
+    gives the same bytes on them as on a strided column (4 million values
+    and every golden latent), but ``exp`` itself is not yet pinned across
+    CPUs."""
     n = psi.shape[0]
     out = np.empty((w.shape[1], n))
     out[:] = b[:, None]
     rows = max(1, _PREDICT_BLOCK // out.shape[0])
-    for lo in range(0, n, rows):
-        block = out[:, lo : lo + rows]
-        context = np.ascontiguousarray(psi[lo : lo + rows].T)
-        for d in range(w.shape[0]):
-            block += w[d][:, None] * context[d]
+    old = np.setbufsize(_PREDICT_BUFSIZE)
+    try:
+        for lo in range(0, n, rows):
+            block = out[:, lo : lo + rows]
+            context = np.ascontiguousarray(psi[lo : lo + rows].T)
+            for d in range(w.shape[0]):
+                block += w[d][:, None] * context[d]
+    finally:
+        np.setbufsize(old)
     sigma = np.maximum(np.exp(out[c:]), sigma_min)
     return np.ascontiguousarray(out[:c].T), np.ascontiguousarray(sigma.T)
 

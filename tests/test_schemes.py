@@ -118,16 +118,17 @@ def test_predict_applies_affine_map_and_floors_sigma():
 
 
 @pytest.mark.parametrize(
-    "c,n", [(1, 40_000), (4, 9_000), (16, 2_500), (1, 140_000), (16, 9_000)]
+    "c,n",
+    [(1, 40_000), (4, 9_000), (16, 2_500), (1, 140_000), (16, 9_000), (16, 1_024)],
 )
 def test_predict_is_the_per_dimension_loop_across_blocks(c, n, monkeypatch):
     """Blocked channel-major prediction gives the bytes of one row-major
     loop over context dimensions on the whole array: at the default block
-    size (several blocks at C = 1 on 140,000 rows and C = 16 on 9,000) and
-    at a small patched one, where every shape spans many blocks and the
-    last is ragged; with a hyper grid and without, where group 1 is
-    bias-only (d = 0); and with each context also passed as a column
-    slice."""
+    size (several blocks at C = 1 on 140,000 rows and C = 16 on 9,000; one
+    block of vector-hyper's 1,024-row group shape) and at a small patched
+    one, where every shape spans many blocks and the last is ragged; with
+    a hyper grid and without, where group 1 is bias-only (d = 0); and with
+    each context also passed as a column slice."""
     small_block = 1_234
     assert n % max(1, small_block // (2 * c))
     rng = rng_for(61)
@@ -155,6 +156,46 @@ def test_predict_is_the_per_dimension_loop_across_blocks(c, n, monkeypatch):
                         sigma.tobytes()
                         == np.maximum(np.exp(out[:, c:]), pred.sigma_min).tobytes()
                     )
+
+
+def test_predict_scopes_the_ufunc_buffer_size():
+    """``_predict_with`` scopes numpy's ufunc buffer size to its own loop:
+    the bytes under a caller's ``np.setbufsize(2**16)`` equal those under
+    the default, and the caller's size is back after a return and after
+    an exception raised inside the loop."""
+    rng = rng_for(62)
+    c, n, d = 16, 1_024, 64
+    pred = ContextPredictor(
+        weights=tuple(rng.standard_normal((c * (i + 1), 2 * c)) for i in range(4)),
+        biases=tuple(rng.standard_normal(2 * c) for _ in range(4)),
+        channels=c,
+        uses_hyper=True,
+    )
+    context = rng.standard_normal((n, d))
+    before = np.getbufsize()
+    mu, sigma = pred.predict(3, context)
+    assert np.getbufsize() == before
+    old = np.setbufsize(2**16)
+    try:
+        mu16, sigma16 = pred.predict(3, context)
+        assert np.getbufsize() == 2**16
+    finally:
+        np.setbufsize(old)
+    assert mu16.tobytes() == mu.tobytes()
+    assert sigma16.tobytes() == sigma.tobytes()
+
+    class Exploding(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, int) and key == 5:
+                assert np.getbufsize() == schemes._PREDICT_BUFSIZE
+                raise RuntimeError("inside the loop")
+            return super().__getitem__(key)
+
+    with pytest.raises(RuntimeError, match="inside the loop"):
+        schemes._predict_with(
+            pred.weights[3].view(Exploding), pred.biases[3], c, pred.sigma_min, context
+        )
+    assert np.getbufsize() == before
 
 
 def test_scheme_config_validation():
@@ -346,6 +387,7 @@ def test_hyper_path_round_trip():
     cfg = SourceConfig(channels=1, height=64, width=64, rho=0.9, variance=1.0, seed=41)
     latents = [gauss_markov_sample(cfg, index=i) for i in range(12)]
     held = gauss_markov_sample(cfg, index=600)
+    bufsize = np.getbufsize()
     predictor, qset = train_rd_model(
         latents, (16,), hyper_stage_sizes=(16,), iterations=8, seed=3
     )
@@ -355,6 +397,8 @@ def test_hyper_path_round_trip():
     assert coded.hyper_stack is not None
     recon = rd_decode(replace(coded, reconstruction=None), predictor, qset)
     assert np.array_equal(recon.data, coded.reconstruction.data)
+    # prediction scopes numpy's ufunc buffer size to itself
+    assert np.getbufsize() == bufsize
     # hyper grid positions pay rate too: 4 x 1024 group and 256 hyper
     # positions of one K=16 stage
     assert coded.rate_bits == fixed_length_bits(qset, 1, held.shape) == (4 * 1024 + 256) * 4
