@@ -11,11 +11,23 @@ every symbol at frequency >= 1, plus its exclusive prefix sums ``cum``.
 ``_encode_core`` takes each symbol's ``freq[s]`` and ``cum[s]`` as two
 parallel lists.  ``_decode_core`` takes distinct rows and one row index per
 symbol, each row restricted to a window ``[lo, hi)`` of symbols outside of
-which every frequency is 1.  ``gaussian_table_batch`` builds such rows for
-a rounded Gaussian.  It uses a pinned complementary-error-function
-implementation (power series below 1.5, Laplace continued fraction above,
-both at fixed iteration counts) rather than the platform libm, keeping the
-integer tables reproducible across machines.
+which every frequency is 1.
+
+``gaussian_table_batch`` builds such window rows for a zero-mean rounded
+Gaussian, and only the window: no full-width row exists anywhere in the
+build except the zero-padded one whose sum fixes each row's total, which
+keeps numpy's pairwise-summation order and so pins every table to the bits
+of a full-width build.  It uses a pinned complementary-error-function
+implementation (power series below 1.5, Laplace continued fraction above)
+rather than the platform libm, keeping the integer tables reproducible
+across machines.  Two facts make it cheap without moving a bit:
+
+* Cut points come in pairs +-a, and IEEE sign symmetry makes the series'
+  erf odd bit for bit, so one evaluation per pair gives both erfc values
+  (``_erfc_pair``).
+* The series stops once a term leaves every sum unchanged; terms never grow
+  after the first and sums never shrink, so no later term could change one
+  (``_erf_series``).  The continued fraction runs at its fixed depth.
 """
 
 from __future__ import annotations
@@ -81,11 +93,10 @@ def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.
     freq = np.floor(target).astype(np.int64)
     remainder = budget - freq.sum(axis=1)
     frac = target - freq
-    cols = np.broadcast_to(np.arange(w), (n, w))
-    order = np.lexsort((cols, -frac), axis=1)
-    take = cols < remainder[:, None]
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, w))
-    freq[rows[take], order[take]] += 1
+    order = np.argsort(-frac, axis=1, kind="stable")
+    take = np.arange(w) < remainder[:, None]
+    order += np.arange(0, n * w, w)[:, None]
+    freq.ravel()[order[take]] += 1
 
     zeros = freq == 0
     deficit = zeros.sum(axis=1) + outside
@@ -178,78 +189,136 @@ def _decode_core(
 
 _ERF_SERIES_CUTOFF = 1.5
 _ERF_SERIES_TERMS = 48
+_ERF_SERIES_CHECK = 4
 _ERFC_CONTFRAC_DEPTH = 64
 _ERFC_ZERO_CUTOFF = 30.0
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+# The loops' per-step constants 2k + 3 and k / 2 as float64 scalars, which
+# numpy takes with less per-call work than Python floats.
+_ERF_SERIES_DENOMS = 2.0 * np.arange(_ERF_SERIES_TERMS) + 3.0
+_ERFC_CONTFRAC_HALVES = 0.5 * np.arange(_ERFC_CONTFRAC_DEPTH, 0, -1)
 
 
 def _erf_series(x: np.ndarray) -> np.ndarray:
-    """erf on |x| <= 1.5 via the Maclaurin-type series with exp damping."""
+    """erf on |x| < 1.5 via the Maclaurin-type series with exp damping.
+
+    Sums at most ``_ERF_SERIES_TERMS`` terms and stops at the first check
+    point, a multiple k >= 4 of ``_ERF_SERIES_CHECK``, at which adding term
+    k changed no element.  That stop returns the full sum bit for bit: from k = 1 on
+    the term ratio 2x^2 / (2k + 3) is below 1 (2x^2 < 4.5 < 5), so rounded
+    terms never grow, ``acc`` never shrinks, and by monotone rounding a term
+    no larger than one that left ``acc`` unchanged leaves it unchanged too.
+    Near |x| = 1.5 the last term to change a value is k = 23, so at most 25
+    of the 48 terms are added.
+    """
     x2 = x * x
+    two_x2 = 2.0 * x2
     acc = np.zeros_like(x)
     term = np.full_like(x, 2.0)
-    for k in range(_ERF_SERIES_TERMS):
-        acc = acc + term
-        term = term * (2.0 * x2 / (2.0 * k + 3.0))
+    ratio = np.empty_like(x)
+    for k, denom in enumerate(_ERF_SERIES_DENOMS):
+        if k >= _ERF_SERIES_CHECK and k % _ERF_SERIES_CHECK == 0:
+            grown = acc + term
+            if (grown == acc).all():
+                break
+            acc = grown
+        else:
+            acc += term
+        np.divide(two_x2, denom, out=ratio)
+        term *= ratio
     return x * np.exp(-x2) * _INV_SQRT_PI * acc
 
 
 def _erfc_contfrac(x: np.ndarray) -> np.ndarray:
     """erfc on x >= 1.5 via the Laplace continued fraction, fixed depth."""
     b = x.copy()
-    for k in range(_ERFC_CONTFRAC_DEPTH, 0, -1):
-        b = x + (0.5 * k) / b
+    for half_k in _ERFC_CONTFRAC_HALVES:
+        np.divide(half_k, b, out=b)
+        b += x
     out = np.exp(-x * x) * _INV_SQRT_PI / b
-    return np.where(x >= _ERFC_ZERO_CUTOFF, 0.0, out)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    out = np.empty_like(x)
-    small = ax < _ERF_SERIES_CUTOFF
-    if small.any():
-        out[small] = 1.0 - _erf_series(x[small])
-    big = ~small
-    if big.any():
-        tail = _erfc_contfrac(ax[big])
-        out[big] = np.where(x[big] > 0, tail, 2.0 - tail)
+    out[x >= _ERFC_ZERO_CUTOFF] = 0.0
     return out
 
 
+def _erfc_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(erfc(a), erfc(-a))`` for ``a >= 0``, one evaluation per element.
+
+    Every table edge comes in a pair +-(k + 0.5) * delta / sigma about the
+    zero mean, so both of its erfc arguments share one magnitude ``a``.
+    IEEE negation is exact and multiplication and division are
+    sign-symmetric, so the series gives erf(-a) = -erf(a) bit for bit:
+    below the series cutoff erfc(a) = 1 - E and erfc(-a) = 1 + E, above it
+    ``tail`` and 2 - ``tail``, exactly as the signed evaluation of each.
+    """
+    pos = np.empty_like(a)
+    neg = np.empty_like(a)
+    small = a < _ERF_SERIES_CUTOFF
+    if small.any():
+        e = _erf_series(a[small])
+        pos[small] = 1.0 - e
+        neg[small] = 1.0 + e
+    big = ~small
+    if big.any():
+        tail = _erfc_contfrac(a[big])
+        pos[big] = tail
+        neg[big] = 2.0 - tail
+    return pos, neg
+
+
 def gaussian_cdf(t) -> np.ndarray:
-    """Standard normal CDF from the pinned erfc; accurate to ~1e-14."""
-    t = np.asarray(t, dtype=np.float64)
-    return 0.5 * _erfc(-t / np.sqrt(2.0))
+    """Standard normal CDF 0.5 * erfc(-t / sqrt(2)) from the pinned erfc;
+    accurate to ~1e-14."""
+    x = -np.asarray(t, dtype=np.float64) / np.sqrt(2.0)
+    pos, neg = _erfc_pair(np.abs(x))
+    return 0.5 * np.where(x < 0, neg, pos)
+
+
+def _edge_cdf(sigma: np.ndarray, delta: float, half: int) -> np.ndarray:
+    """The CDF at the ``2*half`` cut points ``(k + 0.5) * delta / sigma``.
+
+    Row ``i`` holds the cut points for ``k = -half .. half-1`` in order, the
+    same values as ``gaussian_cdf`` on them, from one erfc pair per
+    ``+-`` edge.
+    """
+    edges = np.arange(half, dtype=np.float64) + 0.5
+    a = edges[None, :] * (delta / sigma[:, None]) / np.sqrt(2.0)
+    left, right = _erfc_pair(a)
+    cdf = np.empty((sigma.size, 2 * half), dtype=np.float64)
+    np.multiply(left[:, ::-1], 0.5, out=cdf[:, :half])
+    np.multiply(right, 0.5, out=cdf[:, half:])
+    return cdf
 
 
 def gaussian_table_batch(
-    mu_offset: np.ndarray,
     sigma: np.ndarray,
     delta: float,
     support_radius: int = 255,
     precision: int = 16,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized table construction for one (mu_offset, sigma) pair per row.
+    """Tables of a zero-mean Gaussian rounded to ``delta``, one per sigma.
 
-    Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2); row ``i``
-    equals the one-row call on ``(mu_offset[i], sigma[i])``.  Symbol ``s``
-    is the integer offset ``k = s - S``; its mass is the Gaussian CDF
-    increment over [k-0.5, k+0.5) scaled by delta/sigma, with the tails
-    beyond +-S folded into the edge bins.  Bin masses outside an active
-    window of ``8*max(sigma)/delta + max|mu_offset| + 2`` bins around zero
-    are exact zeros by construction of the folded CDF, and such bins always
-    end at frequency 1.  So the CDF, the scaling, the largest-remainder
-    rounding and the deficit loop run on the window columns only (see
+    Symbol ``s`` is the integer offset ``k = s - S`` (``S`` the support
+    radius); its mass is the Gaussian CDF increment over [k-0.5, k+0.5)
+    scaled by delta/sigma, with the tails beyond +-S folded into the edge
+    bins.  Only an active window of ``half = min(S, ceil(8*max(sigma)/delta
+    + 2))`` bins either side of zero can hold visible mass; every bin
+    outside it ends at frequency 1.  So the whole build runs on the window
+    and returns ``(freqs, cums)`` with shapes (n, width) and (n, width + 1),
+    ``width = 2*half + 1``: ``freqs[i, j]`` is the frequency of symbol
+    ``lo + j`` with ``lo = S - half``, and ``cums`` is absolute, starting at
+    ``lo`` (one unit per symbol below the window) and ending at
+    ``cum[hi]``, ``hi = lo + width``.  Symbol ``s >= hi`` has cum
+    ``cum[hi] + s - hi``.  These are the rows ``_decode_core`` takes.
+
+    The CDF is evaluated once per edge pair (see ``_erfc_pair``), and the
+    rounding and deficit repayment run on the window columns only (see
     ``_largest_remainder`` for why that equals rounding the full row: the
-    scaled masses sum to ``2**precision`` up to float rounding).  Each row's total mass is still summed over the full
-    zero-padded row, which keeps numpy's pairwise-summation order and hence
-    every table bit-identical to the full-width computation.
+    scaled masses sum to ``2**precision`` up to float rounding).  Each row's
+    total mass is still summed over the zero-padded row of all 2S+1 bins:
+    numpy's pairwise summation order depends on the row length, so that
+    sum pins every table bit-identical to the full-width computation.
     """
-    mu_offset = np.asarray(mu_offset, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    if mu_offset.shape != sigma.shape:
-        raise ValueError("mu_offset and sigma must have matching shapes")
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise ValueError("sigma entries must be positive and finite")
     if delta <= 0.0 or not np.isfinite(delta):
@@ -265,29 +334,24 @@ def gaussian_table_batch(
         raise ValueError(f"support {size} exceeds 2**precision = {budget}")
 
     # Active window (shared across rows): bins that can hold visible mass.
-    reach = 8.0 * sigma.max() / delta + np.abs(mu_offset).max() + 2.0
-    half = int(min(support_radius, np.ceil(reach)))
+    half = int(min(support_radius, np.ceil(8.0 * sigma.max() / delta + 2.0)))
     width = 2 * half + 1
-    # width - 1 cut points at k + 0.5 for k = -half .. half-1; the mass
-    # outside the outermost cuts folds into the window's edge bins.
-    edges_k = np.arange(-half, half, dtype=np.float64) + 0.5
-    z = (edges_k[None, :] - mu_offset[:, None]) * (delta / sigma[:, None])
-    cdf = gaussian_cdf(z)
+    lo = support_radius - half
+    # The mass outside the outermost cuts folds into the window's edge bins.
+    cdf = _edge_cdf(sigma, delta, half)
     window = np.empty((n, width), dtype=np.float64)
     window[:, 0] = cdf[:, 0]
-    window[:, 1:-1] = np.diff(cdf, axis=1)
-    window[:, -1] = 1.0 - cdf[:, -1]
-    np.clip(window, 0.0, None, out=window)
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=window[:, 1:-1])
+    np.subtract(1.0, cdf[:, -1], out=window[:, -1])
+    np.maximum(window, 0.0, out=window)
 
-    lo = support_radius - half
     padded = np.zeros((n, size), dtype=np.float64)
     padded[:, lo : lo + width] = window
-    totals = padded.sum(axis=1)
-    target = window * (budget / totals)[:, None]
+    window *= (budget / padded.sum(axis=1))[:, None]
+    freq = _largest_remainder(window, budget, size - width)
 
-    freq = np.ones((n, size), dtype=np.int64)
-    freq[:, lo : lo + width] = _largest_remainder(target, budget, size - width)
-
-    cums = np.zeros((n, size + 1), dtype=np.int64)
+    cums = np.empty((n, width + 1), dtype=np.int64)
+    cums[:, 0] = lo
     np.cumsum(freq, axis=1, out=cums[:, 1:])
+    cums[:, 1:] += lo
     return freq, cums

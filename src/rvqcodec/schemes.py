@@ -418,21 +418,43 @@ def _sigma_grid(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cm_group_tables(sigma: np.ndarray, delta: float, precision: int):
-    """Tables of the sigma levels a group uses; returns (freq, cum, row index).
+    """Window tables of the sigma levels a group uses; returns (lo, freq, cum, row index).
 
     Rows are built only for the levels some position snaps to, plus the top
     level, which keeps ``sigma.max()`` and so the table window of
     ``gaussian_table_batch`` the same as for all levels.  Rows are
     independent, so position ``p``'s row ``freq[row_idx[p]]`` is exactly the
-    row of its level in the full level table.
+    row of its level in the full level table.  ``freq`` and ``cum`` cover
+    the window of symbols ``lo .. lo + width - 1`` (``cum`` absolute, one
+    column longer), the rows ``_decode_core`` takes; every symbol outside
+    it has frequency 1.
     """
     levels, level_idx = _sigma_grid(sigma)
-    used, row_idx = np.unique(np.append(level_idx, levels.size - 1), return_inverse=True)
+    present = np.zeros(levels.size, dtype=bool)
+    present[level_idx] = True
+    present[-1] = True
+    row_of_level = np.cumsum(present) - 1
     freq, cum = gaussian_table_batch(
-        np.zeros(used.size), levels[used], delta,
-        support_radius=CM_SUPPORT_RADIUS, precision=precision,
+        levels[present], delta, support_radius=CM_SUPPORT_RADIUS, precision=precision
     )
-    return freq, cum, row_idx[:-1]
+    lo = CM_SUPPORT_RADIUS - freq.shape[1] // 2
+    return lo, freq, cum, row_of_level[level_idx]
+
+
+def _cm_lookup(lo: int, freq: np.ndarray, cum: np.ndarray, row_idx: np.ndarray,
+               syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each symbol's ``(freq, cum)`` under its window row.
+
+    The window index is clipped to ``[-1, width]``: both outside columns
+    hold frequency 1, and ``cum`` is ``s`` below ``lo`` and
+    ``cum[hi] + s - hi`` at and above ``hi = lo + width``.
+    """
+    n, width = freq.shape
+    rel = syms - lo
+    edged = np.ones((n, width + 2), dtype=np.int64)
+    edged[:, 1:-1] = freq
+    inside = np.clip(rel, 0, width)
+    return edged[row_idx, np.clip(rel, -1, width) + 1], cum[row_idx, inside] + (rel - inside)
 
 
 def _check_cm_predictor(predictor: ContextPredictor) -> None:
@@ -482,10 +504,10 @@ def cm_encode(
             k = k.astype(np.int64)
             decoded.append(mu + delta * k)
         with timer.phase("entropy_code"):
-            freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
-            syms = (k.ravel() + s_radius).astype(np.int64)
-            f_sel = freq[row_idx, syms]
-            c_sel = cum[row_idx, syms]
+            with timer.phase("tables"):
+                tables = _cm_group_tables(sigma, delta, CM_PRECISION)
+            syms = k.ravel() + s_radius
+            f_sel, c_sel = _cm_lookup(*tables, syms)
             state, payload = _encode_core(f_sel.tolist(), c_sel.tolist(), CM_PRECISION)
             streams.append(RansStream(count=syms.size, state=state, payload=payload))
             self_info += float((CM_PRECISION - np.log2(f_sel)).sum())
@@ -510,10 +532,9 @@ def cm_decode(
 ) -> LatentGrid:
     """Rebuild tables from decoded context and range-decode each group.
 
-    Each group builds the tables of its used sigma levels only (see
-    ``_cm_group_tables``) and hands the decoder just their window columns,
-    the bins where some row's frequency exceeds 1; symbols outside the
-    window, outliers included, decode arithmetically.
+    Each group builds the window tables of its used sigma levels only (see
+    ``_cm_group_tables``) and hands them to the decoder as they are;
+    symbols outside the window, outliers included, decode arithmetically.
     """
     if coded.scheme != "cm" or config.scheme != "cm":
         raise ValueError("cm_decode needs a cm-coded latent and a cm config")
@@ -539,18 +560,10 @@ def cm_decode(
                 raise ValueError(
                     f"group {i + 1} stream holds {stream.count} symbols, expected {n * c}"
                 )
-            freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
-            # Every bin outside [lo, hi) has frequency 1 in every row, so
-            # the decoder only needs the rows' window columns.
-            cols = np.flatnonzero((freq > 1).any(axis=0))
-            lo, hi = int(cols[0]), int(cols[-1]) + 1
+            with timer.phase("tables"):
+                lo, freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
             syms = _decode_core(
-                stream,
-                freq[:, lo:hi].tolist(),
-                cum[:, lo : hi + 1].tolist(),
-                row_idx.tolist(),
-                lo,
-                CM_PRECISION,
+                stream, freq.tolist(), cum.tolist(), row_idx.tolist(), lo, CM_PRECISION
             )
         with timer.phase("quantize"):
             k = np.asarray(syms, dtype=np.int64).reshape(n, c) - s_radius

@@ -7,7 +7,9 @@ from time import perf_counter
 
 __all__ = ["PhaseTimer"]
 
-_PHASES = ("quantize", "autoregressive", "pack", "entropy_code")
+# ``tables`` is timed inside ``entropy_code``: the share of entropy coding
+# that cm spends building its rANS tables.
+_PHASES = ("quantize", "autoregressive", "pack", "entropy_code", "tables")
 
 
 class PhaseTimer:

@@ -201,8 +201,9 @@ def test_encode_reports_formula_bpp(pipeline, capsys):
     assert f"bpp={expected:.6f}" in out
     manifest = json.loads((enc2 / "manifest.json").read_text())
     timings = manifest["timings_ms"]
-    assert set(timings) == {"quantize", "autoregressive", "pack", "entropy_code"}
-    assert timings["entropy_code"] == 0.0  # no entropy-coding phase exists
+    assert set(timings) == {"quantize", "autoregressive", "pack", "entropy_code", "tables"}
+    # no entropy-coding phase exists, so no tables are built
+    assert timings["entropy_code"] == timings["tables"] == 0.0
     assert timings["quantize"] > 0.0
 
 

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from rvqcodec.grids import rng_for
 from rvqcodec.rans import (
+    _ERF_SERIES_CHECK,
     RANS_LOWER_BOUND,
     RansStream,
     _decode_core,
+    _edge_cdf,
     _encode_core,
     _largest_remainder,
     gaussian_cdf,
@@ -44,6 +46,17 @@ def _decode(stream, freq, cum, row_of, precision, lo=0, hi=None) -> list[int]:
     return _decode_core(
         stream, freq[:, lo:hi].tolist(), cum[:, lo : hi + 1].tolist(), list(row_of), lo, precision
     )
+
+
+def _full_rows(freq: np.ndarray, cum: np.ndarray, support_radius: int):
+    """Window tables spread over all 2S+1 symbols; checks the window's cum."""
+    n, width = freq.shape
+    lo = support_radius - width // 2
+    full = np.ones((n, 2 * support_radius + 1), dtype=np.int64)
+    full[:, lo : lo + width] = freq
+    full_cum = _cums(full)
+    assert np.array_equal(cum, full_cum[:, lo : lo + width + 1])
+    return full, full_cum
 
 
 def _window(freq: np.ndarray) -> tuple[int, int]:
@@ -134,8 +147,9 @@ def test_rans_shared_table_decodes_like_per_symbol_tables():
     cm hands the decoder; a truncated stream fails every way."""
     rng = rng_for(53)
     n = 2000
-    freqs, cums = gaussian_table_batch(
-        np.zeros(2), np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16
+    freqs, cums = _full_rows(
+        *gaussian_table_batch(np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16),
+        support_radius=255,
     )
     symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
     narrow, narrow_cum = freqs[:1], cums[:1]
@@ -215,6 +229,67 @@ def test_rans_payload_tracks_cross_entropy():
     assert abs(per_symbol - 0.8113) < 0.02
 
 
+def _frozen_erfc(x) -> np.ndarray:
+    """The pinned erfc as first shipped, frozen to pin its bits.
+
+    Signed ``x``; 48 series terms below |x| = 1.5 and the depth-64 continued
+    fraction above, every element through every term, one evaluation per
+    element (no edge pairs, no early exit)."""
+    x = np.asarray(x, dtype=np.float64)
+    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
+    ax = np.abs(x)
+    out = np.empty_like(x)
+    small = ax < 1.5
+    xs = x[small]
+    x2 = xs * xs
+    acc = np.zeros_like(xs)
+    term = np.full_like(xs, 2.0)
+    for k in range(48):
+        acc = acc + term
+        term = term * (2.0 * x2 / (2.0 * k + 3.0))
+    out[small] = 1.0 - xs * np.exp(-x2) * inv_sqrt_pi * acc
+    xb = ax[~small]
+    b = xb.copy()
+    for k in range(64, 0, -1):
+        b = xb + (0.5 * k) / b
+    tail = np.where(xb >= 30.0, 0.0, np.exp(-xb * xb) * inv_sqrt_pi / b)
+    out[~small] = np.where(x[~small] > 0, tail, 2.0 - tail)
+    return out
+
+
+def _frozen_cdf(t) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    return 0.5 * _frozen_erfc(-t / np.sqrt(2.0))
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _ulps_around(v: float, count: int = 4) -> np.ndarray:
+    """``v`` and the ``count`` floats either side of it."""
+    out = [v]
+    lo = hi = v
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
+def _series_stop(x: float) -> int:
+    """The check point at which the series stops for ``|x| < 1.5``: the
+    first multiple of ``_ERF_SERIES_CHECK`` past the last term (of 48) that
+    changes the sum."""
+    x2 = x * x
+    acc, term, last = 0.0, 2.0, 0
+    for k in range(48):
+        if acc + term != acc:
+            last = k
+        acc = acc + term
+        term = term * (2.0 * x2 / (2.0 * k + 3.0))
+    return max(_ERF_SERIES_CHECK, (last // _ERF_SERIES_CHECK + 1) * _ERF_SERIES_CHECK)
+
+
 def test_gaussian_cdf_matches_reference():
     t = np.linspace(-30.0, 30.0, 4001)
     ours = gaussian_cdf(t)
@@ -223,25 +298,82 @@ def test_gaussian_cdf_matches_reference():
     assert gaussian_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
-def _one_row(mu_offset, sigma, delta, support_radius, precision):
-    freq, cum = gaussian_table_batch(
-        np.array([mu_offset]), np.array([sigma]), delta, support_radius, precision
+def test_gaussian_cdf_is_pinned_to_frozen_bits():
+    """The paired, early-exit erfc returns the frozen one's bits: on a dense
+    grid, at the branch cutoffs |t| = 1.5*sqrt(2) and the zero cutoff
+    30*sqrt(2), and at tiny |t|."""
+    grid = np.linspace(-40.0, 40.0, 400_001)
+    cut = 1.5 * np.sqrt(2.0)
+    zero = 30.0 * np.sqrt(2.0)
+    near = np.concatenate([_ulps_around(s * v) for v in (cut, zero) for s in (1.0, -1.0)])
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1e-9, -1e-9])
+    for t in (grid, near, tiny):
+        assert np.array_equal(_bits(gaussian_cdf(t)), _bits(_frozen_cdf(t)))
+    # the dense grid holds every element on both branches
+    assert np.abs(grid).min() < cut < np.abs(grid).max()
+
+
+def test_table_cdf_is_pinned_to_frozen_bits():
+    """The tables' CDF, one erfc pair per +-edge, equals the frozen CDF on
+    the signed cut points ``(k + 0.5) * delta / sigma``."""
+    half = 40
+    edges = np.arange(-half, half, dtype=np.float64) + 0.5
+
+    def check(sigma, delta):
+        sigma = np.asarray(sigma, dtype=np.float64)
+        ref = _frozen_cdf(edges[None, :] * (delta / sigma[:, None]))
+        assert np.array_equal(_bits(_edge_cdf(sigma, delta, half)), _bits(ref))
+
+    # dense: cut points from 5e-4 to 39.5 standard deviations
+    check(np.geomspace(1.0, 1e3, 3001), 1.0)
+    check(np.geomspace(0.01, 7.0, 3001), 0.25)
+    # an edge within a few ulps of each branch cutoff, from either side
+    for a in (1.5, 30.0):
+        for k in (0, 3, 17):
+            sigma = 1.0 / _ulps_around(a * np.sqrt(2.0) / (k + 0.5), 6)
+            check(sigma, 1.0)
+    # tiny edges: sigma far above delta
+    check(np.array([1e3, 1e8, 1e15, 1e300]), 1.0)
+
+
+def test_series_stops_at_every_check_point_with_frozen_bits():
+    """Arguments whose series stops at each check point 4, 8, .., 24 give
+    the frozen bits, through ``gaussian_cdf`` and through the table CDF."""
+    candidates = np.geomspace(1e-12, 1.499, 3000)
+    stops = np.array([_series_stop(float(x)) for x in candidates])
+    points = list(range(_ERF_SERIES_CHECK, 25, _ERF_SERIES_CHECK))
+    assert sorted(set(stops.tolist())) == points
+    for point in points:
+        x = float(np.median(candidates[stops == point]))
+        t = np.array([x, -x]) * np.sqrt(2.0)
+        assert np.array_equal(_bits(gaussian_cdf(t)), _bits(_frozen_cdf(t)))
+        # a one-edge-pair table whose cut points sit at +-x
+        sigma = np.array([0.5 / (x * np.sqrt(2.0))])
+        ref = _frozen_cdf(np.array([-0.5, 0.5]) * (1.0 / sigma))
+        assert np.array_equal(_bits(_edge_cdf(sigma, 1.0, 1)[0]), _bits(ref))
+
+
+def _one_row(sigma, delta, support_radius, precision):
+    """One table spread over all 2S+1 symbols."""
+    freq, cum = _full_rows(
+        *gaussian_table_batch(np.array([sigma]), delta, support_radius, precision),
+        support_radius,
     )
     return freq[0], cum[0]
 
 
 def test_discretized_gaussian_table_mass_and_symmetry():
-    f, cum = _one_row(0.0, 1.0, 0.5, support_radius=255, precision=16)
+    f, cum = _one_row(1.0, 0.5, support_radius=255, precision=16)
     assert int(f.sum()) == 1 << 16
     assert f.size == 511
     assert np.array_equal(cum, np.concatenate([[0], np.cumsum(f)]))
-    assert np.array_equal(f, f[::-1])  # zero offset: symmetric bins
+    assert np.array_equal(f, f[::-1])  # zero mean: symmetric bins
     # mass concentrates where the density is
     assert f[255] == f.max()
 
 
 def test_discretized_gaussian_table_tiny_sigma_concentrates():
-    f, _ = _one_row(0.0, 1e-3, 1.0, support_radius=31, precision=12)
+    f, _ = _one_row(1e-3, 1.0, support_radius=31, precision=12)
     assert int(f.sum()) == 1 << 12
     # every off-center bin holds only the floor mass of 1
     assert f[31] == (1 << 12) - 62
@@ -249,29 +381,36 @@ def test_discretized_gaussian_table_tiny_sigma_concentrates():
 
 
 def test_gaussian_table_batch_matches_scalar_rows():
-    """Rows share one active window, sized by the largest sigma and offset,
-    yet each equals the table built from its own row alone."""
-    mu = np.array([-0.3, 0.0, 1.7])
+    """Rows share one active window, sized by the largest sigma, yet each
+    equals the table built from its own row alone."""
     sigma = np.array([0.5, 1.0, 2.5])
-    freqs, cums = gaussian_table_batch(mu, sigma, 0.25, support_radius=63, precision=14)
+    freqs, cums = gaussian_table_batch(sigma, 0.25, support_radius=63, precision=14)
+    # the window: ceil(8 * 2.5 / 0.25 + 2) = 82 bins either side, cut to 63
     assert freqs.shape == (3, 127)
     assert cums.shape == (3, 128)
-    for i in range(3):
-        f, cum = _one_row(float(mu[i]), float(sigma[i]), 0.25, support_radius=63, precision=14)
-        assert np.array_equal(freqs[i], f)
-        assert np.array_equal(cums[i], cum)
+    narrow, narrow_cum = gaussian_table_batch(sigma, 2.0, support_radius=63, precision=14)
+    assert narrow.shape == (3, 2 * 12 + 1)  # ceil(8 * 2.5 / 2 + 2) = 12
+    assert narrow_cum[:, 0].tolist() == [63 - 12] * 3
+    assert narrow_cum[:, -1].tolist() == [(1 << 14) - (63 - 12)] * 3
+    for delta, (f_all, c_all) in ((0.25, (freqs, cums)), (2.0, (narrow, narrow_cum))):
+        full, full_cum = _full_rows(f_all, c_all, 63)
+        for i in range(3):
+            f, cum = _one_row(float(sigma[i]), delta, support_radius=63, precision=14)
+            assert np.array_equal(full[i], f)
+            assert np.array_equal(full_cum[i], cum)
 
 
-def _full_width_tables(mu_offset, sigma, delta, support_radius, precision):
-    """Reference: every table step on all 2S+1 columns, window zero-padded."""
+def _full_width_tables(sigma, delta, support_radius, precision):
+    """Reference: every table step on all 2S+1 columns from the frozen CDF,
+    one evaluation per signed cut point, lexsorted rounding."""
     n = sigma.shape[0]
     size = 2 * support_radius + 1
     budget = 1 << precision
-    reach = 8.0 * sigma.max() / delta + np.abs(mu_offset).max() + 2.0
+    reach = 8.0 * sigma.max() / delta + 2.0
     half = int(min(support_radius, np.ceil(reach)))
     width = 2 * half + 1
     edges_k = np.arange(-half, half, dtype=np.float64) + 0.5
-    cdf = gaussian_cdf((edges_k[None, :] - mu_offset[:, None]) * (delta / sigma[:, None]))
+    cdf = _frozen_cdf(edges_k[None, :] * (delta / sigma[:, None]))
     window = np.empty((n, width), dtype=np.float64)
     window[:, 0] = cdf[:, 0]
     window[:, 1:-1] = np.diff(cdf, axis=1)
@@ -300,64 +439,64 @@ def _full_width_tables(mu_offset, sigma, delta, support_radius, precision):
             t = min(d, int(freq[i, j]) - 1)
             freq[i, j] -= t
             d -= t
-    cums = np.zeros((n, size + 1), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cums[:, 1:])
-    return freq, cums
+    return freq, _cums(freq)
 
 
 @given(
     n=st.integers(1, 12),
-    mu_scale=st.sampled_from([0.0, 0.5, 3.0, 40.0]),
-    log_sigma_lo=st.floats(-4.0, 1.0),
+    log_sigma_lo=st.floats(-4.0, 4.0),
     log_sigma_span=st.floats(0.0, 2.5),
     log_delta=st.floats(-2.0, 1.0),
-    support_radius=st.integers(1, 300),
+    support_radius=st.one_of(st.integers(1, 6), st.integers(1, 300)),
     precision=st.integers(8, 16),
     seed=st.integers(0, 2**31),
 )
 def test_gaussian_table_batch_equals_full_width_reference(
-    n, mu_scale, log_sigma_lo, log_sigma_span, log_delta, support_radius, precision, seed
+    n, log_sigma_lo, log_sigma_span, log_delta, support_radius, precision, seed
 ):
+    """Window tables equal the full-width reference inside the window, and
+    every symbol outside it has frequency 1.  Sigma up to 1e4 standard
+    deltas over supports down to one bin put edges on both erfc branches
+    and let the series stop anywhere from its first check point on."""
     support_radius = min(support_radius, ((1 << precision) - 1) // 2)
     rng = rng_for(seed)
-    mu = rng.uniform(-mu_scale, mu_scale, n)
-    if seed % 3 == 0:
-        mu = np.round(2.0 * mu) / 2.0  # bin edges exactly at the mean
     sigma = 10.0 ** rng.uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
     delta = 10.0**log_delta
-    freqs, cums = gaussian_table_batch(mu, sigma, delta, support_radius, precision)
-    ref_freqs, ref_cums = _full_width_tables(mu, sigma, delta, support_radius, precision)
-    assert np.array_equal(freqs, ref_freqs)
-    assert np.array_equal(cums, ref_cums)
+    freqs, cums = gaussian_table_batch(sigma, delta, support_radius, precision)
+    ref_freqs, ref_cums = _full_width_tables(sigma, delta, support_radius, precision)
+    full, full_cum = _full_rows(freqs, cums, support_radius)
+    assert np.array_equal(full, ref_freqs)
+    assert np.array_equal(full_cum, ref_cums)
 
 
 def test_gaussian_table_validation():
     with pytest.raises(ValueError, match="sigma"):
-        _one_row(0.0, 0.0, 1.0, support_radius=255, precision=16)
+        _one_row(0.0, 1.0, support_radius=255, precision=16)
     with pytest.raises(ValueError, match="delta"):
-        _one_row(0.0, 1.0, -1.0, support_radius=255, precision=16)
+        _one_row(1.0, -1.0, support_radius=255, precision=16)
     with pytest.raises(ValueError, match="precision"):
-        _one_row(0.0, 1.0, 1.0, support_radius=63, precision=17)
+        _one_row(1.0, 1.0, support_radius=63, precision=17)
     with pytest.raises(ValueError, match="support"):
-        gaussian_table_batch(np.zeros(1), np.ones(1), 1.0, support_radius=0)
+        gaussian_table_batch(np.ones(1), 1.0, support_radius=0)
     with pytest.raises(ValueError, match="exceeds"):
-        _one_row(0.0, 1.0, 1.0, support_radius=128, precision=8)
-    with pytest.raises(ValueError, match="matching shapes"):
-        gaussian_table_batch(np.zeros(2), np.ones(3), 1.0)
+        _one_row(1.0, 1.0, support_radius=128, precision=8)
 
 
 def test_rans_round_trip_with_gaussian_tables():
+    """Symbols coded under the full rows decode from the window rows as
+    ``gaussian_table_batch`` returns them, outliers beyond it included."""
     rng = rng_for(52)
     n = 300
-    mu = rng.normal(0, 0.3, n)
     sigma = np.exp(rng.normal(0, 0.5, n))
-    freqs, cums = gaussian_table_batch(mu, sigma, 0.5, support_radius=255, precision=16)
+    freqs, cums = gaussian_table_batch(sigma, 0.5, support_radius=255, precision=16)
+    full, full_cum = _full_rows(freqs, cums, 255)
+    lo = 255 - freqs.shape[1] // 2
     # symbols concentrated near the center of each table's support, plus a
     # few outliers beyond the window that decode without a table lookup
     symbols = 255 + rng.integers(-4, 5, size=n)
     symbols[::50] = [0, 510, 3, 500, 1, 509]
-    lo, hi = _window(freqs)
-    assert 6 < lo and hi < 505
-    stream = _encode(symbols, freqs, cums, range(n), 16)
-    assert _decode(stream, freqs, cums, range(n), 16) == symbols.tolist()
-    assert _decode(stream, freqs, cums, range(n), 16, lo, hi) == symbols.tolist()
+    assert 6 < lo and lo + freqs.shape[1] < 505
+    stream = _encode(symbols, full, full_cum, range(n), 16)
+    assert _decode(stream, full, full_cum, range(n), 16) == symbols.tolist()
+    window = _decode_core(stream, freqs.tolist(), cums.tolist(), list(range(n)), lo, 16)
+    assert window == symbols.tolist()

@@ -44,7 +44,7 @@ from rvqcodec.schemes import (
     train_rd_model,
     write_predictor_file,
 )
-from rvqcodec.schemes import _cm_group_tables, _sigma_grid
+from rvqcodec.schemes import _cm_group_tables, _cm_lookup, _sigma_grid
 from rvqcodec.timing import PhaseTimer
 
 _SOURCE = SourceConfig(channels=1, height=32, width=32, rho=0.9, variance=1.0, seed=40)
@@ -536,13 +536,17 @@ def test_cm_rejects_hyper_predictors(cm_model, holdout):
 
 
 def _all_level_tables(sigma, delta, precision):
-    """Reference: tables for every one of the 256 sigma levels."""
+    """Reference: full-width tables for every one of the 256 sigma levels."""
     levels, level_idx = _sigma_grid(sigma)
     freq, cum = gaussian_table_batch(
-        np.zeros_like(levels), levels, delta,
-        support_radius=CM_SUPPORT_RADIUS, precision=precision,
+        levels, delta, support_radius=CM_SUPPORT_RADIUS, precision=precision
     )
-    return freq, cum, level_idx
+    lo = CM_SUPPORT_RADIUS - freq.shape[1] // 2
+    full = np.ones((levels.size, 2 * CM_SUPPORT_RADIUS + 1), dtype=np.int64)
+    full[:, lo : lo + freq.shape[1]] = freq
+    full_cum = np.zeros((levels.size, full.shape[1] + 1), dtype=np.int64)
+    np.cumsum(full, axis=1, out=full_cum[:, 1:])
+    return full, full_cum, level_idx
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,17 +572,25 @@ def test_cm_group_tables_match_all_level_tables(
     else:
         sigma = 10.0 ** rng_for(seed).uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
     sigma = sigma.reshape(n, 1)
-    freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
+    lo, freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
     ref_freq, ref_cum, level_idx = _all_level_tables(sigma, delta, precision)
     assert freq.shape[0] == np.unique(np.append(level_idx, ref_freq.shape[0] - 1)).size
-    assert np.array_equal(freq[row_idx], ref_freq[level_idx])
-    assert np.array_equal(cum[row_idx], ref_cum[level_idx])
-    # the decoder's window: only bins at frequency 1 lie outside it.  It
-    # holds for the used rows only; an unused level's rounding may differ.
-    cols = np.flatnonzero((freq > 1).any(axis=0))
-    lo, hi = cols[0], cols[-1] + 1
-    assert np.all(freq[:, :lo] == 1)
-    assert np.all(freq[:, hi:] == 1)
+    # the window rows the decoder gets: every bin outside them is at
+    # frequency 1 in the reference rows of the levels in use
+    width = freq.shape[1]
+    assert cum.shape == (freq.shape[0], width + 1)
+    assert np.array_equal(freq[row_idx], ref_freq[level_idx, lo : lo + width])
+    assert np.array_equal(cum[row_idx], ref_cum[level_idx, lo : lo + width + 1])
+    assert np.all(ref_freq[level_idx, :lo] == 1)
+    assert np.all(ref_freq[level_idx, lo + width :] == 1)
+    # the encoder's clipped lookup gives the full-width (freq, cum) of
+    # every symbol 0..510 under every position's row
+    size = 2 * CM_SUPPORT_RADIUS + 1
+    pos = np.repeat(np.arange(n), size)
+    syms = np.tile(np.arange(size), n)
+    f_sel, c_sel = _cm_lookup(lo, freq, cum, row_idx[pos], syms)
+    assert np.array_equal(f_sel, ref_freq[level_idx[pos], syms])
+    assert np.array_equal(c_sel, ref_cum[level_idx[pos], syms])
 
 
 @pytest.fixture(scope="module")
@@ -633,9 +645,10 @@ def test_phase_timers_expose_the_entropy_coding_gap(rd_model, cm_model, holdout)
     rd_ms = rd_timer.as_dict()
     cm_ms = cm_timer.as_dict()
     for phases in (rd_ms, cm_ms):
-        assert set(phases) == {"quantize", "autoregressive", "pack", "entropy_code"}
-    assert rd_ms["entropy_code"] == 0.0
+        assert set(phases) == {"quantize", "autoregressive", "pack", "entropy_code", "tables"}
+    assert rd_ms["entropy_code"] == rd_ms["tables"] == 0.0
     assert cm_ms["entropy_code"] > 0.0
+    assert cm_ms["tables"] > 0.0
     assert rd_ms["quantize"] > 0.0
 
 

@@ -14,6 +14,7 @@ def test_all_phases_start_at_zero():
         "autoregressive": 0.0,
         "pack": 0.0,
         "entropy_code": 0.0,
+        "tables": 0.0,
     }
 
 
