@@ -650,7 +650,7 @@ def _scalar_quantizer_mse_table(menu, samples: int = 300_000, seed: int = 11) ->
     for k in menu:
         if k == 1:
             continue
-        cb, report = train_codebook(g, k, iterations=30, seed=seed, pin_zero=True)
+        cb, report = train_codebook(g, k, iterations=30, seed=seed)
         idx = report["labels"]
         table[k] = float(np.mean((g - cb.codewords[idx]) ** 2))
     return table

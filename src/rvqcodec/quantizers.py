@@ -1,10 +1,12 @@
 """Vector quantizers: nearest-neighbor codebooks and residual stages.
 
 A residual quantizer applies its stage codebooks to a running residual and
-reconstructs as the sum of the selected codewords.  Index 0 of every stage
-holds the zero vector, so emitting index 0 is a no-op: using more stages can
-never increase the reconstruction error of any input vector, which makes
-distortion monotone in the stage count.
+reconstructs as the sum of the selected codewords.  Every codeword of a
+stage trains freely, so the indices of a K-word stage spread over all K
+values.  A later stage can raise the error of a single vector; held-out
+MSE falls with the stage count on average, as measured, not by
+construction.  A one-word stage is the zero codeword, a stage that
+transmits nothing.
 
 Distances are computed in float64 with a fixed summation order, so
 assignments are reproducible across runs and platforms.  The reference
@@ -538,7 +540,6 @@ def train_codebook(
     iterations: int = 25,
     seed: int = 0,
     ema_decay: float = _EMA_DECAY,
-    pin_zero: bool = False,
 ) -> tuple[Codebook, dict]:
     """Fit K codewords by Lloyd iteration with EMA codeword updates.
 
@@ -549,12 +550,6 @@ def train_codebook(
     current iteration, are reseeded onto random training vectors; requiring
     zero current usage keeps the reseed from detaching live vectors, which
     preserves the monotone-MSE property.
-
-    With ``pin_zero`` index 0 is the zero vector and never moves; the K-1
-    free codewords train against it, competing for the mass it does not
-    claim.  Residual stages use this so the reserved index is a real Lloyd
-    partner (training K-1 codewords alone and prepending zero afterwards
-    wastes index 0 whenever the free codewords already cover the origin).
 
     Returns the codebook and a report with the per-iteration MSE trace and
     the final pass's ``labels``, the nearest codeword of every sample (what
@@ -572,12 +567,7 @@ def train_codebook(
         raise ValueError("iterations must be >= 1")
     rng = rng_for(seed, stream=1)
 
-    if pin_zero:
-        centers = np.zeros((k, c), dtype=np.float64)
-        if k > 1:
-            centers[1:] = _kmeanspp_seed(x, k - 1, rng)
-    else:
-        centers = _kmeanspp_seed(x, k, rng)
+    centers = _kmeanspp_seed(x, k, rng)
     init_codebook = Codebook(codewords=centers.copy())
     ema_counts = None
     ema_sums = None
@@ -606,15 +596,11 @@ def train_codebook(
             ema_sums = ema_decay * ema_sums + (1.0 - ema_decay) * sums
 
         live = ema_counts > 0.0
-        if pin_zero:
-            live[0] = False
         centers = np.where(
             live[:, None], ema_sums / np.maximum(ema_counts, 1e-300)[:, None], centers
         )
 
         dead = (ema_counts < dead_threshold) & (counts == 0)
-        if pin_zero:
-            dead[0] = False
         if dead.any():
             replacements = rng.integers(n, size=int(dead.sum()))
             centers[dead] = x[replacements]
@@ -644,12 +630,13 @@ def train_rvq(
 ) -> ResidualVQ | tuple[ResidualVQ, IndexStack]:
     """Train residual stages on successive residuals.
 
-    Every stage reserves index 0 for the zero vector (pinned during Lloyd
-    training, see train_codebook): a stage can always opt out of changing
-    the reconstruction, which makes held-out MSE non-increasing in the
-    decoded stage count.  ``K_t = 1`` degenerates to the zero codeword
-    alone, a stage that transmits nothing, so per-group rate allocations
-    can assign zero bits to a group.
+    Each stage with ``K_t >= 2`` fits all of its codewords to the residual
+    left by the stages before it, so its indices carry close to log2 K_t
+    bits.  Adding a stage can raise the error of a single vector, so
+    held-out MSE is non-increasing in the decoded stage count only on
+    average, as measured rather than guaranteed.  ``K_t = 1`` is the zero
+    codeword alone, a stage that transmits nothing, so per-group rate
+    allocations can assign zero bits to a group.
 
     Stages train with exact-mean Lloyd updates (ema_decay=0): with
     full-batch passes the streaming-style EMA smoothing only slows
@@ -676,8 +663,7 @@ def train_rvq(
             idx = np.zeros(x.shape[0], dtype=np.int64)
         else:
             cb, report = train_codebook(
-                residual, int(k), iterations=iterations, seed=seed + t,
-                ema_decay=0.0, pin_zero=True,
+                residual, int(k), iterations=iterations, seed=seed + t, ema_decay=0.0
             )
             idx = report["labels"]
         residual = residual - cb.codewords[idx]

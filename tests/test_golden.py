@@ -40,14 +40,14 @@ STAGES = (16, 16)
 DELTAS = (1.0, 0.25)
 
 GOLDEN = {
-    "rd-m1-stream": "18b7bf4e7016006f5412ea82d5a6e3c68219cbe2bc4e9bea050a500aaa4b27cf",
-    "rd-m1-latent": "9cb794bab4edfd25b183c59a762e7fd86622326af629833e61a6887f5a581856",
-    "rd-m2-stream": "72fbfafee06a13a525898701ab13bd50270ec26a6cc872849870a4d6750ac472",
-    "rd-m2-latent": "e913ea0c0b127f34f73fd5f81f5fc087786abfc631dfaf4146385e985d874a01",
-    "iq-m1-stream": "5883baff12c447849ac3801e36c299212fc2539ddbaa7cf9afc4f8177f97ae9c",
-    "iq-m1-latent": "3859ed890a1f6b8d42d84211a78e94533f0a132fef04381270cabeb2e7b82879",
-    "iq-m2-stream": "146c20f2503e00c9aaaf83877d333139440662dd75a402bee25e9682d3ae9996",
-    "iq-m2-latent": "f1c097841580a6c608f146c9565cac8119d1dc947538e053df3a8d6648d277c1",
+    "rd-m1-stream": "c51d3b05af71ece1653ae161666679dda80db68590a4e37b680c9d5b43a0eb3f",
+    "rd-m1-latent": "8b2f002396a99915a61df66c239cbef8bda22619d77ecf511f7fb9a5690046fa",
+    "rd-m2-stream": "4fccbefabd81521b83de466fe46a0868993af5e48dce962b2b52beec2f1cf559",
+    "rd-m2-latent": "0a2f25836056d7e0eb77790c9126b3c47b8f77f12e4e239da72eabc369d649e1",
+    "iq-m1-stream": "65d7105628464c423468a9737bd2522c9094ccd48fc0a8b77e636791981c252c",
+    "iq-m1-latent": "480d0eea24082a05b41de4419646ed76d7815e3214c271473141531753f67d5f",
+    "iq-m2-stream": "214454b84e1e484712a150c18e7cef728ef9a746096596b200cb36d38d009e5a",
+    "iq-m2-latent": "b2ad077332180b2348e8afedc6aee53c127a27ddc5d09e84d6d871d16f3c2958",
     "cm-d1.0-stream": "4c781026fcfd25a3f78aaf3495f4c3150fc734cdc3f0ba5b3ac99024e2ad3baa",
     "cm-d1.0-latent": "55107b01434005444c4762020425faaf5c8e150fade1dc254d1b6d64298da865",
     "cm-d0.25-stream": "0983bf5ca5de6639adf8add2eacc1a331d9d35e14b8a8243784e144456261c8f",
@@ -167,19 +167,19 @@ GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
     "cm-d0.5-predictor": "1dd7f132c643e2b3131382ff356a1f72ce4c52d589bb57ed902f6e7a28402208",
     "cm-d0.5-stream": "5a84eebf6def9e5686b2b303958bfddd9b329c6ee972e35d863840d92b4f80e1",
-    "iq-codebooks": "d764b098c0cb6695b100b7674392002c13455542c3bd62d607f804ae7d020ba0",
-    "iq-m1-latent": "6d8145c80fa8862bb84a485a9199cf70cddcf575a767453f91152a2d22a27bd7",
-    "iq-m1-stream": "38516743974e51405d2f443931ee600c8faf396d8f75c6b148242b27392f109e",
-    "iq-m2-latent": "63089a5fe9e5174078b7b72dc0fc161f369764d16bf7f8d67598752a0f6bbf91",
-    "iq-m2-stream": "97366d4748215a9335262adb745d9bcd41da89a7a45d89d19d6bf664f752bdff",
-    "rd-closed-m1-codebooks": "2856cd67891b4f54839d9ebb616b416ee48aa41b1df2cee8e5bd965d51d4f450",
-    "rd-closed-m1-predictor": "c94b3e7aef45ca7c5eae67b721349908298f2000cd7610eac598e9346dfe5196",
-    "rd-codebooks": "2cf2b0da27e7c26af138671547fdc303f60a1b3b2aa24d8529400c0832703bd0",
-    "rd-m1-latent": "d4ccac498aa37d1c63fc661bdeef8384860bb77ec197866862879c04e9df1fb9",
-    "rd-m1-stream": "87a86b9de96b1cec0b38525ff5c8f91b34996c1da31c5b528bff617c19fde8a1",
-    "rd-m2-latent": "f4edcb4d26510016e784b30031f38d6cb506168c69366a4b7bba9db567cce906",
-    "rd-m2-stream": "5c1a79933dfa2f6f30ad408e8637f5f646f04ae646fb54471f1f478b8d8b9dcf",
-    "rd-predictor": "9fc250441730157fe4b93b2847b24872c3a0ed00c1754e3c01b0378215729df7",
+    "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
+    "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
+    "iq-m1-stream": "f58ceabda039fe1305a06d871e4d7837dedf6b4ca96d0f456108f5f8a450d069",
+    "iq-m2-latent": "27a1d1a12c04daf8a176115d3e8b79832a599fbf647415641bfdaccb9a27e126",
+    "iq-m2-stream": "ef4540a2cee2d661d2c118b1a29f3898831ed6d7a2e8bd77c237b65f58d5faab",
+    "rd-closed-m1-codebooks": "c965c7bf73247a33d97a1a10bb8fcfdcead5fce5dd50aa49840611aafb4730c6",
+    "rd-closed-m1-predictor": "28100627f15becd7e05b9a1e40fc72727601650385b77bd287e20bbcc99b04e1",
+    "rd-codebooks": "2b5e7152f7c8960e85807bb6cdb56f3894977943a724db1a6ae3e213f1f39e12",
+    "rd-m1-latent": "8d81a0df1c84784902a75da1a77d96519469ea3ad2d7851dae23e64a5761e71d",
+    "rd-m1-stream": "ab9c0cba1d0f027e5232178c501c4c9c759a99fc6dc5156000842a7716b14b62",
+    "rd-m2-latent": "6a183e505d48998e6de2c506ed64b9fe7de5a6a8b56ed1cc71f649673219ae45",
+    "rd-m2-stream": "81a6d1e903d733dd3db697ac59dcd02a9ce0590fa6ffa11c6121e13eed95e641",
+    "rd-predictor": "04901d64c31a3b8a6d8bc4e022687eecfe68775fa01dbb68f7b348910706f152",
 }
 
 
@@ -276,17 +276,17 @@ def test_cm_outliers_are_clamped_and_decode_outside_the_window(monkeypatch):
 SCREEN_STAGES = (128, 128)
 
 GOLDEN_SCREEN = {
-    "iq-codebooks": "af25adfc2a9a08618819b9a331d0498b857ec588972b53df031a881a8276d9ec",
-    "iq-m1-latent": "187d7fa9ac20d0692ec60044f14af28c3cf0a9a65a9ee4430612aae4d0f596a6",
-    "iq-m1-stream": "1800acd8445eb2432a12804df1766e9093b6134f4c8e8bd92a8c444cc9dc6d08",
-    "iq-m2-latent": "62fa96b91013df0072784e57ffb1e8ba9189d5f2cb652802db1783abfe6bf384",
-    "iq-m2-stream": "cedbaf570ab215613bf49baea83d37a952abd7865c76149b2b60f63a3f757887",
-    "rd-codebooks": "75b9ce00e0ea8df1897ae2a2f2964205ac2975f6e72a87493643fa06b2d5f732",
-    "rd-m1-latent": "5f9b3a359e2ae816f233852c0be33b6883497e74a74479ad04bbf3462917b305",
-    "rd-m1-stream": "db20977bcb7244aea7b3c7cfdaffd10d739313d7f4afb01ccfc80a64859caeff",
-    "rd-m2-latent": "5c9f8a4dd5aa6382d57c785bca3d72207e1d6e9c5fe5f8ab422d2abc4f465d53",
-    "rd-m2-stream": "f4388ef76f7b625257134fac969b784dfeb75cfed1734392bd9388d194c49140",
-    "rd-predictor": "e23fe798cddb45fc3ed5f9a4a1cfec6b99612a760a91fbe291b161c615aa001c",
+    "iq-codebooks": "d6035676c670ae4d7fd8f0c5d6bcee20e544fe387d45fc0bcdb68dca2119f306",
+    "iq-m1-latent": "bfe5b53bc30f9f7ff2e2b84cd165be927e139f21b03b4dc9e90fc0d8853ff044",
+    "iq-m1-stream": "aa67300a22e1e3c88ee487cffb509b700e4c90936c80c16594493af1e7f06772",
+    "iq-m2-latent": "82a2548ec563375b19cc0e4f11b38e79fbea076cdbd84fa30dfb4f09b4eda9d1",
+    "iq-m2-stream": "fea66e37a95f721c880858a9482efe4d5faa2a972401a814bb3f7488fccc94b6",
+    "rd-codebooks": "5c55ab394eabf0d8b1a6bf24081a0de899201d59bb4e551a8476799f3569f880",
+    "rd-m1-latent": "eac0fae594216f29954e05d5fb05360316844104ad75ae01a51cab3b63905b82",
+    "rd-m1-stream": "a6de8f528153ddc5fa1011356b1a2a265323850869ccd8fcdbf2eb23d5957ac9",
+    "rd-m2-latent": "05deb7ebba1717bdeed4d84a1308a0b2aa71c265c17fe4591f9d0e6c1ebd0b7b",
+    "rd-m2-stream": "e46fe338f8c8500fd07f1119332bbdd351cac062eaa57748d5e6dbdaf29f6b9e",
+    "rd-predictor": "49b6f03da7238b6a333a1993a2016b2c5eaad21de4b0b096d134e81929a82dd4",
 }
 
 

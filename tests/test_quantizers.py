@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from rvqcodec.analysis import IndexHistogram, entropy_gap
 from rvqcodec.grids import rng_for
 from rvqcodec.quantizers import (
     Codebook,
@@ -296,12 +297,13 @@ def test_lloyd_trace_never_increases(ema_decay):
     assert report["final_mse"] == pytest.approx(trace[-1])
 
 
-def test_pinned_zero_codeword_survives_training():
-    rng = rng_for(13)
-    # data mean far from zero: the pinned row must stay put anyway
-    x = rng.standard_normal((3000, 3)) + 3.0
-    cb, _ = train_codebook(x, 8, iterations=12, seed=2, ema_decay=0.0, pin_zero=True)
-    assert np.array_equal(cb.codewords[0], np.zeros(3))
+def test_unconstrained_residual_stages_split_their_mass():
+    # No index is reserved: on symmetric data each two-word stage splits the
+    # residual in half, so its indices carry close to one bit.
+    x = rng_for(3).standard_normal((20000, 1))
+    _, stack = train_rvq(x, (2, 2, 2), iterations=20, seed=1, return_indices=True)
+    for idx in stack.indices:
+        assert entropy_gap(IndexHistogram.from_indices(idx, 2)) <= 0.01
 
 
 def test_train_codebook_input_validation():
@@ -507,18 +509,13 @@ def test_screened_minimum_equals_minimum_over_cdist(x, seed):
             assert got.tobytes() == want.tobytes()
 
 
-def _reference_train_codebook(x, k, iterations, seed, ema_decay, pin_zero):
+def _reference_train_codebook(x, k, iterations, seed, ema_decay):
     """Lloyd training with each pass's search placing every sample among
     the codeword values: the loop the sorted-sample training must
     reproduce bit for bit.  Returns (centers, final labels, mse trace)."""
     n, c = x.shape
     rng = rng_for(seed, stream=1)
-    if pin_zero:
-        centers = np.zeros((k, c))
-        if k > 1:
-            centers[1:] = _reference_kmeanspp_seed(x, k - 1, rng)
-    else:
-        centers = _reference_kmeanspp_seed(x, k, rng)
+    centers = _reference_kmeanspp_seed(x, k, rng)
     ema_counts = ema_sums = None
     trace = []
     for _ in range(iterations):
@@ -534,12 +531,10 @@ def _reference_train_codebook(x, k, iterations, seed, ema_decay, pin_zero):
             ema_counts = ema_decay * ema_counts + (1.0 - ema_decay) * counts
             ema_sums = ema_decay * ema_sums + (1.0 - ema_decay) * sums
         live = ema_counts > 0.0
-        live[0] &= not pin_zero
         centers = np.where(
             live[:, None], ema_sums / np.maximum(ema_counts, 1e-300)[:, None], centers
         )
         dead = (ema_counts < 1e-3 * (n / k)) & (counts == 0)
-        dead[0] &= not pin_zero
         if dead.any():
             centers[dead] = x[rng.integers(n, size=int(dead.sum()))]
             ema_counts[dead] = counts.mean()
@@ -549,9 +544,8 @@ def _reference_train_codebook(x, k, iterations, seed, ema_decay, pin_zero):
     return centers, labels, trace
 
 
-@pytest.mark.parametrize("pin_zero", [False, True])
 @pytest.mark.parametrize("data", ["gaussian", "quarters", "offset"])
-def test_c1_training_matches_the_per_sample_search_loop(data, pin_zero):
+def test_c1_training_matches_the_per_sample_search_loop(data):
     """C = 1 training (samples argsorted once) gives the codewords, labels
     and MSE trace of the loop that searches every sample on every pass.  The
     quarter-rounded data have many equal samples, duplicated codewords and
@@ -563,19 +557,17 @@ def test_c1_training_matches_the_per_sample_search_loop(data, pin_zero):
     elif data == "offset":
         x = np.concatenate([x + 5.0, np.full((10, 1), -40.0)])
     for k, ema_decay in ((16, 0.0), (40, 0.99)):
-        cb, report = train_codebook(
-            x, k, iterations=8, seed=3, ema_decay=ema_decay, pin_zero=pin_zero
-        )
-        centers, labels, trace = _reference_train_codebook(x, k, 8, 3, ema_decay, pin_zero)
+        cb, report = train_codebook(x, k, iterations=8, seed=3, ema_decay=ema_decay)
+        centers, labels, trace = _reference_train_codebook(x, k, 8, 3, ema_decay)
         assert cb.codewords.tobytes() == centers.tobytes()
         assert np.array_equal(report["labels"], labels)
         assert np.asarray(report["mse_trace"]).tobytes() == np.asarray(trace).tobytes()
 
 
-@pytest.mark.parametrize("c,pin_zero", [(1, False), (1, True), (4, False), (4, True)])
-def test_train_codebook_report_labels_are_the_nearest_codewords(c, pin_zero):
+@pytest.mark.parametrize("c", [1, 4])
+def test_train_codebook_report_labels_are_the_nearest_codewords(c):
     x = rng_for(37).standard_normal((3000, c))
-    cb, report = train_codebook(x, 16, iterations=6, seed=5, pin_zero=pin_zero)
+    cb, report = train_codebook(x, 16, iterations=6, seed=5)
     assert np.array_equal(report["labels"], nn_quantize(cb, x))
 
 
