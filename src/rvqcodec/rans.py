@@ -9,18 +9,14 @@ decoder reading order.
 A table is a row of integer frequencies summing to ``2**precision`` with
 every symbol at frequency >= 1, plus its exclusive prefix sums ``cum``.
 ``_encode_core`` takes each symbol's ``freq[s]`` and ``cum[s]`` as two
-parallel lists.  ``_decode_core`` takes distinct rows and one row index per
-symbol, each row restricted to a window ``[lo, hi)`` of symbols outside of
-which every frequency is 1.
+parallel lists.  ``_decode_core`` takes distinct full rows and one row
+index per symbol.
 
-``gaussian_table_batch`` builds such window rows for a zero-mean rounded
-Gaussian, and only the window: no full-width row exists anywhere in the
-build except the zero-padded one whose sum fixes each row's total, which
-keeps numpy's pairwise-summation order and so pins every table to the bits
-of a full-width build.  It uses a pinned complementary-error-function
-implementation (power series below 1.5, Laplace continued fraction above)
-rather than the platform libm, keeping the integer tables reproducible
-across machines.  Two facts make it cheap without moving a bit:
+``gaussian_table_batch`` builds such rows for a zero-mean rounded Gaussian.
+It uses a pinned complementary-error-function implementation (power series
+below 1.5, Laplace continued fraction above) rather than the platform libm
+erfc, keeping the integer tables reproducible across machines.  Two facts
+make it cheap without moving a bit:
 
 * Cut points come in pairs +-a, and IEEE sign symmetry makes the series'
   erf odd bit for bit, so one evaluation per pair gives both erfc values
@@ -73,21 +69,13 @@ class RansStream:
         return 8 * len(self.payload) + 32
 
 
-def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.ndarray:
+def _largest_remainder(target: np.ndarray, budget: int) -> np.ndarray:
     """Round each row of non-negative ``target`` masses onto ``budget``.
 
     Floors every entry, hands the shortfall to the largest fractional parts
     (ties to the lowest column), then promotes entries at zero to 1 and
     takes the promoted mass back from the largest bin (the first of equal
     ones), moving to the next largest when a bin reaches 1.
-
-    ``outside`` counts further zero-mass bins per row that ``target`` leaves
-    out; they end at 1 and their mass is taken back the same way.  This
-    equals rounding the full row whenever each row of ``target`` sums to
-    ``budget`` within less than one unit: the shortfall then never exceeds
-    the number of positive fractions, so no remainder unit goes to a bin
-    with zero mass, and mass is only taken back from bins above 1, none of
-    which is outside.
     """
     n, w = target.shape
     freq = np.floor(target).astype(np.int64)
@@ -99,7 +87,7 @@ def _largest_remainder(target: np.ndarray, budget: int, outside: int = 0) -> np.
     freq.ravel()[order[take]] += 1
 
     zeros = freq == 0
-    deficit = zeros.sum(axis=1) + outside
+    deficit = zeros.sum(axis=1)
     freq[zeros] = 1
     # Rows whose largest bin covers the whole deficit repay it in one step.
     top = np.argmax(freq, axis=1)
@@ -134,17 +122,11 @@ def _encode_core(freqs: list, cums: list, precision: int) -> tuple[int, bytes]:
     return x, bytes(emitted)
 
 
-def _decode_core(
-    stream: RansStream, freq_rows, cum_rows, row_of, lo: int, precision: int
-) -> list[int]:
+def _decode_core(stream: RansStream, freq_rows, cum_rows, row_of, precision: int) -> list[int]:
     """Pop one symbol per entry of ``row_of``, symbol ``i`` under row ``row_of[i]``.
 
-    A row covers the symbol window ``[lo, hi)``: ``freq_rows[r]`` holds the
-    frequencies of symbols ``lo .. hi-1`` and ``cum_rows[r]`` their
-    cumulative frequencies ``cum[lo] .. cum[hi]``.  Every symbol outside the
-    window must have frequency 1, so ``cum[s] = s`` below it and ``cum`` rises
-    by 1 per symbol above it; those symbols decode without a table lookup.
-    Full rows with ``lo = 0`` never leave the window.
+    ``freq_rows[r]`` holds the frequency of every symbol and ``cum_rows[r]``
+    their exclusive prefix sums, one entry longer: ``0 .. 2**precision``.
     """
     from bisect import bisect_right
 
@@ -161,16 +143,8 @@ def _decode_core(
     for r in row_of:
         cf = x & mask
         cum = cum_rows[r]
-        if cf < cum[0]:
-            s = cf
-            x >>= precision
-        elif cf < cum[-1]:
-            j = bisect_right(cum, cf) - 1
-            s = lo + j
-            x = freq_rows[r][j] * (x >> precision) + cf - cum[j]
-        else:
-            s = lo + len(cum) - 1 + cf - cum[-1]
-            x >>= precision
+        s = bisect_right(cum, cf) - 1
+        x = freq_rows[r][s] * (x >> precision) + cf - cum[s]
         while x < lower:
             if pos >= end:
                 raise ValueError("stream exhausted before all symbols decoded")
@@ -300,23 +274,9 @@ def gaussian_table_batch(
     Symbol ``s`` is the integer offset ``k = s - S`` (``S`` the support
     radius); its mass is the Gaussian CDF increment over [k-0.5, k+0.5)
     scaled by delta/sigma, with the tails beyond +-S folded into the edge
-    bins.  Only an active window of ``half = min(S, ceil(8*max(sigma)/delta
-    + 2))`` bins either side of zero can hold visible mass; every bin
-    outside it ends at frequency 1.  So the whole build runs on the window
-    and returns ``(freqs, cums)`` with shapes (n, width) and (n, width + 1),
-    ``width = 2*half + 1``: ``freqs[i, j]`` is the frequency of symbol
-    ``lo + j`` with ``lo = S - half``, and ``cums`` is absolute, starting at
-    ``lo`` (one unit per symbol below the window) and ending at
-    ``cum[hi]``, ``hi = lo + width``.  Symbol ``s >= hi`` has cum
-    ``cum[hi] + s - hi``.  These are the rows ``_decode_core`` takes.
-
-    The CDF is evaluated once per edge pair (see ``_erfc_pair``), and the
-    rounding and deficit repayment run on the window columns only (see
-    ``_largest_remainder`` for why that equals rounding the full row: the
-    scaled masses sum to ``2**precision`` up to float rounding).  Each row's
-    total mass is still summed over the zero-padded row of all 2S+1 bins:
-    numpy's pairwise summation order depends on the row length, so that
-    sum pins every table bit-identical to the full-width computation.
+    bins.  Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2):
+    full rows, the ones ``_decode_core`` takes.  The CDF is evaluated once
+    per edge pair (see ``_erfc_pair``).
     """
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
@@ -333,25 +293,16 @@ def gaussian_table_batch(
     if size > budget:
         raise ValueError(f"support {size} exceeds 2**precision = {budget}")
 
-    # Active window (shared across rows): bins that can hold visible mass.
-    half = int(min(support_radius, np.ceil(8.0 * sigma.max() / delta + 2.0)))
-    width = 2 * half + 1
-    lo = support_radius - half
-    # The mass outside the outermost cuts folds into the window's edge bins.
-    cdf = _edge_cdf(sigma, delta, half)
-    window = np.empty((n, width), dtype=np.float64)
-    window[:, 0] = cdf[:, 0]
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=window[:, 1:-1])
-    np.subtract(1.0, cdf[:, -1], out=window[:, -1])
-    np.maximum(window, 0.0, out=window)
+    # The mass outside the outermost cuts folds into the edge bins.
+    cdf = _edge_cdf(sigma, delta, support_radius)
+    masses = np.empty((n, size), dtype=np.float64)
+    masses[:, 0] = cdf[:, 0]
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=masses[:, 1:-1])
+    np.subtract(1.0, cdf[:, -1], out=masses[:, -1])
+    np.maximum(masses, 0.0, out=masses)
+    masses *= (budget / masses.sum(axis=1))[:, None]
+    freq = _largest_remainder(masses, budget)
 
-    padded = np.zeros((n, size), dtype=np.float64)
-    padded[:, lo : lo + width] = window
-    window *= (budget / padded.sum(axis=1))[:, None]
-    freq = _largest_remainder(window, budget, size - width)
-
-    cums = np.empty((n, width + 1), dtype=np.int64)
-    cums[:, 0] = lo
+    cums = np.zeros((n, size + 1), dtype=np.int64)
     np.cumsum(freq, axis=1, out=cums[:, 1:])
-    cums[:, 1:] += lo
     return freq, cums

@@ -16,8 +16,13 @@ than BLAS (channel-major, one whole-row update per context dimension in
 cache-sized blocks, ``_predict_with``), and quantizer decisions have
 positive margin almost surely, which is what makes the fixed-length path
 robust where entropy-coded pipelines desynchronize on last-ulp drift.
-The CM path, by contrast, inherits the usual sensitivity: its integer
-tables depend on libm exp/log, which is documented rather than fought.
+The CM path codes under a fixed scale table instead: 64 sigma levels per
+delta whose integer tables are built once, from the pinned erfc, and a
+predicted sigma snaps to its level by comparisons alone.  It keeps one
+libm dependence, the ``np.exp`` of the predicted sigma (and the erfc's own
+``np.exp`` at build time, whose tables are pinned by golden digests): a
+last-ulp difference between CPUs moves a symbol's table only when its
+sigma sits on a level boundary.
 
 IQ, the ablation anchor, is the same encode and decode loop run with no
 predictor: each group is residual-quantized as it stands, with no context,
@@ -30,6 +35,7 @@ hyper grid, rate paid in actual coded bits.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -80,11 +86,13 @@ CM_SUPPORT_RADIUS = 255
 # Frequency precision of cm's rANS tables, in bits.
 CM_PRECISION = 16
 
-# Predicted sigmas are snapped to a geometric grid of this many levels per
-# group before table construction, so a batch needs at most this many
-# distinct tables.  Both sides derive the grid from the same predicted
-# sigmas, so it is decoder-reproducible.
-_CM_SIGMA_LEVELS = 256
+# cm's scale table: 64 sigma levels from SIGMA_FLOOR up by a ratio of 1.19
+# (top about 57.5), made by repeated float multiplication, and the
+# geometric midpoints between neighbours.  A predicted sigma snaps to the
+# level nearest it on a log scale by comparisons against the midpoints
+# alone, so the snap calls no libm function.
+_CM_LEVELS = np.multiply.accumulate(np.r_[SIGMA_FLOOR, np.full(63, 1.19)])
+_CM_BOUNDS = np.sqrt(_CM_LEVELS[:-1] * _CM_LEVELS[1:])
 
 _SIGMA_BUCKETS = 16
 # Output elements per block of ``_predict_with``'s channel-major (2C, n)
@@ -124,8 +132,8 @@ class ContextPredictor:
     def __post_init__(self):
         if len(self.weights) != 4 or len(self.biases) != 4:
             raise ValueError("predictor needs maps for exactly four groups")
-        if self.sigma_min <= 0.0:
-            raise ValueError("sigma_min must be positive")
+        if not (np.isfinite(self.sigma_min) and self.sigma_min > 0.0):
+            raise ValueError(f"sigma_min must be positive and finite, got {self.sigma_min}")
         c = self.channels
         ws, bs = [], []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -138,6 +146,8 @@ class ContextPredictor:
                 )
             if b.shape != (2 * c,):
                 raise ValueError(f"group {i + 1} bias shape {b.shape} != ({2 * c},)")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"group {i + 1} weights and bias must be finite")
             ws.append(w)
             bs.append(b)
         object.__setattr__(self, "weights", tuple(ws))
@@ -163,6 +173,11 @@ class ContextPredictor:
         return _predict_with(w, self.biases[group], self.channels, self.sigma_min, context)
 
 
+def _check_cm_delta(delta) -> None:
+    if delta is None or not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"cm requires a finite delta > 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Operating point of one scheme: stage count m (rd, iq) or step delta (cm)."""
@@ -175,8 +190,7 @@ class SchemeConfig:
         if self.scheme not in ("rd", "iq", "cm"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "cm":
-            if self.delta is None or self.delta <= 0.0:
-                raise ValueError("cm requires delta > 0")
+            _check_cm_delta(self.delta)
         elif self.m is not None and self.m < 1:
             raise ValueError("m must be >= 1")
 
@@ -400,61 +414,25 @@ def _rvq_reconstruct(rvq: ResidualVQ, stack: IndexStack) -> np.ndarray:
 # CM: uniform scalar quantization + conditional-Gaussian range coding.
 
 
-def _sigma_grid(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Snap sigmas to a geometric grid; returns (levels, level index per entry).
+@functools.lru_cache(maxsize=8)
+def _cm_tables(delta: float) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Full ``(freq, cum)`` rows of every scale level at ``delta``, built once.
 
-    A pure function of the predicted sigma field, so encoder and decoder
-    derive identical tables.
+    Returns the rows as read-only arrays (the encoder's lookup) and as
+    tuples of Python ints (the decoder's); every caller shares them.
     """
-    lo = float(sigma.min())
-    hi = float(sigma.max())
-    if hi <= lo * (1.0 + 1e-12):
-        return np.asarray([lo]), np.zeros(sigma.size, dtype=np.int64)
-    levels = np.geomspace(lo, hi, _CM_SIGMA_LEVELS)
-    step = np.log(hi / lo) / (_CM_SIGMA_LEVELS - 1)
-    idx = np.rint(np.log(sigma.ravel() / lo) / step).astype(np.int64)
-    np.clip(idx, 0, _CM_SIGMA_LEVELS - 1, out=idx)
-    return levels, idx
-
-
-def _cm_group_tables(sigma: np.ndarray, delta: float, precision: int):
-    """Window tables of the sigma levels a group uses; returns (lo, freq, cum, row index).
-
-    Rows are built only for the levels some position snaps to, plus the top
-    level, which keeps ``sigma.max()`` and so the table window of
-    ``gaussian_table_batch`` the same as for all levels.  Rows are
-    independent, so position ``p``'s row ``freq[row_idx[p]]`` is exactly the
-    row of its level in the full level table.  ``freq`` and ``cum`` cover
-    the window of symbols ``lo .. lo + width - 1`` (``cum`` absolute, one
-    column longer), the rows ``_decode_core`` takes; every symbol outside
-    it has frequency 1.
-    """
-    levels, level_idx = _sigma_grid(sigma)
-    present = np.zeros(levels.size, dtype=bool)
-    present[level_idx] = True
-    present[-1] = True
-    row_of_level = np.cumsum(present) - 1
     freq, cum = gaussian_table_batch(
-        levels[present], delta, support_radius=CM_SUPPORT_RADIUS, precision=precision
+        _CM_LEVELS, delta, support_radius=CM_SUPPORT_RADIUS, precision=CM_PRECISION
     )
-    lo = CM_SUPPORT_RADIUS - freq.shape[1] // 2
-    return lo, freq, cum, row_of_level[level_idx]
+    freq.flags.writeable = False
+    cum.flags.writeable = False
+    return freq, cum, tuple(map(tuple, freq.tolist())), tuple(map(tuple, cum.tolist()))
 
 
-def _cm_lookup(lo: int, freq: np.ndarray, cum: np.ndarray, row_idx: np.ndarray,
-               syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each symbol's ``(freq, cum)`` under its window row.
-
-    The window index is clipped to ``[-1, width]``: both outside columns
-    hold frequency 1, and ``cum`` is ``s`` below ``lo`` and
-    ``cum[hi] + s - hi`` at and above ``hi = lo + width``.
-    """
-    n, width = freq.shape
-    rel = syms - lo
-    edged = np.ones((n, width + 2), dtype=np.int64)
-    edged[:, 1:-1] = freq
-    inside = np.clip(rel, 0, width)
-    return edged[row_idx, np.clip(rel, -1, width) + 1], cum[row_idx, inside] + (rel - inside)
+def _cm_rows(sigma: np.ndarray) -> np.ndarray:
+    """Scale-table row of each sigma, in ravel order: the level ``r`` with
+    ``_CM_BOUNDS[r-1] < sigma <= _CM_BOUNDS[r]``."""
+    return np.searchsorted(_CM_BOUNDS, sigma.ravel())
 
 
 def _check_cm_predictor(predictor: ContextPredictor) -> None:
@@ -505,9 +483,10 @@ def cm_encode(
             decoded.append(mu + delta * k)
         with timer.phase("entropy_code"):
             with timer.phase("tables"):
-                tables = _cm_group_tables(sigma, delta, CM_PRECISION)
+                freq, cum, _, _ = _cm_tables(delta)
+                rows = _cm_rows(sigma)
             syms = k.ravel() + s_radius
-            f_sel, c_sel = _cm_lookup(*tables, syms)
+            f_sel, c_sel = freq[rows, syms], cum[rows, syms]
             state, payload = _encode_core(f_sel.tolist(), c_sel.tolist(), CM_PRECISION)
             streams.append(RansStream(count=syms.size, state=state, payload=payload))
             self_info += float((CM_PRECISION - np.log2(f_sel)).sum())
@@ -530,12 +509,8 @@ def cm_decode(
     config: SchemeConfig,
     timer: PhaseTimer | None = None,
 ) -> LatentGrid:
-    """Rebuild tables from decoded context and range-decode each group.
-
-    Each group builds the window tables of its used sigma levels only (see
-    ``_cm_group_tables``) and hands them to the decoder as they are;
-    symbols outside the window, outliers included, decode arithmetically.
-    """
+    """Predict sigma from decoded context, snap it to the scale table and
+    range-decode each group under the snapped rows."""
     if coded.scheme != "cm" or config.scheme != "cm":
         raise ValueError("cm_decode needs a cm-coded latent and a cm config")
     if coded.group_streams is None:
@@ -561,10 +536,9 @@ def cm_decode(
                     f"group {i + 1} stream holds {stream.count} symbols, expected {n * c}"
                 )
             with timer.phase("tables"):
-                lo, freq, cum, row_idx = _cm_group_tables(sigma, delta, CM_PRECISION)
-            syms = _decode_core(
-                stream, freq.tolist(), cum.tolist(), row_idx.tolist(), lo, CM_PRECISION
-            )
+                _, _, freq_rows, cum_rows = _cm_tables(delta)
+                rows = _cm_rows(sigma)
+            syms = _decode_core(stream, freq_rows, cum_rows, rows.tolist(), CM_PRECISION)
         with timer.phase("quantize"):
             k = np.asarray(syms, dtype=np.int64).reshape(n, c) - s_radius
             decoded.append(mu + delta * k)
@@ -795,8 +769,7 @@ def train_cm_model(
 ) -> ContextPredictor:
     """Fit the per-group affine heads on context decoded closed-loop through
     uniform rounding at delta, as cm_encode decodes it."""
-    if delta <= 0.0:
-        raise ValueError("cm requires delta > 0")
+    _check_cm_delta(delta)
     c = _check_corpus(latents, use_hyper=False)
 
     def close_group(i, mu, sigma, y):

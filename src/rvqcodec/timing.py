@@ -8,7 +8,8 @@ from time import perf_counter
 __all__ = ["PhaseTimer"]
 
 # ``tables`` is timed inside ``entropy_code``: the share of entropy coding
-# that cm spends building its rANS tables.
+# that cm spends getting its rANS table rows (the per-delta table, built on
+# first use, and the sigma snap).
 _PHASES = ("quantize", "autoregressive", "pack", "entropy_code", "tables")
 
 

@@ -270,9 +270,8 @@ def test_criterion_7_bpp_hand_values():
     _report(7, ok, f"bpp(m=1) = {one:.11f}, bpp(m=5) = {five:.11f}")
 
 
-def _rans_round_trip(symbols, freq, row_of, lo, hi, precision) -> tuple[RansStream, list]:
-    """Encode under the full rows of ``freq``; decode through the window
-    ``[lo, hi)`` the way cm does, every bin outside it at frequency 1."""
+def _rans_round_trip(symbols, freq, row_of, precision) -> tuple[RansStream, list]:
+    """Encode and decode under the full rows of ``freq``, as cm does."""
     cum = np.zeros((freq.shape[0], freq.shape[1] + 1), dtype=np.int64)
     np.cumsum(freq, axis=1, out=cum[:, 1:])
     s = np.asarray(symbols, dtype=np.int64)
@@ -280,12 +279,7 @@ def _rans_round_trip(symbols, freq, row_of, lo, hi, precision) -> tuple[RansStre
     state, payload = _encode_core(freq[r, s].tolist(), cum[r, s].tolist(), precision)
     stream = RansStream(count=s.size, state=state, payload=payload)
     decoded = _decode_core(
-        RansStream.from_bytes(stream.to_bytes()),
-        freq[:, lo:hi].tolist(),
-        cum[:, lo : hi + 1].tolist(),
-        r.tolist(),
-        lo,
-        precision,
+        RansStream.from_bytes(stream.to_bytes()), freq.tolist(), cum.tolist(), r.tolist(), precision
     )
     return stream, decoded
 
@@ -293,34 +287,25 @@ def _rans_round_trip(symbols, freq, row_of, lo, hi, precision) -> tuple[RansStre
 def test_criterion_8_rans():
     rng = rng_for(808, stream=0)
     trials = 1000
-    windowed = outside = 0
     for _ in range(trials):
         k = int(rng.integers(2, 33))
         precision = int(rng.integers(8, 17))
-        lo = int(rng.integers(0, k))
-        hi = int(rng.integers(lo + 1, k + 1))
         rows = int(rng.integers(1, 5))
-        freq = np.ones((rows, k), dtype=np.int64)
-        for row in freq:
-            row[lo:hi] += rng.multinomial((1 << precision) - k, rng.dirichlet(np.ones(hi - lo)))
+        freq = 1 + np.stack([
+            rng.multinomial((1 << precision) - k, rng.dirichlet(np.ones(k))) for _ in range(rows)
+        ])
         n = int(rng.integers(0, 301))
-        # Half the symbols from the window, half from the whole alphabet.
-        symbols = np.where(
-            rng.random(n) < 0.5, rng.integers(lo, hi, size=n), rng.integers(0, k, size=n)
-        )
+        symbols = rng.integers(0, k, size=n)
         row_of = rng.integers(0, rows, size=n)
-        _, decoded = _rans_round_trip(symbols, freq, row_of, lo, hi, precision)
+        _, decoded = _rans_round_trip(symbols, freq, row_of, precision)
         assert decoded == symbols.tolist()
-        windowed += lo > 0
-        outside += int(np.count_nonzero((symbols < lo) | (symbols >= hi)))
-    assert windowed > trials // 2 and outside > trials
 
     # Rate tracks the cross-entropy of the data under the coding table.
     precision = 14
     freq = np.array([[12288, 4096]])
     n = 10_000
     symbols = (rng.random(n) > 0.75).astype(np.int64)
-    stream, decoded = _rans_round_trip(symbols, freq, np.zeros(n, dtype=np.int64), 0, 2, precision)
+    stream, decoded = _rans_round_trip(symbols, freq, np.zeros(n, dtype=np.int64), precision)
     assert decoded == symbols.tolist()
     q = freq[0] / float(1 << precision)
     cross_entropy = float(-np.sum(np.log2(q[symbols])))
@@ -328,8 +313,7 @@ def test_criterion_8_rans():
     per_symbol = stream.bits / n
     _report(
         8, ok,
-        f"{trials} round trips lossless ({windowed} windows with lo > 0, {outside}"
-        f" symbols outside their window); {stream.bits} bits vs cross-entropy"
+        f"{trials} round trips lossless; {stream.bits} bits vs cross-entropy"
         f" {cross_entropy:.0f} ({per_symbol:.4f} b/sym, analytic 0.8113)",
     )
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -369,6 +370,25 @@ def test_model_files_that_disagree_are_an_io_error(pipeline, tmp_path, capsys):
     ]
     for model, scheme, message in cases:
         codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / model.name, scheme)
+        assert codes == (IO_ERROR, IO_ERROR)
+        assert capsys.readouterr().err.count(message) == 2
+
+
+def test_non_finite_predictor_fields_are_an_io_error(pipeline, tmp_path, capsys):
+    raw = (pipeline["model"] / "predictor.efpr").read_bytes()
+    d, two_c = struct.unpack("<II", raw[14:22])
+    bias = 22 + 8 * d * two_c  # group 1's first bias entry
+    cases = [
+        ("nan-sigma-min", raw[:-8] + struct.pack("<d", float("nan")),
+         "sigma_min must be positive and finite, got nan"),
+        ("inf-bias", raw[:bias] + struct.pack("<d", float("inf")) + raw[bias + 8:],
+         "group 1 weights and bias must be finite"),
+    ]
+    for name, data, message in cases:
+        model = tmp_path / name
+        shutil.copytree(pipeline["model"], model)
+        (model / "predictor.efpr").write_bytes(data)
+        codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / name)
         assert codes == (IO_ERROR, IO_ERROR)
         assert capsys.readouterr().err.count(message) == 2
 

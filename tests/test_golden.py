@@ -10,11 +10,17 @@ update them in the same commit and say why.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rvqcodec
 from rvqcodec import schemes
 from rvqcodec.bitstream import StreamHeader, pack, unpack
 from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid, SourceConfig, gauss_markov_sample
@@ -34,6 +40,7 @@ from rvqcodec.schemes import (
     train_rd_model,
     write_predictor_file,
 )
+from rvqcodec.schemes import _cm_tables
 
 SIZE = 32
 STAGES = (16, 16)
@@ -48,11 +55,11 @@ GOLDEN = {
     "iq-m1-latent": "480d0eea24082a05b41de4419646ed76d7815e3214c271473141531753f67d5f",
     "iq-m2-stream": "214454b84e1e484712a150c18e7cef728ef9a746096596b200cb36d38d009e5a",
     "iq-m2-latent": "b2ad077332180b2348e8afedc6aee53c127a27ddc5d09e84d6d871d16f3c2958",
-    "cm-d1.0-stream": "4c781026fcfd25a3f78aaf3495f4c3150fc734cdc3f0ba5b3ac99024e2ad3baa",
+    "cm-d1.0-stream": "a28ca043a2ce09c6f352f5cb1e3de21eed462984810385ce62c5bcfa29c15824",
     "cm-d1.0-latent": "55107b01434005444c4762020425faaf5c8e150fade1dc254d1b6d64298da865",
-    "cm-d0.25-stream": "0983bf5ca5de6639adf8add2eacc1a331d9d35e14b8a8243784e144456261c8f",
+    "cm-d0.25-stream": "dec19603e6261b6eae550ac39882675e86aebae41c6e076529b1989a6096f455",
     "cm-d0.25-latent": "e50f46751c1a52d1d0968c005dd6a79db4e287b2cc83aca2658ad2ab5c94014e",
-    "cm-outliers-stream": "120fcd2a2b05c9a5db37ac17d57dd116965862d18464be30bd260388a9a244fd",
+    "cm-outliers-stream": "80d536027926ee004eb7f1015d2dad8c3610488197bfdc5cc76cf75d85f9f303",
     "cm-outliers-latent": "82c4346d22a2bf53891159d0ad41b1107ed6bc6765fd6e6ce7171b7157ac25f9",
 }
 
@@ -114,9 +121,9 @@ def _golden_latent():
 
 def _outlier_latent():
     """The golden latent with spikes of both signs: +-1000 is clamped to the
-    support edge, +-60 and +-40 are coded but lie far outside the table
-    window of a unit-delta group.  The first four sit in group 1, whose sigma
-    field is constant (its context is the bias alone)."""
+    support edges, +-60 and +-40 are coded in bins at the floor mass of 1.
+    The first four sit in group 1, whose sigma field is constant (its
+    context is the bias alone)."""
     data = _golden_latent().data.copy()
     data[0, 0, 0], data[0, 0, 2] = 1000.0, -1000.0
     data[0, 2, 0], data[0, 2, 2] = 60.0, -60.0
@@ -166,7 +173,7 @@ VEC_DELTA = 0.5
 GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
     "cm-d0.5-predictor": "1dd7f132c643e2b3131382ff356a1f72ce4c52d589bb57ed902f6e7a28402208",
-    "cm-d0.5-stream": "5a84eebf6def9e5686b2b303958bfddd9b329c6ee972e35d863840d92b4f80e1",
+    "cm-d0.5-stream": "e3bb409cacdcd5fc7832a658e423241269ff21527de65ff078bd59365317d25d",
     "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
     "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
     "iq-m1-stream": "f58ceabda039fe1305a06d871e4d7837dedf6b4ca96d0f456108f5f8a450d069",
@@ -246,26 +253,130 @@ def test_golden_vector_digest(vector_digests, name):
     assert vector_digests[name] == GOLDEN_VECTOR[name]
 
 
-def test_cm_outliers_are_clamped_and_decode_outside_the_window(monkeypatch):
-    """The outlier stream reaches both out-of-window decoder branches."""
+def test_cm_outliers_are_clamped_and_decode_as_the_support_edges(monkeypatch):
+    """The clamped +-1000 spikes of group 1 decode as symbols 0 and 510."""
     decode_core = schemes._decode_core
     seen = []
 
-    def spy(stream, freq_rows, cum_rows, row_of, lo, precision):
-        syms = decode_core(stream, freq_rows, cum_rows, row_of, lo, precision)
-        seen.append((lo, lo + len(freq_rows[0]), syms))
+    def spy(*args):
+        syms = decode_core(*args)
+        seen.append(syms)
         return syms
 
     monkeypatch.setattr(schemes, "_decode_core", spy)
     predictor = train_cm_model(_training_set(), delta=1.0, seed=3)
     config = SchemeConfig(scheme="cm", delta=1.0)
     coded = cm_encode(_outlier_latent(), predictor, config)
-    assert coded.clamp_count > 0
+    assert coded.clamp_count == 2
     decoded = cm_decode(replace(coded, reconstruction=None), predictor, config)
     assert _latent_bytes(decoded) == _latent_bytes(coded.reconstruction)
-    lo, hi, syms = seen[0]
-    assert min(syms) < lo and max(syms) >= hi
-    assert {0, 2 * CM_SUPPORT_RADIUS} <= set(syms)  # the clamped spikes
+    assert seen[0][:2] == [2 * CM_SUPPORT_RADIUS, 0]
+
+
+# cm's scale tables: the integer rows of all 64 levels at each delta.
+GOLDEN_TABLES = {
+    "d0.25-cum": "9412527ce5b0038cf9b92b3ac7c934913feab1b31eb202d4877460c13cbcb14b",
+    "d0.25-freq": "b3a7946c8a75c1e338ce670ea14cb2a1cd6009ffaf39861b7690db5eb6acd8e3",
+    "d0.5-cum": "6f5d118bf9dff2d779166f40137f045157a6d3dea7fa073e42a1bed5b4fdf40a",
+    "d0.5-freq": "87d17a55bebb42bd9ac28b1893bfff96191af3cd2486b48c078b9c10beef0d1d",
+    "d1.0-cum": "4eec31611951718a0506e8d065980e3aca109c0a0cb2332c3d1a44e0a6f460e5",
+    "d1.0-freq": "4075d0c104ed4c736a70349cf740282b4a044d68c25c801fafb6918dc4d33585",
+}
+
+
+def _compute_table_digests():
+    out = {}
+    for delta in (1.0, 0.5, 0.25):
+        freq, cum, _, _ = _cm_tables(delta)
+        out[f"d{delta}-freq"] = _sha(np.ascontiguousarray(freq, dtype="<i8").tobytes())
+        out[f"d{delta}-cum"] = _sha(np.ascontiguousarray(cum, dtype="<i8").tobytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def table_digests():
+    return _compute_table_digests()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_golden_table_digest(table_digests, name):
+    assert table_digests[name] == GOLDEN_TABLES[name]
+
+
+_DISPATCH_DECODE = """
+import hashlib, json, sys
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from rvqcodec.rans import RansStream
+from rvqcodec.schemes import CodedLatent, SchemeConfig, cm_decode, read_predictor_file
+
+cases, targets = json.loads(sys.stdin.read())
+out = {"enabled": [t for t in targets if umath.__cpu_features__.get(t)], "latents": {}}
+for name, case in cases.items():
+    predictor = read_predictor_file(case["predictor"])
+    received = CodedLatent(
+        scheme="cm", shape=tuple(case["shape"]), reconstruction=None, rate_bits=0.0,
+        delta=case["delta"],
+        group_streams=tuple(RansStream.from_bytes(bytes.fromhex(b)) for b in case["streams"]),
+    )
+    try:
+        decoded = cm_decode(received, predictor, SchemeConfig(scheme="cm", delta=case["delta"]))
+    except ValueError as e:
+        out["latents"][name] = f"ValueError: {e}"
+        continue
+    raw = np.ascontiguousarray(decoded.data, dtype="<f8").tobytes()
+    out["latents"][name] = hashlib.sha256(raw).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def _dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets above its baseline that this CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_cm_streams_decode_exactly_with_every_dispatch_target_disabled(tmp_path):
+    """The golden C=1 cm streams, encoded here, decode to the encoder's exact
+    reconstruction in a process that runs numpy at its baseline SIMD target,
+    as on a CPU without the dispatched extensions."""
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no target above its baseline on this CPU")
+    train = _training_set()
+    cases, expected = {}, {}
+    for delta in DELTAS:
+        predictor = train_cm_model(train, delta=delta, seed=3)
+        path = tmp_path / f"cm-d{delta}.efpr"
+        write_predictor_file(path, predictor)
+        latents = {f"cm-d{delta}": _golden_latent()}
+        if delta == 1.0:
+            latents["cm-outliers"] = _outlier_latent()
+        for name, latent in latents.items():
+            coded = cm_encode(latent, predictor, SchemeConfig(scheme="cm", delta=delta))
+            cases[name] = {
+                "predictor": str(path), "delta": delta, "shape": list(coded.shape),
+                "streams": [st.to_bytes().hex() for st in coded.group_streams],
+            }
+            expected[name] = _sha(_latent_bytes(coded.reconstruction))
+    src = str(Path(rvqcodec.__file__).resolve().parent.parent)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_DECODE], input=json.dumps([cases, targets]),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["enabled"] == []
+    assert result["latents"] == expected
 
 
 # C = 4 with 128-codeword stages, group and hyper: every search of training

@@ -2,8 +2,7 @@
 and the pinned Gaussian CDF used by the conditional model.
 
 Tables are ``(freq, cum)`` integer rows; symbols are coded through
-``_encode_core`` and decoded through ``_decode_core``, over the full row or
-over a window ``[lo, hi)`` outside of which every frequency is 1."""
+``_encode_core`` and decoded through ``_decode_core``."""
 
 import numpy as np
 import pytest
@@ -40,29 +39,8 @@ def _encode(symbols, freq, cum, row_of, precision) -> RansStream:
     return RansStream(count=s.size, state=state, payload=payload)
 
 
-def _decode(stream, freq, cum, row_of, precision, lo=0, hi=None) -> list[int]:
-    """Decode with the rows' columns ``[lo, hi)`` (default: the full rows)."""
-    hi = freq.shape[1] if hi is None else hi
-    return _decode_core(
-        stream, freq[:, lo:hi].tolist(), cum[:, lo : hi + 1].tolist(), list(row_of), lo, precision
-    )
-
-
-def _full_rows(freq: np.ndarray, cum: np.ndarray, support_radius: int):
-    """Window tables spread over all 2S+1 symbols; checks the window's cum."""
-    n, width = freq.shape
-    lo = support_radius - width // 2
-    full = np.ones((n, 2 * support_radius + 1), dtype=np.int64)
-    full[:, lo : lo + width] = freq
-    full_cum = _cums(full)
-    assert np.array_equal(cum, full_cum[:, lo : lo + width + 1])
-    return full, full_cum
-
-
-def _window(freq: np.ndarray) -> tuple[int, int]:
-    """The columns where some row's frequency exceeds 1, as cm decodes."""
-    cols = np.flatnonzero((freq > 1).any(axis=0))
-    return int(cols[0]), int(cols[-1]) + 1
+def _decode(stream, freq, cum, row_of, precision) -> list[int]:
+    return _decode_core(stream, freq.tolist(), cum.tolist(), list(row_of), precision)
 
 
 def test_normalize_frequencies_hand_case():
@@ -73,9 +51,6 @@ def test_normalize_frequencies_hand_case():
     third = 256.0 / 3.0
     f = _largest_remainder(np.array([[third] * 3, [0.5, 255.5, 0.0]]), 256)
     assert f.tolist() == [[86, 85, 85], [1, 254, 1]]
-    # two bins left out of the row end at 1; their mass comes off the top
-    f = _largest_remainder(np.array([[127.0, 129.0]]), 256, outside=2)
-    assert f.tolist() == [[127, 127]]
 
 
 def test_normalize_frequencies_protects_rare_symbols():
@@ -92,23 +67,20 @@ def test_normalize_frequencies_validation():
     # 300 bins cannot all get mass >= 1 of 256
     with pytest.raises(ValueError, match="all bins at minimum"):
         _largest_remainder(np.full((1, 300), 256.0 / 300.0), 256)
-    with pytest.raises(ValueError, match="all bins at minimum"):
-        _largest_remainder(np.full((1, 200), 256.0 / 200.0), 256, outside=100)
 
 
 @given(
     weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200),
     precision=st.integers(8, 16),
-    outside=st.integers(0, 60),
 )
-def test_normalize_frequencies_exact_mass(weights, precision, outside):
+def test_normalize_frequencies_exact_mass(weights, precision):
     w = np.asarray(weights)
     budget = 1 << precision
-    if w.max() <= 0 or w.size + outside > budget:
+    if w.max() <= 0 or w.size > budget:
         return
     w = w / w.max()  # keeps budget / total finite for subnormal weights
-    f = _largest_remainder((w * (budget / w.sum()))[None, :], budget, outside)[0]
-    assert int(f.sum()) + outside == budget
+    f = _largest_remainder((w * (budget / w.sum()))[None, :], budget)[0]
+    assert int(f.sum()) == budget
     assert f.min() >= 1
 
 
@@ -143,34 +115,24 @@ def test_rans_round_trip_per_symbol_tables():
 
 def test_rans_shared_table_decodes_like_per_symbol_tables():
     """One row shared through ``row_of``, one copy of it per symbol, and two
-    rows interleaved decode alike, over the full rows and over the window
-    cm hands the decoder; a truncated stream fails every way."""
+    rows interleaved decode alike; a truncated stream fails."""
     rng = rng_for(53)
     n = 2000
-    freqs, cums = _full_rows(
-        *gaussian_table_batch(np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16),
-        support_radius=255,
-    )
+    freqs, cums = gaussian_table_batch(np.array([4.0, 40.0]), 1.0, support_radius=255, precision=16)
     symbols = (255 + np.rint(rng.normal(0, 4, n))).astype(int).tolist()
     narrow, narrow_cum = freqs[:1], cums[:1]
     copies, copies_cum = np.repeat(narrow, n, axis=0), np.repeat(narrow_cum, n, axis=0)
     stream = _encode(symbols, narrow, narrow_cum, [0] * n, 16)
-    lo, hi = _window(narrow)
-    assert lo > 0
     assert _decode(stream, narrow, narrow_cum, [0] * n, 16) == symbols
-    assert _decode(stream, narrow, narrow_cum, [0] * n, 16, lo, hi) == symbols
-    assert _decode(stream, copies, copies_cum, range(n), 16, lo, hi) == symbols
+    assert _decode(stream, copies, copies_cum, range(n), 16) == symbols
 
     mixed = [i % 3 == 0 for i in range(n)]
     stream = _encode(symbols, freqs, cums, mixed, 16)
-    lo, hi = _window(freqs)
     assert _decode(stream, freqs, cums, mixed, 16) == symbols
-    assert _decode(stream, freqs, cums, mixed, 16, lo, hi) == symbols
 
     cut = RansStream(count=stream.count, state=stream.state, payload=stream.payload[:-3])
-    for window in ((0, None), (lo, hi)):
-        with pytest.raises(ValueError):
-            _decode(cut, freqs, cums, mixed, 16, *window)
+    with pytest.raises(ValueError):
+        _decode(cut, freqs, cums, mixed, 16)
 
 
 def test_rans_empty_stream():
@@ -354,11 +316,7 @@ def test_series_stops_at_every_check_point_with_frozen_bits():
 
 
 def _one_row(sigma, delta, support_radius, precision):
-    """One table spread over all 2S+1 symbols."""
-    freq, cum = _full_rows(
-        *gaussian_table_batch(np.array([sigma]), delta, support_radius, precision),
-        support_radius,
-    )
+    freq, cum = gaussian_table_batch(np.array([sigma]), delta, support_radius, precision)
     return freq[0], cum[0]
 
 
@@ -381,23 +339,16 @@ def test_discretized_gaussian_table_tiny_sigma_concentrates():
 
 
 def test_gaussian_table_batch_matches_scalar_rows():
-    """Rows share one active window, sized by the largest sigma, yet each
-    equals the table built from its own row alone."""
+    """Each row of a batch equals the table built from its own sigma alone."""
     sigma = np.array([0.5, 1.0, 2.5])
-    freqs, cums = gaussian_table_batch(sigma, 0.25, support_radius=63, precision=14)
-    # the window: ceil(8 * 2.5 / 0.25 + 2) = 82 bins either side, cut to 63
-    assert freqs.shape == (3, 127)
-    assert cums.shape == (3, 128)
-    narrow, narrow_cum = gaussian_table_batch(sigma, 2.0, support_radius=63, precision=14)
-    assert narrow.shape == (3, 2 * 12 + 1)  # ceil(8 * 2.5 / 2 + 2) = 12
-    assert narrow_cum[:, 0].tolist() == [63 - 12] * 3
-    assert narrow_cum[:, -1].tolist() == [(1 << 14) - (63 - 12)] * 3
-    for delta, (f_all, c_all) in ((0.25, (freqs, cums)), (2.0, (narrow, narrow_cum))):
-        full, full_cum = _full_rows(f_all, c_all, 63)
+    for delta in (0.25, 2.0):
+        freqs, cums = gaussian_table_batch(sigma, delta, support_radius=63, precision=14)
+        assert freqs.shape == (3, 127)
+        assert cums.shape == (3, 128)
         for i in range(3):
             f, cum = _one_row(float(sigma[i]), delta, support_radius=63, precision=14)
-            assert np.array_equal(full[i], f)
-            assert np.array_equal(full_cum[i], cum)
+            assert np.array_equal(freqs[i], f)
+            assert np.array_equal(cums[i], cum)
 
 
 def _full_width_tables(sigma, delta, support_radius, precision):
@@ -406,20 +357,13 @@ def _full_width_tables(sigma, delta, support_radius, precision):
     n = sigma.shape[0]
     size = 2 * support_radius + 1
     budget = 1 << precision
-    reach = 8.0 * sigma.max() / delta + 2.0
-    half = int(min(support_radius, np.ceil(reach)))
-    width = 2 * half + 1
-    edges_k = np.arange(-half, half, dtype=np.float64) + 0.5
+    edges_k = np.arange(-support_radius, support_radius, dtype=np.float64) + 0.5
     cdf = _frozen_cdf(edges_k[None, :] * (delta / sigma[:, None]))
-    window = np.empty((n, width), dtype=np.float64)
-    window[:, 0] = cdf[:, 0]
-    window[:, 1:-1] = np.diff(cdf, axis=1)
-    window[:, -1] = 1.0 - cdf[:, -1]
-    np.clip(window, 0.0, None, out=window)
-
-    masses = np.zeros((n, size), dtype=np.float64)
-    lo = support_radius - half
-    masses[:, lo : lo + width] = window
+    masses = np.empty((n, size), dtype=np.float64)
+    masses[:, 0] = cdf[:, 0]
+    masses[:, 1:-1] = np.diff(cdf, axis=1)
+    masses[:, -1] = 1.0 - cdf[:, -1]
+    np.clip(masses, 0.0, None, out=masses)
     target = masses * (budget / masses.sum(axis=1))[:, None]
     freq = np.floor(target).astype(np.int64)
     remainder = budget - freq.sum(axis=1)
@@ -454,19 +398,18 @@ def _full_width_tables(sigma, delta, support_radius, precision):
 def test_gaussian_table_batch_equals_full_width_reference(
     n, log_sigma_lo, log_sigma_span, log_delta, support_radius, precision, seed
 ):
-    """Window tables equal the full-width reference inside the window, and
-    every symbol outside it has frequency 1.  Sigma up to 1e4 standard
-    deltas over supports down to one bin put edges on both erfc branches
-    and let the series stop anywhere from its first check point on."""
+    """Tables equal the full-width reference bit for bit.  Sigma up to 1e4
+    standard deltas over supports down to one bin put edges on both erfc
+    branches and let the series stop anywhere from its first check point
+    on."""
     support_radius = min(support_radius, ((1 << precision) - 1) // 2)
     rng = rng_for(seed)
     sigma = 10.0 ** rng.uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
     delta = 10.0**log_delta
     freqs, cums = gaussian_table_batch(sigma, delta, support_radius, precision)
     ref_freqs, ref_cums = _full_width_tables(sigma, delta, support_radius, precision)
-    full, full_cum = _full_rows(freqs, cums, support_radius)
-    assert np.array_equal(full, ref_freqs)
-    assert np.array_equal(full_cum, ref_cums)
+    assert np.array_equal(freqs, ref_freqs)
+    assert np.array_equal(cums, ref_cums)
 
 
 def test_gaussian_table_validation():
@@ -483,20 +426,16 @@ def test_gaussian_table_validation():
 
 
 def test_rans_round_trip_with_gaussian_tables():
-    """Symbols coded under the full rows decode from the window rows as
-    ``gaussian_table_batch`` returns them, outliers beyond it included."""
+    """Symbols coded under per-symbol Gaussian rows decode from the same
+    rows, outliers at and near both support edges included."""
     rng = rng_for(52)
     n = 300
     sigma = np.exp(rng.normal(0, 0.5, n))
     freqs, cums = gaussian_table_batch(sigma, 0.5, support_radius=255, precision=16)
-    full, full_cum = _full_rows(freqs, cums, 255)
-    lo = 255 - freqs.shape[1] // 2
     # symbols concentrated near the center of each table's support, plus a
-    # few outliers beyond the window that decode without a table lookup
+    # few outliers whose bins hold the floor mass of 1
     symbols = 255 + rng.integers(-4, 5, size=n)
     symbols[::50] = [0, 510, 3, 500, 1, 509]
-    assert 6 < lo and lo + freqs.shape[1] < 505
-    stream = _encode(symbols, full, full_cum, range(n), 16)
-    assert _decode(stream, full, full_cum, range(n), 16) == symbols.tolist()
-    window = _decode_core(stream, freqs.tolist(), cums.tolist(), list(range(n)), lo, 16)
-    assert window == symbols.tolist()
+    assert np.all(freqs[np.arange(0, n, 50), symbols[::50]] == 1)
+    stream = _encode(symbols, freqs, cums, range(n), 16)
+    assert _decode(stream, freqs, cums, range(n), 16) == symbols.tolist()

@@ -2,6 +2,7 @@
 ablation equivalences, and the predictor file format."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from rvqcodec.schemes import (
     train_rd_model,
     write_predictor_file,
 )
-from rvqcodec.schemes import _cm_group_tables, _cm_lookup, _sigma_grid
+from rvqcodec.schemes import _CM_BOUNDS, _CM_LEVELS, _cm_rows, _cm_tables
 from rvqcodec.timing import PhaseTimer
 
 _SOURCE = SourceConfig(channels=1, height=32, width=32, rho=0.9, variance=1.0, seed=40)
@@ -100,6 +101,15 @@ def test_predictor_validation():
             uses_hyper=False,
             sigma_min=0.0,
         )
+    _p = _identity_predictor()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma_min must be positive and finite"):
+            replace(_p, sigma_min=bad)
+        for field in ("weights", "biases"):
+            arrays = [a.copy() for a in getattr(_p, field)]
+            arrays[3].flat[0] = bad
+            with pytest.raises(ValueError, match="group 4 weights and bias must be finite"):
+                replace(_p, **{field: tuple(arrays)})
 
 
 def test_predict_applies_affine_map_and_floors_sigma():
@@ -201,8 +211,9 @@ def test_predict_scopes_the_ufunc_buffer_size():
 def test_scheme_config_validation():
     with pytest.raises(ValueError, match="unknown scheme"):
         SchemeConfig(scheme="xx")
-    with pytest.raises(ValueError, match="delta"):
-        SchemeConfig(scheme="cm")
+    for delta in (None, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cm requires a finite delta > 0"):
+            SchemeConfig(scheme="cm", delta=delta)
     with pytest.raises(ValueError, match="m must be"):
         SchemeConfig(scheme="rd", m=0)
     SchemeConfig(scheme="cm", delta=0.5)
@@ -367,6 +378,12 @@ def test_encode_rejects_odd_geometry(rd_model):
     odd = LatentGrid(np.zeros((1, 6, 7)))
     with pytest.raises(ValueError, match="multiple"):
         rd_encode(odd, predictor, qset, m=1)
+
+
+def test_train_cm_model_rejects_a_non_finite_delta():
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cm requires a finite delta > 0"):
+            train_cm_model(_corpus(2), delta=delta)
 
 
 def test_train_rd_model_rejects_thin_corpora():
@@ -535,62 +552,67 @@ def test_cm_rejects_hyper_predictors(cm_model, holdout):
         cm_decode(coded, hyper, config)
 
 
-def _all_level_tables(sigma, delta, precision):
-    """Reference: full-width tables for every one of the 256 sigma levels."""
-    levels, level_idx = _sigma_grid(sigma)
-    freq, cum = gaussian_table_batch(
-        levels, delta, support_radius=CM_SUPPORT_RADIUS, precision=precision
-    )
-    lo = CM_SUPPORT_RADIUS - freq.shape[1] // 2
-    full = np.ones((levels.size, 2 * CM_SUPPORT_RADIUS + 1), dtype=np.int64)
-    full[:, lo : lo + freq.shape[1]] = freq
-    full_cum = np.zeros((levels.size, full.shape[1] + 1), dtype=np.int64)
-    np.cumsum(full, axis=1, out=full_cum[:, 1:])
-    return full, full_cum, level_idx
+def test_cm_scale_table_is_geometric_with_log_midpoint_bounds():
+    assert _CM_LEVELS.size == 64 and _CM_LEVELS[0] == schemes.SIGMA_FLOOR
+    assert np.allclose(_CM_LEVELS[1:] / _CM_LEVELS[:-1], 1.19, rtol=1e-14, atol=0.0)
+    assert 57.0 < _CM_LEVELS[-1] < 58.0
+    assert np.all((_CM_LEVELS[:-1] < _CM_BOUNDS) & (_CM_BOUNDS < _CM_LEVELS[1:]))
+    mid = 0.5 * (np.log(_CM_LEVELS[:-1]) + np.log(_CM_LEVELS[1:]))
+    assert np.allclose(np.log(_CM_BOUNDS), mid, rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+def test_cm_tables_are_built_once_per_delta_and_read_only():
+    freq, cum, freq_rows, cum_rows = _cm_tables(0.5)
+    assert _cm_tables(0.5)[0] is freq
+    assert freq.shape == (64, 2 * CM_SUPPORT_RADIUS + 1) and cum.shape == (64, freq.shape[1] + 1)
+    assert list(map(list, freq_rows)) == freq.tolist()
+    assert list(map(list, cum_rows)) == cum.tolist()
+    with pytest.raises(ValueError):
+        freq[0, 0] = 2
+    with pytest.raises(ValueError):
+        cum[0, 0] = 2
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(1, 300),
-    shape=st.sampled_from(["constant", "near-constant", "range"]),
-    log_sigma_lo=st.floats(-3.0, 1.5),
-    log_sigma_span=st.floats(0.0, 4.0),
-    delta=st.sampled_from([0.125, 0.5, 1.0, 2.0]),
-    precision=st.sampled_from([10, 12, 16]),
     seed=st.integers(0, 2**31),
+    channels=st.integers(1, 3),
+    log_sigma=st.floats(-9.0, 5.0),
+    spread=st.floats(0.0, 2.0),
+    delta=st.sampled_from([0.125, 0.5, 1.0, 2.0]),
 )
-def test_cm_group_tables_match_all_level_tables(
-    n, shape, log_sigma_lo, log_sigma_span, delta, precision, seed
+def test_cm_encoder_codes_each_symbol_under_its_nearest_scale_level(
+    seed, channels, log_sigma, spread, delta
 ):
-    lo_sigma = 10.0**log_sigma_lo
-    if shape == "constant":
-        sigma = np.full(n, lo_sigma)
-    elif shape == "near-constant":
-        # hi / lo just above the 1 + 1e-12 cut, so the grid has 256 levels
-        sigma = np.full(n, lo_sigma)
-        sigma[rng_for(seed).integers(0, n)] = lo_sigma * (1.0 + 4e-12)
-    else:
-        sigma = 10.0 ** rng_for(seed).uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)
-    sigma = sigma.reshape(n, 1)
-    lo, freq, cum, row_idx = _cm_group_tables(sigma, delta, precision)
-    ref_freq, ref_cum, level_idx = _all_level_tables(sigma, delta, precision)
-    assert freq.shape[0] == np.unique(np.append(level_idx, ref_freq.shape[0] - 1)).size
-    # the window rows the decoder gets: every bin outside them is at
-    # frequency 1 in the reference rows of the levels in use
-    width = freq.shape[1]
-    assert cum.shape == (freq.shape[0], width + 1)
-    assert np.array_equal(freq[row_idx], ref_freq[level_idx, lo : lo + width])
-    assert np.array_equal(cum[row_idx], ref_cum[level_idx, lo : lo + width + 1])
-    assert np.all(ref_freq[level_idx, :lo] == 1)
-    assert np.all(ref_freq[level_idx, lo + width :] == 1)
-    # the encoder's clipped lookup gives the full-width (freq, cum) of
-    # every symbol 0..510 under every position's row
-    size = 2 * CM_SUPPORT_RADIUS + 1
-    pos = np.repeat(np.arange(n), size)
-    syms = np.tile(np.arange(size), n)
-    f_sel, c_sel = _cm_lookup(lo, freq, cum, row_idx[pos], syms)
-    assert np.array_equal(f_sel, ref_freq[level_idx[pos], syms])
-    assert np.array_equal(c_sel, ref_cum[level_idx[pos], syms])
+    """Every position's row is the level nearest its predicted sigma on a log
+    scale, ``bounds[r-1] < sigma <= bounds[r]``, and the (freq, cum) the
+    encoder codes it with are that level's ``gaussian_table_batch`` row."""
+    rng = rng_for(seed)
+    c = channels
+    predictor = ContextPredictor(
+        weights=tuple(np.hstack([rng.normal(0, 0.3, (c * i, c)), rng.normal(0, spread, (c * i, c))])
+                      for i in range(4)),
+        biases=tuple(np.concatenate([rng.normal(0, 1, c), log_sigma + rng.normal(0, spread, c)])
+                     for _ in range(4)),
+        channels=c, uses_hyper=False,
+    )
+    latent = LatentGrid(rng.normal(0, 2.0, (c, 8, 8)))
+    encode_core = schemes._encode_core
+    with mock.patch.object(schemes, "_encode_core", wraps=encode_core) as spy:
+        coded = cm_encode(latent, predictor, SchemeConfig(scheme="cm", delta=delta))
+    ref_freq, ref_cum = gaussian_table_batch(_CM_LEVELS, delta)
+    decoded = schemes.partition_quadtree(coded.reconstruction)
+    n = decoded[0].shape[0]
+    for i, call in enumerate(spy.call_args_list):
+        freqs, cums, precision = call.args
+        assert precision == schemes.CM_PRECISION
+        mu, sigma = predictor.predict(i, schemes._context_for(i, decoded[:i], None, n))
+        sigma = sigma.ravel()
+        level = np.count_nonzero(_CM_BOUNDS[None, :] < sigma[:, None], axis=1)
+        assert np.array_equal(_cm_rows(sigma), level)
+        syms = (np.rint((decoded[i] - mu) / delta).astype(np.int64) + CM_SUPPORT_RADIUS).ravel()
+        assert freqs == ref_freq[level, syms].tolist()
+        assert cums == ref_cum[level, syms].tolist()
 
 
 @pytest.fixture(scope="module")
