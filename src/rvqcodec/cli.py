@@ -73,6 +73,14 @@ class _CliError(Exception):
         self.code = code
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type`` of the seed and index flags."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -416,13 +424,14 @@ def cmd_sweep(args) -> int:
         raise _CliError(f"--Ks expects four group sizes, got {len(sizes)}", USAGE_ERROR)
 
     points = []
-    for scheme in schemes:
-        if scheme in ("rd", "iq"):
-            points.extend(SchemeConfig(scheme=scheme, m=m) for m in ms)
-        elif scheme == "cm":
-            points.extend(SchemeConfig(scheme="cm", delta=d) for d in deltas)
-        else:
-            raise _CliError(f"unknown scheme {scheme!r}", USAGE_ERROR)
+    try:
+        for scheme in schemes:
+            if scheme == "cm":
+                points.extend(SchemeConfig(scheme="cm", delta=d) for d in deltas)
+            else:
+                points.extend(SchemeConfig(scheme=scheme, m=m) for m in ms)
+    except ValueError as e:  # an unknown scheme, m < 1 or a bad delta
+        raise _CliError(str(e), USAGE_ERROR)
     if max(ms, default=0) > args.stages:
         raise _CliError(f"--ms reaches {max(ms)} but --stages is {args.stages}", USAGE_ERROR)
 
@@ -502,8 +511,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--shape", required=True, help="C,H,W")
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--var", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--index", type=int, default=0, help="latent index within the corpus")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument(
+        "--index", type=_non_negative_int, default=0, help="latent index within the corpus"
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_synth)
@@ -516,7 +527,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--Kz", type=int, default=1024, help="hyper codebook size")
     p.add_argument("--hyper", default="off", choices=("on", "off"))
     p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
 
@@ -541,7 +552,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify-props", help="run the claim-verification battery")
     p.add_argument("--only", default=None, help="|".join(_CLAIMS))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_verify_props)
 
@@ -549,7 +560,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--shape", default="1,128,128")
     p.add_argument("--rho", type=float, default=0.9)
     p.add_argument("--var", type=float, default=1.0)
-    p.add_argument("--source-seed", type=int, default=21)
+    p.add_argument("--source-seed", type=_non_negative_int, default=21)
     p.add_argument("--schemes", default="rd,iq")
     p.add_argument("--ms", default="1,2,3")
     p.add_argument("--deltas", default="1.0,0.5,0.25,0.125,0.0625")
@@ -558,7 +569,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--train-count", type=int, default=8)
     p.add_argument("--holdout-count", type=int, default=8)
     p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--seed", type=int, default=5)
+    p.add_argument("--seed", type=_non_negative_int, default=5)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep)
 

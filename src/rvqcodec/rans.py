@@ -15,15 +15,7 @@ index per symbol.
 ``gaussian_table_batch`` builds such rows for a zero-mean rounded Gaussian.
 It uses a pinned complementary-error-function implementation (power series
 below 1.5, Laplace continued fraction above) rather than the platform libm
-erfc, keeping the integer tables reproducible across machines.  Two facts
-make it cheap without moving a bit:
-
-* Cut points come in pairs +-a, and IEEE sign symmetry makes the series'
-  erf odd bit for bit, so one evaluation per pair gives both erfc values
-  (``_erfc_pair``).
-* The series stops once a term leaves every sum unchanged; terms never grow
-  after the first and sums never shrink, so no later term could change one
-  (``_erf_series``).  The continued fraction runs at its fixed depth.
+erfc, keeping the integer tables reproducible across machines.
 """
 
 from __future__ import annotations
@@ -89,11 +81,7 @@ def _largest_remainder(target: np.ndarray, budget: int) -> np.ndarray:
     zeros = freq == 0
     deficit = zeros.sum(axis=1)
     freq[zeros] = 1
-    # Rows whose largest bin covers the whole deficit repay it in one step.
-    top = np.argmax(freq, axis=1)
-    one_step = freq[np.arange(n), top] > deficit
-    freq[one_step, top[one_step]] -= deficit[one_step]
-    for i in np.flatnonzero(~one_step):
+    for i in np.flatnonzero(deficit):
         d = int(deficit[i])
         row = freq[i]
         while d > 0:
@@ -163,104 +151,45 @@ def _decode_core(stream: RansStream, freq_rows, cum_rows, row_of, precision: int
 
 _ERF_SERIES_CUTOFF = 1.5
 _ERF_SERIES_TERMS = 48
-_ERF_SERIES_CHECK = 4
 _ERFC_CONTFRAC_DEPTH = 64
 _ERFC_ZERO_CUTOFF = 30.0
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
-# The loops' per-step constants 2k + 3 and k / 2 as float64 scalars, which
-# numpy takes with less per-call work than Python floats.
-_ERF_SERIES_DENOMS = 2.0 * np.arange(_ERF_SERIES_TERMS) + 3.0
-_ERFC_CONTFRAC_HALVES = 0.5 * np.arange(_ERFC_CONTFRAC_DEPTH, 0, -1)
 
 
-def _erf_series(x: np.ndarray) -> np.ndarray:
-    """erf on |x| < 1.5 via the Maclaurin-type series with exp damping.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc on signed ``x``, every element through every term.
 
-    Sums at most ``_ERF_SERIES_TERMS`` terms and stops at the first check
-    point, a multiple k >= 4 of ``_ERF_SERIES_CHECK``, at which adding term
-    k changed no element.  That stop returns the full sum bit for bit: from k = 1 on
-    the term ratio 2x^2 / (2k + 3) is below 1 (2x^2 < 4.5 < 5), so rounded
-    terms never grow, ``acc`` never shrinks, and by monotone rounding a term
-    no larger than one that left ``acc`` unchanged leaves it unchanged too.
-    Near |x| = 1.5 the last term to change a value is k = 23, so at most 25
-    of the 48 terms are added.
+    Below |x| = 1.5 it is 1 - erf from the 48-term Maclaurin-type series
+    with exp damping; above, the depth-64 Laplace continued fraction on |x|,
+    0 from |x| = 30, and 2 - erfc(-x) for negative x.
     """
-    x2 = x * x
+    ax = np.abs(x)
+    out = np.empty_like(x)
+    small = ax < _ERF_SERIES_CUTOFF
+    xs = x[small]
+    x2 = xs * xs
     two_x2 = 2.0 * x2
-    acc = np.zeros_like(x)
-    term = np.full_like(x, 2.0)
-    ratio = np.empty_like(x)
-    for k, denom in enumerate(_ERF_SERIES_DENOMS):
-        if k >= _ERF_SERIES_CHECK and k % _ERF_SERIES_CHECK == 0:
-            grown = acc + term
-            if (grown == acc).all():
-                break
-            acc = grown
-        else:
-            acc += term
-        np.divide(two_x2, denom, out=ratio)
-        term *= ratio
-    return x * np.exp(-x2) * _INV_SQRT_PI * acc
+    acc = np.zeros_like(xs)
+    term = np.full_like(xs, 2.0)
+    for k in range(_ERF_SERIES_TERMS):
+        acc += term
+        term *= two_x2 / (2.0 * k + 3.0)
+    out[small] = 1.0 - xs * np.exp(-x2) * _INV_SQRT_PI * acc
 
-
-def _erfc_contfrac(x: np.ndarray) -> np.ndarray:
-    """erfc on x >= 1.5 via the Laplace continued fraction, fixed depth."""
-    b = x.copy()
-    for half_k in _ERFC_CONTFRAC_HALVES:
-        np.divide(half_k, b, out=b)
-        b += x
-    out = np.exp(-x * x) * _INV_SQRT_PI / b
-    out[x >= _ERFC_ZERO_CUTOFF] = 0.0
+    xb = ax[~small]
+    b = xb.copy()
+    for k in range(_ERFC_CONTFRAC_DEPTH, 0, -1):
+        b = xb + (0.5 * k) / b
+    tail = np.exp(-xb * xb) * _INV_SQRT_PI / b
+    tail[xb >= _ERFC_ZERO_CUTOFF] = 0.0
+    out[~small] = np.where(x[~small] > 0, tail, 2.0 - tail)
     return out
-
-
-def _erfc_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(erfc(a), erfc(-a))`` for ``a >= 0``, one evaluation per element.
-
-    Every table edge comes in a pair +-(k + 0.5) * delta / sigma about the
-    zero mean, so both of its erfc arguments share one magnitude ``a``.
-    IEEE negation is exact and multiplication and division are
-    sign-symmetric, so the series gives erf(-a) = -erf(a) bit for bit:
-    below the series cutoff erfc(a) = 1 - E and erfc(-a) = 1 + E, above it
-    ``tail`` and 2 - ``tail``, exactly as the signed evaluation of each.
-    """
-    pos = np.empty_like(a)
-    neg = np.empty_like(a)
-    small = a < _ERF_SERIES_CUTOFF
-    if small.any():
-        e = _erf_series(a[small])
-        pos[small] = 1.0 - e
-        neg[small] = 1.0 + e
-    big = ~small
-    if big.any():
-        tail = _erfc_contfrac(a[big])
-        pos[big] = tail
-        neg[big] = 2.0 - tail
-    return pos, neg
 
 
 def gaussian_cdf(t) -> np.ndarray:
     """Standard normal CDF 0.5 * erfc(-t / sqrt(2)) from the pinned erfc;
     accurate to ~1e-14."""
-    x = -np.asarray(t, dtype=np.float64) / np.sqrt(2.0)
-    pos, neg = _erfc_pair(np.abs(x))
-    return 0.5 * np.where(x < 0, neg, pos)
-
-
-def _edge_cdf(sigma: np.ndarray, delta: float, half: int) -> np.ndarray:
-    """The CDF at the ``2*half`` cut points ``(k + 0.5) * delta / sigma``.
-
-    Row ``i`` holds the cut points for ``k = -half .. half-1`` in order, the
-    same values as ``gaussian_cdf`` on them, from one erfc pair per
-    ``+-`` edge.
-    """
-    edges = np.arange(half, dtype=np.float64) + 0.5
-    a = edges[None, :] * (delta / sigma[:, None]) / np.sqrt(2.0)
-    left, right = _erfc_pair(a)
-    cdf = np.empty((sigma.size, 2 * half), dtype=np.float64)
-    np.multiply(left[:, ::-1], 0.5, out=cdf[:, :half])
-    np.multiply(right, 0.5, out=cdf[:, half:])
-    return cdf
+    return 0.5 * _erfc(-np.asarray(t, dtype=np.float64) / np.sqrt(2.0))
 
 
 def gaussian_table_batch(
@@ -275,8 +204,7 @@ def gaussian_table_batch(
     radius); its mass is the Gaussian CDF increment over [k-0.5, k+0.5)
     scaled by delta/sigma, with the tails beyond +-S folded into the edge
     bins.  Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2):
-    full rows, the ones ``_decode_core`` takes.  The CDF is evaluated once
-    per edge pair (see ``_erfc_pair``).
+    full rows, the ones ``_decode_core`` takes.
     """
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
@@ -294,7 +222,8 @@ def gaussian_table_batch(
         raise ValueError(f"support {size} exceeds 2**precision = {budget}")
 
     # The mass outside the outermost cuts folds into the edge bins.
-    cdf = _edge_cdf(sigma, delta, support_radius)
+    edges = np.arange(-support_radius, support_radius, dtype=np.float64) + 0.5
+    cdf = gaussian_cdf(edges[None, :] * (delta / sigma[:, None]))
     masses = np.empty((n, size), dtype=np.float64)
     masses[:, 0] = cdf[:, 0]
     np.subtract(cdf[:, 1:], cdf[:, :-1], out=masses[:, 1:-1])

@@ -334,6 +334,10 @@ def _decode_fixed(
         raise ValueError(f"expected an {scheme}-coded latent, got {coded.scheme!r}")
     if coded.group_stacks is None:
         raise ValueError("coded latent carries no index stacks")
+    if len(coded.group_stacks) != 4:
+        raise ValueError(
+            f"coded latent carries {len(coded.group_stacks)} index stacks, expected 4"
+        )
     m = coded.m
     if m is None or not 1 <= m <= qset.stages:
         raise ValueError(f"coded m={m} outside [1, {qset.stages}]")
@@ -515,6 +519,10 @@ def cm_decode(
         raise ValueError("cm_decode needs a cm-coded latent and a cm config")
     if coded.group_streams is None:
         raise ValueError("coded latent carries no byte streams")
+    if len(coded.group_streams) != 4:
+        raise ValueError(
+            f"coded latent carries {len(coded.group_streams)} byte streams, expected 4"
+        )
     _check_cm_predictor(predictor)
     delta = float(config.delta)
     if coded.delta is not None and coded.delta != delta:

@@ -102,6 +102,21 @@ def test_unknown_flag_exits_with_usage_error():
     assert exc.value.code == USAGE_ERROR
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "--shape", "1,8,8", "--out", "a.eflt", "--seed", "-1"],
+    ["synth", "--shape", "1,8,8", "--out", "a.eflt", "--index", "-1"],
+    ["train", "--data", "a.eflt", "--seed", "-1"],
+    ["verify-props", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--source-seed", "-1"],
+])
+def test_negative_seed_or_index_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out-dir", str(tmp_path)])
+    assert exc.value.code == USAGE_ERROR
+    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_train_writes_model_files_and_manifest(pipeline):
     model = pipeline["model"]
     for i in range(1, 5):
@@ -509,6 +524,7 @@ def test_config_values_are_parsed_by_the_flags_own_type(monkeypatch, tmp_path, c
     (["verify-props", "--only", "entropy"], "seed=seven"),
     (["synth", "--shape", "1,8,8", "--out", "a.eflt"], "rho=high"),
     (["train"], "scheme=cm"),  # not one of the flag's choices
+    (["synth", "--shape", "1,8,8", "--out", "a.eflt"], "seed=-1"),
 ])
 def test_config_value_the_flag_would_reject_is_a_usage_error(
     monkeypatch, tmp_path, capsys, command, line
@@ -644,6 +660,19 @@ def test_sweep_rejects_m_beyond_stages(tmp_path):
          "--schemes", "rd", "--Ks", "4,4,4,4", "--out-dir", str(tmp_path)]
     )
     assert rc == USAGE_ERROR
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ms", "0"), ("--deltas", "0"), ("--deltas", "nan"), ("--schemes", "rd,bogus"),
+])
+def test_sweep_rejects_invalid_operating_points(tmp_path, capsys, flag, value):
+    points = {"--schemes": "rd,cm", "--ms": "1", "--deltas": "1.0", flag: value}
+    rc = main(
+        ["sweep", "--shape", "1,32,32", "--stages", "2", "--Ks", "4,4,4,4",
+         *(a for item in points.items() for a in item), "--out-dir", str(tmp_path)]
+    )
+    assert rc == USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bdrate_identical_curves_prints_zero(sweep_dir, tmp_path, capsys):

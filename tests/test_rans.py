@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from rvqcodec.grids import rng_for
 from rvqcodec.rans import (
-    _ERF_SERIES_CHECK,
     RANS_LOWER_BOUND,
     RansStream,
     _decode_core,
-    _edge_cdf,
     _encode_core,
     _largest_remainder,
     gaussian_cdf,
@@ -195,8 +193,7 @@ def _frozen_erfc(x) -> np.ndarray:
     """The pinned erfc as first shipped, frozen to pin its bits.
 
     Signed ``x``; 48 series terms below |x| = 1.5 and the depth-64 continued
-    fraction above, every element through every term, one evaluation per
-    element (no edge pairs, no early exit)."""
+    fraction above, every element through every term."""
     x = np.asarray(x, dtype=np.float64)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     ax = np.abs(x)
@@ -238,10 +235,12 @@ def _ulps_around(v: float, count: int = 4) -> np.ndarray:
     return np.array(out)
 
 
+_SERIES_CHECK = 4
+
+
 def _series_stop(x: float) -> int:
-    """The check point at which the series stops for ``|x| < 1.5``: the
-    first multiple of ``_ERF_SERIES_CHECK`` past the last term (of 48) that
-    changes the sum."""
+    """The check point (a multiple of ``_SERIES_CHECK``) just past the last
+    series term (of 48) that changes the sum for ``|x| < 1.5``."""
     x2 = x * x
     acc, term, last = 0.0, 2.0, 0
     for k in range(48):
@@ -249,7 +248,7 @@ def _series_stop(x: float) -> int:
             last = k
         acc = acc + term
         term = term * (2.0 * x2 / (2.0 * k + 3.0))
-    return max(_ERF_SERIES_CHECK, (last // _ERF_SERIES_CHECK + 1) * _ERF_SERIES_CHECK)
+    return max(_SERIES_CHECK, (last // _SERIES_CHECK + 1) * _SERIES_CHECK)
 
 
 def test_gaussian_cdf_matches_reference():
@@ -261,9 +260,9 @@ def test_gaussian_cdf_matches_reference():
 
 
 def test_gaussian_cdf_is_pinned_to_frozen_bits():
-    """The paired, early-exit erfc returns the frozen one's bits: on a dense
-    grid, at the branch cutoffs |t| = 1.5*sqrt(2) and the zero cutoff
-    30*sqrt(2), and at tiny |t|."""
+    """The erfc returns the frozen one's bits: on a dense grid, at the
+    branch cutoffs |t| = 1.5*sqrt(2) and the zero cutoff 30*sqrt(2), and at
+    tiny |t|."""
     grid = np.linspace(-40.0, 40.0, 400_001)
     cut = 1.5 * np.sqrt(2.0)
     zero = 30.0 * np.sqrt(2.0)
@@ -276,15 +275,15 @@ def test_gaussian_cdf_is_pinned_to_frozen_bits():
 
 
 def test_table_cdf_is_pinned_to_frozen_bits():
-    """The tables' CDF, one erfc pair per +-edge, equals the frozen CDF on
-    the signed cut points ``(k + 0.5) * delta / sigma``."""
+    """The CDF on the tables' signed cut points ``(k + 0.5) * delta / sigma``
+    equals the frozen CDF."""
     half = 40
     edges = np.arange(-half, half, dtype=np.float64) + 0.5
 
     def check(sigma, delta):
         sigma = np.asarray(sigma, dtype=np.float64)
-        ref = _frozen_cdf(edges[None, :] * (delta / sigma[:, None]))
-        assert np.array_equal(_bits(_edge_cdf(sigma, delta, half)), _bits(ref))
+        t = edges[None, :] * (delta / sigma[:, None])
+        assert np.array_equal(_bits(gaussian_cdf(t)), _bits(_frozen_cdf(t)))
 
     # dense: cut points from 5e-4 to 39.5 standard deviations
     check(np.geomspace(1.0, 1e3, 3001), 1.0)
@@ -299,20 +298,23 @@ def test_table_cdf_is_pinned_to_frozen_bits():
 
 
 def test_series_stops_at_every_check_point_with_frozen_bits():
-    """Arguments whose series stops at each check point 4, 8, .., 24 give
-    the frozen bits, through ``gaussian_cdf`` and through the table CDF."""
+    """Arguments whose last sum-changing series term falls before each
+    check point 4, 8, .., 24 give the frozen bits, through ``gaussian_cdf``
+    and through a one-edge-pair table."""
     candidates = np.geomspace(1e-12, 1.499, 3000)
     stops = np.array([_series_stop(float(x)) for x in candidates])
-    points = list(range(_ERF_SERIES_CHECK, 25, _ERF_SERIES_CHECK))
+    points = list(range(_SERIES_CHECK, 25, _SERIES_CHECK))
     assert sorted(set(stops.tolist())) == points
     for point in points:
         x = float(np.median(candidates[stops == point]))
         t = np.array([x, -x]) * np.sqrt(2.0)
         assert np.array_equal(_bits(gaussian_cdf(t)), _bits(_frozen_cdf(t)))
-        # a one-edge-pair table whose cut points sit at +-x
+        # a one-edge-pair table whose cut points sit at +-x standard deviations
         sigma = np.array([0.5 / (x * np.sqrt(2.0))])
-        ref = _frozen_cdf(np.array([-0.5, 0.5]) * (1.0 / sigma))
-        assert np.array_equal(_bits(_edge_cdf(sigma, 1.0, 1)[0]), _bits(ref))
+        freqs, cums = gaussian_table_batch(sigma, 1.0, 1, 16)
+        ref_freqs, ref_cums = _full_width_tables(sigma, 1.0, 1, 16)
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(cums, ref_cums)
 
 
 def _one_row(sigma, delta, support_radius, precision):
@@ -400,8 +402,7 @@ def test_gaussian_table_batch_equals_full_width_reference(
 ):
     """Tables equal the full-width reference bit for bit.  Sigma up to 1e4
     standard deltas over supports down to one bin put edges on both erfc
-    branches and let the series stop anywhere from its first check point
-    on."""
+    branches."""
     support_radius = min(support_radius, ((1 << precision) - 1) // 2)
     rng = rng_for(seed)
     sigma = 10.0 ** rng.uniform(log_sigma_lo, log_sigma_lo + log_sigma_span, n)

@@ -309,6 +309,9 @@ def test_fixed_decode_rejects_malformed_stacks(
         (replace(coded, m=3), "outside"),
         (replace(coded, m=None), "outside"),
         (with_first_stack(out_of_range, first[1]), f"out of range for K={k}"),
+        (replace(coded, group_stacks=coded.group_stacks[:3]), "3 index stacks, expected 4"),
+        (replace(coded, group_stacks=coded.group_stacks + coded.group_stacks[:1]),
+         "5 index stacks, expected 4"),
     ]
     if scheme == "rd-hyper":
         hyper = coded.hyper_stack.indices
@@ -647,6 +650,15 @@ def test_cm_decode_rejects_mutated_streams_with_value_error(
     except ValueError:
         return
     assert recon.shape == coded.shape
+
+
+def test_cm_decode_rejects_a_wrong_stream_count(cm_model, cm_blobs):
+    coded, _ = cm_blobs
+    config = SchemeConfig(scheme="cm", delta=0.5)
+    streams = coded.group_streams
+    for received, count in ((streams[:3], 3), (streams + streams[:1], 5)):
+        with pytest.raises(ValueError, match=f"{count} byte streams, expected 4"):
+            cm_decode(replace(coded, reconstruction=None, group_streams=received), cm_model, config)
 
 
 def test_cm_is_deterministic(cm_model, holdout):
