@@ -133,6 +133,8 @@ def merge_groups(rows, shape: tuple[int, int, int]) -> LatentGrid:
     n = (h // 2) * (w // 2)
     if len(rows) != len(GROUP_PHASES) or any(r.shape != (n, c) for r in rows):
         raise ValueError(f"need four ({n}, {c}) group row arrays for a {shape} latent")
+    if h % 2 or w % 2:
+        raise ValueError(f"latent spatial dims must be even, got {h}x{w}")
     out = np.empty((c, h, w), dtype=np.float64)
     for (pi, pj), r in zip(GROUP_PHASES, rows):
         out[:, pi::2, pj::2] = r.T.reshape(c, h // 2, w // 2)

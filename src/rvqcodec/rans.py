@@ -9,8 +9,15 @@ decoder reading order.
 A table is a row of integer frequencies summing to ``2**precision`` with
 every symbol at frequency >= 1, plus its exclusive prefix sums ``cum``.
 ``_encode_core`` takes each symbol's ``freq[s]`` and ``cum[s]`` as two
-parallel lists.  ``_decode_core`` takes distinct full rows and one row
-index per symbol.
+parallel lists.  ``_decode_core`` takes distinct full rows, as
+``decode_rows`` builds them, and one row index per symbol.
+
+The decoder finds a symbol from its slot by lookup, as table-driven rANS
+decoders do: ``decode_rows`` gives each row a 256-entry start row whose
+entry ``b`` is the symbol holding slot ``b << (precision - 8)``.  That
+symbol starts at or below every slot of bucket ``b``, so it is the answer
+whenever it also ends above the slot; only slots past its end, in buckets
+that several symbols share, fall back to a bisect over the row's ``cum``.
 
 ``gaussian_table_batch`` builds such rows for a zero-mean rounded Gaussian.
 It uses a pinned complementary-error-function implementation (power series
@@ -28,6 +35,7 @@ import numpy as np
 __all__ = [
     "RansStream",
     "RANS_LOWER_BOUND",
+    "decode_rows",
     "gaussian_cdf",
     "gaussian_table_batch",
 ]
@@ -35,6 +43,8 @@ __all__ = [
 RANS_LOWER_BOUND = 1 << 16
 _MIN_PRECISION = 8
 _MAX_PRECISION = 16
+# Start rows have 2**_START_BITS entries: a full slot table at precision 8.
+_START_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -110,19 +120,40 @@ def _encode_core(freqs: list, cums: list, precision: int) -> tuple[int, bytes]:
     return x, bytes(emitted)
 
 
-def _decode_core(stream: RansStream, freq_rows, cum_rows, row_of, precision: int) -> list[int]:
+def decode_rows(freq: np.ndarray, cum: np.ndarray, precision: int) -> tuple[tuple, tuple, tuple]:
+    """The ``(freq_rows, cum_rows, start_rows)`` tuples of Python ints that
+    ``_decode_core`` takes, from ``(n, K)`` frequencies and their ``(n, K+1)``
+    exclusive prefix sums.
+
+    Entry ``b`` of a start row is the symbol ``s`` with
+    ``cum[s] <= b << (precision - 8) < cum[s + 1]``.
+    """
+    slots = np.arange(1 << _START_BITS, dtype=np.int64) << (precision - _START_BITS)
+    start = [np.searchsorted(row, slots, side="right") - 1 for row in cum]
+    return (
+        tuple(map(tuple, freq.tolist())),
+        tuple(map(tuple, cum.tolist())),
+        tuple(tuple(row.tolist()) for row in start),
+    )
+
+
+def _decode_core(stream: RansStream, tables, row_of, precision: int) -> list[int]:
     """Pop one symbol per entry of ``row_of``, symbol ``i`` under row ``row_of[i]``.
 
-    ``freq_rows[r]`` holds the frequency of every symbol and ``cum_rows[r]``
-    their exclusive prefix sums, one entry longer: ``0 .. 2**precision``.
+    ``tables`` is ``decode_rows``' ``(freq_rows, cum_rows, start_rows)``:
+    ``freq_rows[r]`` holds the frequency of every symbol, ``cum_rows[r]``
+    their exclusive prefix sums ``0 .. 2**precision``, and ``start_rows[r]``
+    the symbol at the start of each of 256 slot buckets.
     """
     from bisect import bisect_right
 
     if len(row_of) != stream.count:
         raise ValueError(f"{len(row_of)} table rows for {stream.count} symbols")
 
+    freq_rows, cum_rows, start_rows = tables
     lower = RANS_LOWER_BOUND
     mask = (1 << precision) - 1
+    shift = precision - _START_BITS
     x = stream.state
     payload = stream.payload
     pos = 0
@@ -131,7 +162,9 @@ def _decode_core(stream: RansStream, freq_rows, cum_rows, row_of, precision: int
     for r in row_of:
         cf = x & mask
         cum = cum_rows[r]
-        s = bisect_right(cum, cf) - 1
+        s = start_rows[r][cf >> shift]
+        if cum[s + 1] <= cf:
+            s = bisect_right(cum, cf) - 1
         x = freq_rows[r][s] * (x >> precision) + cf - cum[s]
         while x < lower:
             if pos >= end:
@@ -204,7 +237,7 @@ def gaussian_table_batch(
     radius); its mass is the Gaussian CDF increment over [k-0.5, k+0.5)
     scaled by delta/sigma, with the tails beyond +-S folded into the edge
     bins.  Returns ``(freqs, cums)`` with shapes (n, 2S+1) and (n, 2S+2):
-    full rows, the ones ``_decode_core`` takes.
+    full rows, the ones ``decode_rows`` turns into ``_decode_core``'s.
     """
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):

@@ -58,7 +58,7 @@ from .quantizers import (
     train_codebook,
     train_rvq,
 )
-from .rans import RansStream, gaussian_table_batch, _decode_core, _encode_core
+from .rans import RansStream, decode_rows, gaussian_table_batch, _decode_core, _encode_core
 from .timing import PhaseTimer
 
 __all__ = [
@@ -419,18 +419,21 @@ def _rvq_reconstruct(rvq: ResidualVQ, stack: IndexStack) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cm_tables(delta: float) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+def _cm_tables(delta: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Full ``(freq, cum)`` rows of every scale level at ``delta``, built once.
 
     Returns the rows as read-only arrays (the encoder's lookup) and as
-    tuples of Python ints (the decoder's); every caller shares them.
+    ``decode_rows``' tuples of Python ints (the decoder's): freq and cum
+    rows plus each level's 256-entry start row, which finds a symbol from
+    its slot by lookup, with a bisect of the cum row as the fallback.
+    Every caller shares them.
     """
     freq, cum = gaussian_table_batch(
         _CM_LEVELS, delta, support_radius=CM_SUPPORT_RADIUS, precision=CM_PRECISION
     )
     freq.flags.writeable = False
     cum.flags.writeable = False
-    return freq, cum, tuple(map(tuple, freq.tolist())), tuple(map(tuple, cum.tolist()))
+    return freq, cum, decode_rows(freq, cum, CM_PRECISION)
 
 
 def _cm_rows(sigma: np.ndarray) -> np.ndarray:
@@ -487,7 +490,7 @@ def cm_encode(
             decoded.append(mu + delta * k)
         with timer.phase("entropy_code"):
             with timer.phase("tables"):
-                freq, cum, _, _ = _cm_tables(delta)
+                freq, cum, _ = _cm_tables(delta)
                 rows = _cm_rows(sigma)
             syms = k.ravel() + s_radius
             f_sel, c_sel = freq[rows, syms], cum[rows, syms]
@@ -544,9 +547,9 @@ def cm_decode(
                     f"group {i + 1} stream holds {stream.count} symbols, expected {n * c}"
                 )
             with timer.phase("tables"):
-                _, _, freq_rows, cum_rows = _cm_tables(delta)
+                _, _, tables = _cm_tables(delta)
                 rows = _cm_rows(sigma)
-            syms = _decode_core(stream, freq_rows, cum_rows, rows.tolist(), CM_PRECISION)
+            syms = _decode_core(stream, tables, rows.tolist(), CM_PRECISION)
         with timer.phase("quantize"):
             k = np.asarray(syms, dtype=np.int64).reshape(n, c) - s_radius
             decoded.append(mu + delta * k)

@@ -297,7 +297,7 @@ def test_missing_inputs_are_io_errors(pipeline, tmp_path):
     assert rc == IO_ERROR
 
 
-def test_decode_truncated_stream_fails(pipeline, tmp_path):
+def test_decode_truncated_stream_fails(pipeline, tmp_path, capsys):
     stream = (pipeline["enc"] / "stream.efbs").read_bytes()
     cut = tmp_path / "cut.efbs"
     cut.write_bytes(stream[:-5])
@@ -307,7 +307,8 @@ def test_decode_truncated_stream_fails(pipeline, tmp_path):
             "--model-dir", str(pipeline["model"]), "--out-dir", str(tmp_path),
         ]
     )
-    assert rc != 0
+    assert rc == IO_ERROR
+    assert "missing" in capsys.readouterr().err
 
 
 def test_decode_padded_stream_is_an_io_error(pipeline, tmp_path, capsys):

@@ -287,7 +287,7 @@ GOLDEN_TABLES = {
 def _compute_table_digests():
     out = {}
     for delta in (1.0, 0.5, 0.25):
-        freq, cum, _, _ = _cm_tables(delta)
+        freq, cum, _ = _cm_tables(delta)
         out[f"d{delta}-freq"] = _sha(np.ascontiguousarray(freq, dtype="<i8").tobytes())
         out[f"d{delta}-cum"] = _sha(np.ascontiguousarray(cum, dtype="<i8").tobytes())
     return out

@@ -17,6 +17,7 @@ from rvqcodec.rans import (
     _decode_core,
     _encode_core,
     _largest_remainder,
+    decode_rows,
     gaussian_cdf,
     gaussian_table_batch,
 )
@@ -38,7 +39,7 @@ def _encode(symbols, freq, cum, row_of, precision) -> RansStream:
 
 
 def _decode(stream, freq, cum, row_of, precision) -> list[int]:
-    return _decode_core(stream, freq.tolist(), cum.tolist(), list(row_of), precision)
+    return _decode_core(stream, decode_rows(freq, cum, precision), list(row_of), precision)
 
 
 def test_normalize_frequencies_hand_case():
@@ -160,6 +161,116 @@ def test_rans_decode_rejects_mismatched_input():
         _decode(padded, freq, cum, [0] * 64, 8)
     with pytest.raises(ValueError, match="final state"):
         _decode(RansStream(count=0, state=RANS_LOWER_BOUND + 1, payload=b""), freq, cum, [], 8)
+
+
+def _frozen_bisect_decode(stream, freq_rows, cum_rows, row_of, precision) -> list[int]:
+    """The decode loop before start rows, frozen: one bisect of the full
+    ``cum`` row per symbol."""
+    from bisect import bisect_right
+
+    if len(row_of) != stream.count:
+        raise ValueError(f"{len(row_of)} table rows for {stream.count} symbols")
+    lower = RANS_LOWER_BOUND
+    mask = (1 << precision) - 1
+    x = stream.state
+    payload = stream.payload
+    pos = 0
+    end = len(payload)
+    out = []
+    for r in row_of:
+        cf = x & mask
+        cum = cum_rows[r]
+        s = bisect_right(cum, cf) - 1
+        x = freq_rows[r][s] * (x >> precision) + cf - cum[s]
+        while x < lower:
+            if pos >= end:
+                raise ValueError("stream exhausted before all symbols decoded")
+            x = (x << 8) | payload[pos]
+            pos += 1
+        out.append(s)
+    if x != lower:
+        raise ValueError(f"final state {x} != {lower}: corrupt or mismatched stream")
+    if pos != end:
+        raise ValueError(f"{end - pos} unread payload bytes: mismatched stream")
+    return out
+
+
+def _sparse_tables(rng, rows: int, k: int, precision: int) -> np.ndarray:
+    """``rows`` tables of ``k`` bins with most bins at frequency 1 and the
+    mass on up to four, so many symbols share one start-row bucket."""
+    freq = np.ones((rows, k), dtype=np.int64)
+    for row in freq:
+        heavy = rng.choice(k, size=min(k, int(rng.integers(1, 5))), replace=False)
+        row[heavy] += rng.multinomial((1 << precision) - k, rng.dirichlet(np.ones(heavy.size)))
+    return freq
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@given(data=st.data())
+def test_start_row_decode_equals_frozen_bisect_decode(data):
+    """Coded, cut, padded, miscounted and random streams decode to the same
+    symbols, or fail with the same message, with and without start rows."""
+    precision = data.draw(st.integers(8, 16))
+    k = data.draw(st.integers(2, min(511, 1 << precision)))
+    rows = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(0, 300))
+    rng = rng_for(data.draw(st.integers(0, 2**31)))
+    tables = _sparse_tables if data.draw(st.booleans()) else _random_tables
+    freq = tables(rng, rows, k, precision)
+    cum = _cums(freq)
+    row_of = rng.integers(0, rows, size=n).tolist()
+
+    kind = data.draw(st.sampled_from(["coded", "cut", "padded", "miscounted", "random"]))
+    if kind == "random":
+        stream = RansStream(
+            count=n,
+            state=data.draw(st.integers(0, 2**32 - 1)),
+            payload=data.draw(st.binary(max_size=2 * n + 4)),
+        )
+    else:
+        stream = _encode(rng.integers(0, k, size=n), freq, cum, row_of, precision)
+        if kind == "cut":
+            stream = RansStream(stream.count, stream.state, stream.payload[:-1])
+        elif kind == "padded":
+            stream = RansStream(stream.count, stream.state, stream.payload + b"\x00")
+        elif kind == "miscounted":
+            stream = RansStream(stream.count + 1, stream.state, stream.payload)
+
+    new = _outcome(_decode_core, stream, decode_rows(freq, cum, precision), row_of, precision)
+    old = _outcome(_frozen_bisect_decode, stream, freq.tolist(), cum.tolist(), row_of, precision)
+    assert new == old
+
+
+def test_decode_rows_start_entries_and_bisect_fallback():
+    """Entry b of a start row is the symbol holding slot b << (precision - 8);
+    symbols that share a bucket without starting it decode by the fallback."""
+    rng = rng_for(55)
+    precision = 16
+    freq = _sparse_tables(rng, 3, 511, precision)
+    cum = _cums(freq)
+    freq_rows, cum_rows, start_rows = decode_rows(freq, cum, precision)
+    assert freq_rows == tuple(map(tuple, freq.tolist()))
+    assert cum_rows == tuple(map(tuple, cum.tolist()))
+    for row, start in zip(cum_rows, start_rows):
+        assert len(start) == 256
+        assert all(row[s] <= b << 8 < row[s + 1] for b, s in enumerate(start))
+
+    # Frequency-1 symbols off a bucket start: the start row never names them.
+    inside = [
+        (r, s) for r in range(3) for s in range(511)
+        if freq[r, s] == 1 and cum[r, s] % 256 and s not in start_rows[r]
+    ]
+    assert len(inside) > 400
+    picks = [inside[i] for i in rng.integers(0, len(inside), size=500)]
+    row_of, symbols = [r for r, _ in picks], [s for _, s in picks]
+    stream = _encode(symbols, freq, cum, row_of, precision)
+    assert _decode(stream, freq, cum, row_of, precision) == symbols
 
 
 def test_rans_stream_serialization():

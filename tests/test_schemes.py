@@ -287,6 +287,16 @@ def _fixed_codec(scheme, rd_model, iq_qset):
             lambda coded: rd_decode(coded, predictor, qset))
 
 
+@pytest.mark.parametrize("scheme", ["rd", "iq"])
+def test_fixed_decode_rejects_odd_spatial_dims(scheme, rd_model, iq_qset, holdout):
+    """A 33x33 shape has the 16x16 groups of the 32x32 holdout, so its
+    stack counts pass; the merge rejects the odd dims."""
+    _, encode, decode = _fixed_codec(scheme, rd_model, iq_qset)
+    received = replace(encode(holdout, 1), reconstruction=None, shape=(1, 33, 33))
+    with pytest.raises(ValueError, match="spatial dims must be even, got 33x33"):
+        decode(received)
+
+
 @pytest.mark.parametrize("scheme", ["rd", "iq", "rd-hyper"])
 def test_fixed_decode_rejects_malformed_stacks(
     scheme, rd_model, rd_hyper_model, iq_qset, holdout
@@ -565,11 +575,17 @@ def test_cm_scale_table_is_geometric_with_log_midpoint_bounds():
 
 
 def test_cm_tables_are_built_once_per_delta_and_read_only():
-    freq, cum, freq_rows, cum_rows = _cm_tables(0.5)
+    freq, cum, (freq_rows, cum_rows, start_rows) = _cm_tables(0.5)
     assert _cm_tables(0.5)[0] is freq
     assert freq.shape == (64, 2 * CM_SUPPORT_RADIUS + 1) and cum.shape == (64, freq.shape[1] + 1)
     assert list(map(list, freq_rows)) == freq.tolist()
     assert list(map(list, cum_rows)) == cum.tolist()
+    # Entry b of every level's start row is the symbol holding slot b << 8.
+    assert len(start_rows) == 64
+    for row, start in zip(cum.tolist(), start_rows):
+        assert len(start) == 256
+        for b, s in enumerate(start):
+            assert row[s] <= b << 8 < row[s + 1]
     with pytest.raises(ValueError):
         freq[0, 0] = 2
     with pytest.raises(ValueError):
@@ -659,6 +675,15 @@ def test_cm_decode_rejects_a_wrong_stream_count(cm_model, cm_blobs):
     for received, count in ((streams[:3], 3), (streams + streams[:1], 5)):
         with pytest.raises(ValueError, match=f"{count} byte streams, expected 4"):
             cm_decode(replace(coded, reconstruction=None, group_streams=received), cm_model, config)
+
+
+def test_cm_decode_rejects_odd_spatial_dims(cm_model, cm_blobs):
+    """A 33x33 shape has the 16x16 groups of the 32x32 holdout, so its
+    stream counts pass; the merge rejects the odd dims."""
+    coded, _ = cm_blobs
+    received = replace(coded, reconstruction=None, shape=(1, 33, 33))
+    with pytest.raises(ValueError, match="spatial dims must be even, got 33x33"):
+        cm_decode(received, cm_model, SchemeConfig(scheme="cm", delta=0.5))
 
 
 def test_cm_is_deterministic(cm_model, holdout):
