@@ -81,6 +81,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of the count flags: iterations, stages, sizes, m."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -522,11 +530,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("train", help="train codebooks (and predictor for rd)")
     p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--data", action="append", default=[], help="latent file(s), repeatable")
-    p.add_argument("--stages", type=int, default=1)
+    p.add_argument("--stages", type=_positive_int, default=1)
     p.add_argument("--Ks", default="1024,512,256,128", help="per-group codebook sizes")
-    p.add_argument("--Kz", type=int, default=1024, help="hyper codebook size")
+    p.add_argument("--Kz", type=_positive_int, default=1024, help="hyper codebook size")
     p.add_argument("--hyper", default="off", choices=("on", "off"))
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--iters", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
@@ -535,7 +543,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--latent", required=True)
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--m", type=int, required=True, help="stage count to transmit")
+    p.add_argument("--m", type=_positive_int, required=True, help="stage count to transmit")
     p.add_argument("--out", default="stream.efbs")
     p.add_argument("--recon", default=None, help="also write the local reconstruction")
     p.add_argument("--out-dir", default=".")
@@ -565,10 +573,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ms", default="1,2,3")
     p.add_argument("--deltas", default="1.0,0.5,0.25,0.125,0.0625")
     p.add_argument("--Ks", default="8,4,4,2")
-    p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--train-count", type=int, default=8)
-    p.add_argument("--holdout-count", type=int, default=8)
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--stages", type=_positive_int, default=3)
+    p.add_argument("--train-count", type=_positive_int, default=8)
+    p.add_argument("--holdout-count", type=_positive_int, default=8)
+    p.add_argument("--iters", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=5)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep)

@@ -108,11 +108,6 @@ __all__ = [
 _CODEBOOK_MAGIC = b"EFCB"
 _CODEBOOK_VERSION = 1
 
-# A codeword whose EMA usage count falls below ``_DEAD_FRACTION * n / K``
-# is considered dead and reseeded onto a random training vector.
-_DEAD_FRACTION = 1e-3
-_EMA_DECAY = 0.99
-
 # Row chunk of the cdist search (a chunk's distance buffer is 16 MB at
 # K = 256), of its distance sums, whose order ``_chunked_sum`` repeats, of
 # the C = 1 neighbour comparison and of the k-means++ prefix search.
@@ -539,17 +534,15 @@ def train_codebook(
     k: int,
     iterations: int = 25,
     seed: int = 0,
-    ema_decay: float = _EMA_DECAY,
 ) -> tuple[Codebook, dict]:
-    """Fit K codewords by Lloyd iteration with EMA codeword updates.
+    """Fit K codewords by Lloyd iteration from a k-means++ start.
 
-    Codewords move along the segment from their previous position towards
-    the current cluster mean (an EMA over assigned mass), so the training
-    MSE measured at each assignment never increases.  Dead codewords, ones
-    with EMA usage below ``1e-3 * n / K`` and no vectors assigned in the
-    current iteration, are reseeded onto random training vectors; requiring
-    zero current usage keeps the reseed from detaching live vectors, which
-    preserves the monotone-MSE property.
+    Each pass assigns every sample to its nearest codeword and moves each
+    codeword to the exact mean of the samples assigned to it, so the
+    training MSE measured at each assignment never increases.  A codeword
+    with no samples assigned is reseeded onto a random training vector;
+    since it held no samples, the reseed detaches none, which preserves
+    the monotone-MSE property.
 
     Returns the codebook and a report with the per-iteration MSE trace and
     the final pass's ``labels``, the nearest codeword of every sample (what
@@ -569,9 +562,6 @@ def train_codebook(
 
     centers = _kmeanspp_seed(x, k, rng)
     init_codebook = Codebook(codewords=centers.copy())
-    ema_counts = None
-    ema_sums = None
-    dead_threshold = _DEAD_FRACTION * (n / k)
     mse_trace = []
     columns = np.ascontiguousarray(x.T)
     if c == 1:
@@ -588,24 +578,10 @@ def train_codebook(
         # bincount adds each column in row order: a fixed summation order.
         sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
 
-        if ema_counts is None:
-            ema_counts = counts.copy()
-            ema_sums = sums.copy()
-        else:
-            ema_counts = ema_decay * ema_counts + (1.0 - ema_decay) * counts
-            ema_sums = ema_decay * ema_sums + (1.0 - ema_decay) * sums
-
-        live = ema_counts > 0.0
-        centers = np.where(
-            live[:, None], ema_sums / np.maximum(ema_counts, 1e-300)[:, None], centers
-        )
-
-        dead = (ema_counts < dead_threshold) & (counts == 0)
+        centers = sums / np.maximum(counts, 1.0)[:, None]
+        dead = counts == 0
         if dead.any():
-            replacements = rng.integers(n, size=int(dead.sum()))
-            centers[dead] = x[replacements]
-            ema_counts[dead] = counts.mean()
-            ema_sums[dead] = centers[dead] * counts.mean()
+            centers[dead] = x[rng.integers(n, size=int(dead.sum()))]
 
     # Final assignment pass so the reported MSE matches the returned centers.
     labels, dist = _nearest(x, centers, _build_search_table(centers), ranked)
@@ -614,7 +590,6 @@ def train_codebook(
     report = {
         "mse_trace": mse_trace,
         "final_mse": mse_trace[-1],
-        "ema_counts": ema_counts,
         "init_codebook": init_codebook,
         "labels": labels,
     }
@@ -638,10 +613,6 @@ def train_rvq(
     codeword alone, a stage that transmits nothing, so per-group rate
     allocations can assign zero bits to a group.
 
-    Stages train with exact-mean Lloyd updates (ema_decay=0): with
-    full-batch passes the streaming-style EMA smoothing only slows
-    convergence, and small stages need the exact fixed point.
-
     With ``return_indices`` the per-stage indices of the samples, equal to
     ``rvq_quantize(rvq, samples, rvq.stages)[0]``, are returned as well.
     """
@@ -662,9 +633,7 @@ def train_rvq(
             cb = Codebook(np.zeros((1, x.shape[1])))
             idx = np.zeros(x.shape[0], dtype=np.int64)
         else:
-            cb, report = train_codebook(
-                residual, int(k), iterations=iterations, seed=seed + t, ema_decay=0.0
-            )
+            cb, report = train_codebook(residual, int(k), iterations=iterations, seed=seed + t)
             idx = report["labels"]
         residual = residual - cb.codewords[idx]
         books.append(cb)

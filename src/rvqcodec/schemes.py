@@ -234,11 +234,12 @@ def _context_for(group: int, decoded: list[np.ndarray], phi, n: int) -> np.ndarr
     return np.concatenate(parts, axis=1)
 
 
-def _check_geometry(latent: LatentGrid, use_hyper: bool) -> None:
+def _check_geometry(shape: tuple[int, int, int], use_hyper: bool) -> None:
+    _, h, w = shape
     mult = 4 if use_hyper else 2
-    if latent.height % mult or latent.width % mult:
+    if h % mult or w % mult:
         raise ValueError(
-            f"latent {latent.height}x{latent.width} must be a multiple of {mult}:"
+            f"latent {h}x{w} must be a multiple of {mult}:"
             f" 2 for the four phase groups, 4 with a hyper grid of 4x4 blocks"
         )
 
@@ -254,7 +255,7 @@ def _check_corpus(latents: list[LatentGrid], use_hyper: bool) -> int:
             raise ValueError(
                 f"training latents must share a channel count, got {c} and {lat.channels}"
             )
-        _check_geometry(lat, use_hyper)
+        _check_geometry(lat.shape, use_hyper)
     return c
 
 
@@ -286,7 +287,7 @@ def _encode_fixed(
             f"latent has {latent.channels} channels, predictor {predictor.channels}"
         )
     uses_hyper = _check_hyper(predictor, qset)
-    _check_geometry(latent, uses_hyper)
+    _check_geometry(latent.shape, uses_hyper)
     timer = timer or PhaseTimer()
 
     hyper_stack = phi = None
@@ -344,12 +345,14 @@ def _decode_fixed(
     for s in coded.group_stacks:
         if s.stages != m:
             raise ValueError(f"stack has {s.stages} stages, coded m={m}")
+    uses_hyper = _check_hyper(predictor, qset)
+    _check_geometry(coded.shape, uses_hyper)
     timer = timer or PhaseTimer()
     c, h, w = coded.shape
     n = (h // 2) * (w // 2)
 
     phi = None
-    if _check_hyper(predictor, qset):
+    if uses_hyper:
         if coded.hyper_stack is None:
             raise ValueError("coded latent carries no hyper indices")
         if coded.hyper_stack.stages != m:
@@ -467,7 +470,7 @@ def cm_encode(
         raise ValueError(
             f"latent has {latent.channels} channels, predictor {predictor.channels}"
         )
-    _check_geometry(latent, use_hyper=False)
+    _check_geometry(latent.shape, use_hyper=False)
     timer = timer or PhaseTimer()
     s_radius = CM_SUPPORT_RADIUS
 
@@ -526,6 +529,7 @@ def cm_decode(
         raise ValueError(
             f"coded latent carries {len(coded.group_streams)} byte streams, expected 4"
         )
+    _check_geometry(coded.shape, use_hyper=False)
     _check_cm_predictor(predictor)
     delta = float(config.delta)
     if coded.delta is not None and coded.delta != delta:

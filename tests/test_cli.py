@@ -18,7 +18,7 @@ from rvqcodec.schemes import ContextPredictor, write_predictor_file
 
 # Frozen fixture: the pipeline below (fixed seeds, fixed model) must keep
 # producing this exact bitstream.
-_GOLDEN_STREAM_SHA256 = "9e8a5fb1b37b332c64376a15ecfbba6a6bc3541b35146c3de76eeb007ec12746"
+_GOLDEN_STREAM_SHA256 = "3edb793c00e9efb24c14a9430feec04d1323d01d00559e136252068842223526"
 
 
 def _sha256(path):
@@ -115,6 +115,23 @@ def test_negative_seed_or_index_is_a_usage_error(tmp_path, capsys, command):
         main([*command, "--out-dir", str(tmp_path)])
     assert exc.value.code == USAGE_ERROR
     assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,value", [
+    (["train", "--data", "a.eflt", "--iters"], "0"),
+    (["train", "--data", "a.eflt", "--stages"], "0"),
+    (["train", "--data", "a.eflt", "--Kz"], "0"),
+    (["sweep", "--train-count"], "0"),
+    (["sweep", "--holdout-count"], "-3"),
+    (["sweep", "--iters"], "0"),
+    (["sweep", "--stages"], "0"),
+    (["encode", "--latent", "a.eflt", "--model-dir", "m", "--m"], "0"),
+])
+def test_non_positive_count_is_a_usage_error(tmp_path, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, value, "--out-dir", str(tmp_path)])
+    assert exc.value.code == USAGE_ERROR
+    assert f"expected a positive integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_train_writes_model_files_and_manifest(pipeline):
@@ -526,6 +543,8 @@ def test_config_values_are_parsed_by_the_flags_own_type(monkeypatch, tmp_path, c
     (["synth", "--shape", "1,8,8", "--out", "a.eflt"], "rho=high"),
     (["train"], "scheme=cm"),  # not one of the flag's choices
     (["synth", "--shape", "1,8,8", "--out", "a.eflt"], "seed=-1"),
+    (["train"], "iters=0"),
+    (["sweep"], "holdout_count=0"),
 ])
 def test_config_value_the_flag_would_reject_is_a_usage_error(
     monkeypatch, tmp_path, capsys, command, line

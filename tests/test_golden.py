@@ -47,19 +47,19 @@ STAGES = (16, 16)
 DELTAS = (1.0, 0.25)
 
 GOLDEN = {
-    "rd-m1-stream": "c51d3b05af71ece1653ae161666679dda80db68590a4e37b680c9d5b43a0eb3f",
-    "rd-m1-latent": "8b2f002396a99915a61df66c239cbef8bda22619d77ecf511f7fb9a5690046fa",
-    "rd-m2-stream": "4fccbefabd81521b83de466fe46a0868993af5e48dce962b2b52beec2f1cf559",
-    "rd-m2-latent": "0a2f25836056d7e0eb77790c9126b3c47b8f77f12e4e239da72eabc369d649e1",
+    "rd-m1-stream": "250c38f76633a2085dda7540ad07a633950b5e9534bfff724ec4bd7b062b53c8",
+    "rd-m1-latent": "4179a60706493e7a78f3b0094f08767400c487883853cf9a857fd8e72b1ab742",
+    "rd-m2-stream": "f4c93797bfbaf17772548f9714bfa3bd7e9c98c6c7287cc1de1eb13eb73cb047",
+    "rd-m2-latent": "d66818fa277e133cc5263fd09569693f3e1fafbc7959ce3d683c53b83da85888",
     "iq-m1-stream": "65d7105628464c423468a9737bd2522c9094ccd48fc0a8b77e636791981c252c",
     "iq-m1-latent": "480d0eea24082a05b41de4419646ed76d7815e3214c271473141531753f67d5f",
     "iq-m2-stream": "214454b84e1e484712a150c18e7cef728ef9a746096596b200cb36d38d009e5a",
     "iq-m2-latent": "b2ad077332180b2348e8afedc6aee53c127a27ddc5d09e84d6d871d16f3c2958",
-    "cm-d1.0-stream": "a28ca043a2ce09c6f352f5cb1e3de21eed462984810385ce62c5bcfa29c15824",
+    "cm-d1.0-stream": "ac40ee3e9f10cd6491ba98857775e53a34abc6ddfbe495ca854903fc69228c0a",
     "cm-d1.0-latent": "55107b01434005444c4762020425faaf5c8e150fade1dc254d1b6d64298da865",
     "cm-d0.25-stream": "dec19603e6261b6eae550ac39882675e86aebae41c6e076529b1989a6096f455",
     "cm-d0.25-latent": "e50f46751c1a52d1d0968c005dd6a79db4e287b2cc83aca2658ad2ab5c94014e",
-    "cm-outliers-stream": "80d536027926ee004eb7f1015d2dad8c3610488197bfdc5cc76cf75d85f9f303",
+    "cm-outliers-stream": "bf6acccb3f05a4f153f50efca85ee92855cd34dbcd7792667e120435de7b8ff8",
     "cm-outliers-latent": "82c4346d22a2bf53891159d0ad41b1107ed6bc6765fd6e6ce7171b7157ac25f9",
 }
 
@@ -172,21 +172,21 @@ VEC_DELTA = 0.5
 
 GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
-    "cm-d0.5-predictor": "1dd7f132c643e2b3131382ff356a1f72ce4c52d589bb57ed902f6e7a28402208",
-    "cm-d0.5-stream": "e3bb409cacdcd5fc7832a658e423241269ff21527de65ff078bd59365317d25d",
+    "cm-d0.5-predictor": "c5bea7f35354119df5cab8839c61445665f784dbbe87deaf66215ac8d91458f7",
+    "cm-d0.5-stream": "70b35ff46d7ba33fa69db49abd43a5d246a74bdeccd9aa27d7d311448cc4dadd",
     "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
     "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
     "iq-m1-stream": "f58ceabda039fe1305a06d871e4d7837dedf6b4ca96d0f456108f5f8a450d069",
     "iq-m2-latent": "27a1d1a12c04daf8a176115d3e8b79832a599fbf647415641bfdaccb9a27e126",
     "iq-m2-stream": "ef4540a2cee2d661d2c118b1a29f3898831ed6d7a2e8bd77c237b65f58d5faab",
-    "rd-closed-m1-codebooks": "c965c7bf73247a33d97a1a10bb8fcfdcead5fce5dd50aa49840611aafb4730c6",
-    "rd-closed-m1-predictor": "28100627f15becd7e05b9a1e40fc72727601650385b77bd287e20bbcc99b04e1",
-    "rd-codebooks": "2b5e7152f7c8960e85807bb6cdb56f3894977943a724db1a6ae3e213f1f39e12",
-    "rd-m1-latent": "8d81a0df1c84784902a75da1a77d96519469ea3ad2d7851dae23e64a5761e71d",
-    "rd-m1-stream": "ab9c0cba1d0f027e5232178c501c4c9c759a99fc6dc5156000842a7716b14b62",
-    "rd-m2-latent": "6a183e505d48998e6de2c506ed64b9fe7de5a6a8b56ed1cc71f649673219ae45",
-    "rd-m2-stream": "81a6d1e903d733dd3db697ac59dcd02a9ce0590fa6ffa11c6121e13eed95e641",
-    "rd-predictor": "04901d64c31a3b8a6d8bc4e022687eecfe68775fa01dbb68f7b348910706f152",
+    "rd-closed-m1-codebooks": "ca0b496c951863cc543e68d542418b952c5f92e846a153b014714b181173bee0",
+    "rd-closed-m1-predictor": "c97b3652da1dbef0c8b4f2c5e9ddf3f0650ec1083fbc08a78e2b1ae711d8f763",
+    "rd-codebooks": "c69280d4d56aa4e191b30863fffd5e4df8d6e371a237032dc9838d9cc1a1ecee",
+    "rd-m1-latent": "380c9b6909bc4c5f0fecc706da2555becbeff2b372e4af754d0f79168897a970",
+    "rd-m1-stream": "c13cffd8a285dc8b40205d01dfb33acaa08323b7028db854c3a886962bf084af",
+    "rd-m2-latent": "d79c606a5f6d8583fb63f7f42706d0e0c409d543072596cfdbaa7a1439082b5a",
+    "rd-m2-stream": "baeb4bf46dcfb3ba3073cfb426c024fa3d5119d74a6f3189c0aa810a53a591e2",
+    "rd-predictor": "5476ad599d45fde118f42174ec6859a51c516b07d3197824b8d0a4c972e48303",
 }
 
 
@@ -392,12 +392,12 @@ GOLDEN_SCREEN = {
     "iq-m1-stream": "aa67300a22e1e3c88ee487cffb509b700e4c90936c80c16594493af1e7f06772",
     "iq-m2-latent": "82a2548ec563375b19cc0e4f11b38e79fbea076cdbd84fa30dfb4f09b4eda9d1",
     "iq-m2-stream": "fea66e37a95f721c880858a9482efe4d5faa2a972401a814bb3f7488fccc94b6",
-    "rd-codebooks": "5c55ab394eabf0d8b1a6bf24081a0de899201d59bb4e551a8476799f3569f880",
-    "rd-m1-latent": "eac0fae594216f29954e05d5fb05360316844104ad75ae01a51cab3b63905b82",
-    "rd-m1-stream": "a6de8f528153ddc5fa1011356b1a2a265323850869ccd8fcdbf2eb23d5957ac9",
-    "rd-m2-latent": "05deb7ebba1717bdeed4d84a1308a0b2aa71c265c17fe4591f9d0e6c1ebd0b7b",
-    "rd-m2-stream": "e46fe338f8c8500fd07f1119332bbdd351cac062eaa57748d5e6dbdaf29f6b9e",
-    "rd-predictor": "49b6f03da7238b6a333a1993a2016b2c5eaad21de4b0b096d134e81929a82dd4",
+    "rd-codebooks": "55a10c1400826bf0ba0aaac339d42c109ebe22b35d45332db17683078d905517",
+    "rd-m1-latent": "0cfd4d299570e8f754fe7d349b047de587789e5c5932372fdf5f6a6e5286dc08",
+    "rd-m1-stream": "687db64395df679db03dafbe551bf60397956fd34a8e2149303e783762155658",
+    "rd-m2-latent": "1b82335ebd6f24d5959c1a342c3091ecc6074ad95ad70ef631232efffca32b06",
+    "rd-m2-stream": "8f58d566b382cd7a77dc673617c5210eb2ac2a17823fb7d41a75d59332b6fae1",
+    "rd-predictor": "7715979cf62bddb391d7d2d58725f6c63f76063ccc24bd8288ddd199b194399e",
 }
 
 

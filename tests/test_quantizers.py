@@ -286,11 +286,16 @@ def test_train_codebook_is_deterministic():
     assert not np.array_equal(a.codewords, c.codewords)
 
 
-@pytest.mark.parametrize("ema_decay", [0.0, 0.99])
-def test_lloyd_trace_never_increases(ema_decay):
+@pytest.mark.parametrize("dup_share", [0.0, 0.99])
+def test_lloyd_trace_never_increases(dup_share):
+    """The exact-mean update never raises the training MSE, also when
+    ``dup_share`` of the samples are copies of 8 others, so that most
+    assignments are exact ties."""
     rng = rng_for(31)
     x = rng.standard_normal((5000, 4))
-    _, report = train_codebook(x, 16, iterations=15, seed=1, ema_decay=ema_decay)
+    m = int(dup_share * x.shape[0])
+    x[:m] = x[-8:][np.arange(m) % 8]
+    _, report = train_codebook(x, 16, iterations=15, seed=1)
     trace = np.asarray(report["mse_trace"])
     assert trace.shape[0] == 16  # initialization point plus one per iteration
     assert np.all(np.diff(trace) <= 1e-9)
@@ -509,15 +514,16 @@ def test_screened_minimum_equals_minimum_over_cdist(x, seed):
             assert got.tobytes() == want.tobytes()
 
 
-def _reference_train_codebook(x, k, iterations, seed, ema_decay):
+def _reference_train_codebook(x, k, iterations, seed):
     """Lloyd training with each pass's search placing every sample among
     the codeword values: the loop the sorted-sample training must
-    reproduce bit for bit.  Returns (centers, final labels, mse trace)."""
+    reproduce bit for bit.  Returns (centers, final labels, mse trace,
+    number of zero-count reseeds)."""
     n, c = x.shape
     rng = rng_for(seed, stream=1)
     centers = _reference_kmeanspp_seed(x, k, rng)
-    ema_counts = ema_sums = None
     trace = []
+    reseeds = 0
     for _ in range(iterations):
         labels, dist = _nearest(x, centers, _build_search_table(centers))
         trace.append(_chunked_sum(dist) / (n * c))
@@ -525,23 +531,14 @@ def _reference_train_codebook(x, k, iterations, seed, ema_decay):
         sums = np.column_stack(
             [np.bincount(labels, weights=col, minlength=k) for col in np.ascontiguousarray(x.T)]
         )
-        if ema_counts is None:
-            ema_counts, ema_sums = counts.copy(), sums.copy()
-        else:
-            ema_counts = ema_decay * ema_counts + (1.0 - ema_decay) * counts
-            ema_sums = ema_decay * ema_sums + (1.0 - ema_decay) * sums
-        live = ema_counts > 0.0
-        centers = np.where(
-            live[:, None], ema_sums / np.maximum(ema_counts, 1e-300)[:, None], centers
-        )
-        dead = (ema_counts < 1e-3 * (n / k)) & (counts == 0)
+        dead = counts == 0
+        centers[~dead] = sums[~dead] / counts[~dead, None]
         if dead.any():
+            reseeds += int(dead.sum())
             centers[dead] = x[rng.integers(n, size=int(dead.sum()))]
-            ema_counts[dead] = counts.mean()
-            ema_sums[dead] = centers[dead] * counts.mean()
     labels, dist = _nearest(x, centers, _build_search_table(centers))
     trace.append(_chunked_sum(dist) / (n * c))
-    return centers, labels, trace
+    return centers, labels, trace, reseeds
 
 
 @pytest.mark.parametrize("data", ["gaussian", "quarters", "offset"])
@@ -549,19 +546,32 @@ def test_c1_training_matches_the_per_sample_search_loop(data):
     """C = 1 training (samples argsorted once) gives the codewords, labels
     and MSE trace of the loop that searches every sample on every pass.  The
     quarter-rounded data have many equal samples, duplicated codewords and
-    dead-codeword reseeds."""
+    zero-count reseeds."""
     rng = rng_for(47)
     x = rng.standard_normal((3000, 1))
     if data == "quarters":
         x = np.round(x * 4.0) / 4.0
     elif data == "offset":
         x = np.concatenate([x + 5.0, np.full((10, 1), -40.0)])
-    for k, ema_decay in ((16, 0.0), (40, 0.99)):
-        cb, report = train_codebook(x, k, iterations=8, seed=3, ema_decay=ema_decay)
-        centers, labels, trace = _reference_train_codebook(x, k, 8, 3, ema_decay)
+    reseeds = 0
+    for k in (16, 40):
+        cb, report = train_codebook(x, k, iterations=8, seed=3)
+        centers, labels, trace, n_reseeds = _reference_train_codebook(x, k, 8, 3)
         assert cb.codewords.tobytes() == centers.tobytes()
         assert np.array_equal(report["labels"], labels)
         assert np.asarray(report["mse_trace"]).tobytes() == np.asarray(trace).tobytes()
+        reseeds += n_reseeds
+    if data == "quarters":
+        assert reseeds > 0
+
+
+def test_c1_lloyd_reaches_the_lloyd_max_optimum():
+    """Exact Lloyd on N(0, 1) samples ends within 2% of the Lloyd-Max
+    optimum for K = 7 (MSE 0.04400; Max 1960, "Quantizing for minimum
+    distortion")."""
+    x = rng_for(77).standard_normal((65536, 1))
+    _, report = train_codebook(x, 7, iterations=30, seed=11)
+    assert report["final_mse"] <= 1.02 * 0.04400
 
 
 @pytest.mark.parametrize("c", [1, 4])

@@ -287,14 +287,30 @@ def _fixed_codec(scheme, rd_model, iq_qset):
             lambda coded: rd_decode(coded, predictor, qset))
 
 
-@pytest.mark.parametrize("scheme", ["rd", "iq"])
-def test_fixed_decode_rejects_odd_spatial_dims(scheme, rd_model, iq_qset, holdout):
+@pytest.mark.parametrize(
+    "scheme, shape, message",
+    [
+        pytest.param("rd", (1, 33, 33), "latent 33x33 must be a multiple of 2", id="rd"),
+        pytest.param("iq", (1, 33, 33), "latent 33x33 must be a multiple of 2", id="iq"),
+        pytest.param(
+            "rd-hyper", (1, 34, 34), "latent 34x34 must be a multiple of 4", id="rd-hyper"
+        ),
+    ],
+)
+def test_fixed_decode_rejects_odd_spatial_dims(
+    scheme, shape, message, rd_model, rd_hyper_model, iq_qset, holdout, monkeypatch
+):
     """A 33x33 shape has the 16x16 groups of the 32x32 holdout, so its
-    stack counts pass; the merge rejects the odd dims."""
-    _, encode, decode = _fixed_codec(scheme, rd_model, iq_qset)
-    received = replace(encode(holdout, 1), reconstruction=None, shape=(1, 33, 33))
-    with pytest.raises(ValueError, match="spatial dims must be even, got 33x33"):
+    stack counts pass, and a 34x34 one has its 8x8 hyper grid; the decoder
+    rejects either shape before reconstructing anything."""
+    model = rd_hyper_model if scheme == "rd-hyper" else rd_model
+    _, encode, decode = _fixed_codec(scheme, model, iq_qset)
+    received = replace(encode(holdout, 1), reconstruction=None, shape=shape)
+    calls = []
+    monkeypatch.setattr(schemes, "_rvq_reconstruct", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
         decode(received)
+    assert calls == []
 
 
 @pytest.mark.parametrize("scheme", ["rd", "iq", "rd-hyper"])
@@ -677,13 +693,16 @@ def test_cm_decode_rejects_a_wrong_stream_count(cm_model, cm_blobs):
             cm_decode(replace(coded, reconstruction=None, group_streams=received), cm_model, config)
 
 
-def test_cm_decode_rejects_odd_spatial_dims(cm_model, cm_blobs):
+def test_cm_decode_rejects_odd_spatial_dims(cm_model, cm_blobs, monkeypatch):
     """A 33x33 shape has the 16x16 groups of the 32x32 holdout, so its
-    stream counts pass; the merge rejects the odd dims."""
+    stream counts pass; the decoder rejects it before decoding any stream."""
     coded, _ = cm_blobs
     received = replace(coded, reconstruction=None, shape=(1, 33, 33))
-    with pytest.raises(ValueError, match="spatial dims must be even, got 33x33"):
+    calls = []
+    monkeypatch.setattr(schemes, "_decode_core", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="latent 33x33 must be a multiple of 2"):
         cm_decode(received, cm_model, SchemeConfig(scheme="cm", delta=0.5))
+    assert calls == []
 
 
 def test_cm_is_deterministic(cm_model, holdout):
