@@ -363,18 +363,18 @@ def _measure(hold, encode) -> tuple[float, float, int]:
 def rd_sweep(
     source: SourceConfig,
     scheme_points: list[SchemeConfig],
-    stage_sizes: tuple[int, ...],
+    group_stage_sizes: tuple[tuple[int, ...], ...],
     train_count: int,
     holdout_count: int,
-    group_stage_sizes: tuple[tuple[int, ...], ...] | None = None,
     iterations: int = 20,
     seed: int = 0,
 ) -> list[RDCurve]:
     """Train each requested scheme once and measure all its operating points.
 
-    Training and holdout latents come from ``_corpus``.  Rates are measured
-    (fixed-length accounting for rd/iq, coded bytes for cm) and distortion
-    is held-out MSE pooled over the holdout set.
+    ``group_stage_sizes`` holds each group's codebook sizes, one per stage,
+    for rd and iq.  Training and holdout latents come from ``_corpus``.
+    Rates are measured (fixed-length accounting for rd/iq, coded bytes for
+    cm) and distortion is held-out MSE pooled over the holdout set.
     """
     if train_count < 1 or holdout_count < 1:
         raise ValueError("need at least one training and one holdout latent")
@@ -400,12 +400,12 @@ def rd_sweep(
     fixed = []  # (scheme, stage counts, predictor or None for iq, quantizers)
     if ms_rd:
         fixed.append(("rd", ms_rd, *train_rd_model(
-            train, stage_sizes, m=None, iterations=iterations, seed=seed,
+            train, (), m=None, iterations=iterations, seed=seed,
             group_stage_sizes=group_stage_sizes,
         )))
     if ms_iq:
         fixed.append(("iq", ms_iq, None, train_iq_model(
-            train, stage_sizes, iterations=iterations, seed=seed,
+            train, (), iterations=iterations, seed=seed,
             group_stage_sizes=group_stage_sizes,
         )))
     curves = []
@@ -415,7 +415,7 @@ def rd_sweep(
     if deltas:
         pts = []
         for delta in deltas:
-            pred = train_cm_model(train, delta=delta, seed=seed)
+            pred = train_cm_model(train, delta=delta)
             config = SchemeConfig(scheme="cm", delta=delta)
             pts.append(point(delta, lambda x: cm_encode(x, pred, config)))
         curves.append(curve("cm", pts))
@@ -442,19 +442,6 @@ def pchip_interpolate(x, y, query) -> np.ndarray:
     return PchipInterpolator(x, y, extrapolate=False)(q)
 
 
-def _simpson(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule over a uniform grid (even interval count)."""
-    if (len(values) - 1) % 2:
-        raise ValueError("Simpson needs an even number of subintervals")
-    w = np.ones(len(values))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((w * values).sum() * dx / 3.0)
-
-
-_BD_SUBINTERVALS = 1000
-
-
 def _curve_knots(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
     d = curve.distortions
     r = curve.rates
@@ -471,8 +458,9 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> float:
     """Average rate change of `test` vs `anchor` at equal distortion, in percent.
 
     Both curves become log2(rate) as a function of distortion via monotone
-    interpolation; the mean log-ratio over the shared distortion interval
-    (composite Simpson) is mapped back through the exponential.
+    (PCHIP) interpolation; each piecewise cubic is integrated exactly over
+    the shared distortion interval, and the mean log-ratio is mapped back
+    through the exponential.
     """
     da, ra = _curve_knots(anchor)
     dt, rt = _curve_knots(test)
@@ -480,9 +468,9 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> float:
     hi = min(da[-1], dt[-1])
     if not lo < hi:
         raise ValueError("curves share no distortion overlap")
-    grid = np.linspace(lo, hi, _BD_SUBINTERVALS + 1)
-    diff = pchip_interpolate(dt, rt, grid) - pchip_interpolate(da, ra, grid)
-    mean_log_ratio = _simpson(diff, (hi - lo) / _BD_SUBINTERVALS) / (hi - lo)
+    mean_log_ratio = (
+        PchipInterpolator(dt, rt).integrate(lo, hi) - PchipInterpolator(da, ra).integrate(lo, hi)
+    ) / (hi - lo)
     return float(100.0 * (2.0**mean_log_ratio - 1.0))
 
 
@@ -710,7 +698,7 @@ def rate_dominance_experiment(
 
     cm_points = []
     for delta in deltas:
-        pred = train_cm_model(train, delta=delta, seed=seed)
+        pred = train_cm_model(train, delta=delta)
         config = SchemeConfig(scheme="cm", delta=delta)
         bits, se, n = _measure(hold, lambda x: cm_encode(x, pred, config))
         cm_points.append({"delta": delta, "rate": bits / n, "mse": se / n})

@@ -445,9 +445,8 @@ def cmd_sweep(args) -> int:
 
     try:
         curves = rd_sweep(
-            source, points, (), args.train_count, args.holdout_count,
-            group_stage_sizes=tuple((k,) * args.stages for k in sizes),
-            iterations=args.iters, seed=args.seed,
+            source, points, tuple((k,) * args.stages for k in sizes),
+            args.train_count, args.holdout_count, iterations=args.iters, seed=args.seed,
         )
     except ValueError as e:
         raise _CliError(str(e), VERIFY_ERROR)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import rvqcodec.analysis as analysis
 from rvqcodec.analysis import (
     GroupEntropyStream,
     IndexHistogram,
@@ -263,13 +262,19 @@ def test_bd_rate_is_antisymmetric_in_the_log_domain():
     assert abs(fwd + rev) < 1e-9
 
 
-def test_bd_rate_insensitive_to_integration_resolution(monkeypatch):
+def test_bd_rate_matches_a_dense_trapezoid_reference():
     a = _curve("rd", [100, 230, 410, 860], [4.0, 2.9, 2.1, 0.9])
     b = _curve("cm", [80, 190, 500, 700], [4.2, 3.1, 1.8, 1.1])
-    coarse = bd_rate(a, b)
-    monkeypatch.setattr(analysis, "_BD_SUBINTERVALS", 2000)
-    fine = bd_rate(a, b)
-    assert abs(fine - coarse) < 0.01
+    lo, hi = 1.1, 4.0  # the shared distortion interval
+    grid = np.linspace(lo, hi, 200_001)
+
+    def log_rate(c):
+        order = np.argsort(c.distortions)
+        return pchip_interpolate(c.distortions[order], np.log2(c.rates[order]), grid)
+
+    diff = log_rate(b) - log_rate(a)
+    mean = float((diff[1:] + diff[:-1]).sum() * (grid[1] - grid[0]) / 2.0) / (hi - lo)
+    assert abs(bd_rate(a, b) - 100.0 * (2.0**mean - 1.0)) < 1e-5
 
 
 def test_bd_rate_requires_overlap():
@@ -312,7 +317,7 @@ def test_rd_sweep_smoke_and_ordering():
         SchemeConfig(scheme="cm", delta=1.0),
         SchemeConfig(scheme="cm", delta=0.5),
     ]
-    curves = rd_sweep(source, points, (8, 8), 8, 4, iterations=6, seed=3)
+    curves = rd_sweep(source, points, ((8, 8),) * 4, 8, 4, iterations=6, seed=3)
     assert [c.scheme for c in curves] == ["rd", "iq", "cm"]
     for curve in curves:
         assert len(curve.points) == 2
@@ -322,4 +327,4 @@ def test_rd_sweep_smoke_and_ordering():
     # fixed-length accounting: both rd and iq charge the same budget
     assert np.array_equal(curves[0].rates, curves[1].rates)
     with pytest.raises(ValueError, match="at least one"):
-        rd_sweep(source, points, (8, 8), 4, 0, iterations=2)
+        rd_sweep(source, points, ((8, 8),) * 4, 4, 0, iterations=2)

@@ -47,19 +47,19 @@ STAGES = (16, 16)
 DELTAS = (1.0, 0.25)
 
 GOLDEN = {
-    "rd-m1-stream": "250c38f76633a2085dda7540ad07a633950b5e9534bfff724ec4bd7b062b53c8",
-    "rd-m1-latent": "4179a60706493e7a78f3b0094f08767400c487883853cf9a857fd8e72b1ab742",
-    "rd-m2-stream": "f4c93797bfbaf17772548f9714bfa3bd7e9c98c6c7287cc1de1eb13eb73cb047",
-    "rd-m2-latent": "d66818fa277e133cc5263fd09569693f3e1fafbc7959ce3d683c53b83da85888",
+    "rd-m1-stream": "35a6467842a1bd9e87c74b6cbdb143aad41f7bb6168b73bd04624b4c8091bfab",
+    "rd-m1-latent": "e9d6ca61f80ec701e49f6350ec5b76173e9b76b46e67130dbe205d46fd1ca208",
+    "rd-m2-stream": "119a128f32f51ddbee445a95cdcd4e71e219528c44be99402356ef19cf94fd66",
+    "rd-m2-latent": "9af856627c665626b0fe03c8873b890e923d3bd13e5b25c3b860de7a3f6494a7",
     "iq-m1-stream": "65d7105628464c423468a9737bd2522c9094ccd48fc0a8b77e636791981c252c",
     "iq-m1-latent": "480d0eea24082a05b41de4419646ed76d7815e3214c271473141531753f67d5f",
     "iq-m2-stream": "214454b84e1e484712a150c18e7cef728ef9a746096596b200cb36d38d009e5a",
     "iq-m2-latent": "b2ad077332180b2348e8afedc6aee53c127a27ddc5d09e84d6d871d16f3c2958",
-    "cm-d1.0-stream": "ac40ee3e9f10cd6491ba98857775e53a34abc6ddfbe495ca854903fc69228c0a",
+    "cm-d1.0-stream": "8170381161cab897ee2a0c8f28a94f0855dca80130e339412024460fe4165bd9",
     "cm-d1.0-latent": "55107b01434005444c4762020425faaf5c8e150fade1dc254d1b6d64298da865",
-    "cm-d0.25-stream": "dec19603e6261b6eae550ac39882675e86aebae41c6e076529b1989a6096f455",
+    "cm-d0.25-stream": "4fec19676e1f6acaefdc95a333106b873f7ab1df605d4664acadd79b9c709665",
     "cm-d0.25-latent": "e50f46751c1a52d1d0968c005dd6a79db4e287b2cc83aca2658ad2ab5c94014e",
-    "cm-outliers-stream": "bf6acccb3f05a4f153f50efca85ee92855cd34dbcd7792667e120435de7b8ff8",
+    "cm-outliers-stream": "0ab77b1935a9a8aadcb3e8abc88d333a985e29dff48de58146dd2a4c438ece22",
     "cm-outliers-latent": "82c4346d22a2bf53891159d0ad41b1107ed6bc6765fd6e6ce7171b7157ac25f9",
 }
 
@@ -172,21 +172,21 @@ VEC_DELTA = 0.5
 
 GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
-    "cm-d0.5-predictor": "c5bea7f35354119df5cab8839c61445665f784dbbe87deaf66215ac8d91458f7",
-    "cm-d0.5-stream": "70b35ff46d7ba33fa69db49abd43a5d246a74bdeccd9aa27d7d311448cc4dadd",
+    "cm-d0.5-predictor": "35183e432523168f3f8d91be1f121b2800fb324e325d66d44f9f7d5e302b93bc",
+    "cm-d0.5-stream": "1bf58e1a9199dfdaf614b3cd3550c565a88b141c1c8d945ac3afd4df869ef1a9",
     "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
     "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
     "iq-m1-stream": "f58ceabda039fe1305a06d871e4d7837dedf6b4ca96d0f456108f5f8a450d069",
     "iq-m2-latent": "27a1d1a12c04daf8a176115d3e8b79832a599fbf647415641bfdaccb9a27e126",
     "iq-m2-stream": "ef4540a2cee2d661d2c118b1a29f3898831ed6d7a2e8bd77c237b65f58d5faab",
-    "rd-closed-m1-codebooks": "ca0b496c951863cc543e68d542418b952c5f92e846a153b014714b181173bee0",
-    "rd-closed-m1-predictor": "c97b3652da1dbef0c8b4f2c5e9ddf3f0650ec1083fbc08a78e2b1ae711d8f763",
-    "rd-codebooks": "c69280d4d56aa4e191b30863fffd5e4df8d6e371a237032dc9838d9cc1a1ecee",
-    "rd-m1-latent": "380c9b6909bc4c5f0fecc706da2555becbeff2b372e4af754d0f79168897a970",
-    "rd-m1-stream": "c13cffd8a285dc8b40205d01dfb33acaa08323b7028db854c3a886962bf084af",
-    "rd-m2-latent": "d79c606a5f6d8583fb63f7f42706d0e0c409d543072596cfdbaa7a1439082b5a",
-    "rd-m2-stream": "baeb4bf46dcfb3ba3073cfb426c024fa3d5119d74a6f3189c0aa810a53a591e2",
-    "rd-predictor": "5476ad599d45fde118f42174ec6859a51c516b07d3197824b8d0a4c972e48303",
+    "rd-closed-m1-codebooks": "fb30ca5db6f201594bcb8ef8cd7e7cc039e9daa0a988fc1242e10031859a856f",
+    "rd-closed-m1-predictor": "196c7d840ec8a5f1314ea402c81f90f01438b2455c4c69c018d455ecebdd53c7",
+    "rd-codebooks": "ef503c35ae0e28bb6450ca4019766dcdea02a17e5d0146d8745235bb480f0827",
+    "rd-m1-latent": "7050907ccc5b4e9a606559e205d20a7ff9d806fc57cfef7bfce5c9886fa497aa",
+    "rd-m1-stream": "120e546d4d44545ab0a75a8c9c6f59804afa9bd3c2c504480d78eab7af161ae4",
+    "rd-m2-latent": "ed07c4db14bf0579cffd1f40b37094f2c3a801a3505c2f0e8b88d81e13dd32b2",
+    "rd-m2-stream": "326f41a0feae56e7d50f44b96dfb7d052c6a2a0a4a6e07525a795dcf6b94b4d3",
+    "rd-predictor": "9d13035915d5fa96054d88e1988ece936497fd5a5b634664b0dd36a6bd1b698a",
 }
 
 
@@ -303,19 +303,24 @@ def test_golden_table_digest(table_digests, name):
     assert table_digests[name] == GOLDEN_TABLES[name]
 
 
-_DISPATCH_DECODE = """
+_BASELINE_PRELUDE = """
 import hashlib, json, sys
 import numpy as np
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as umath
+
+payload, targets = json.loads(sys.stdin.read())
+out = {"enabled": [t for t in targets if umath.__cpu_features__.get(t)]}
+"""
+
+_DISPATCH_DECODE = _BASELINE_PRELUDE + """
 from rvqcodec.rans import RansStream
 from rvqcodec.schemes import CodedLatent, SchemeConfig, cm_decode, read_predictor_file
 
-cases, targets = json.loads(sys.stdin.read())
-out = {"enabled": [t for t in targets if umath.__cpu_features__.get(t)], "latents": {}}
-for name, case in cases.items():
+out["latents"] = {}
+for name, case in payload.items():
     predictor = read_predictor_file(case["predictor"])
     received = CodedLatent(
         scheme="cm", shape=tuple(case["shape"]), reconstruction=None, rate_bits=0.0,
@@ -332,6 +337,17 @@ for name, case in cases.items():
 print(json.dumps(out))
 """
 
+_DISPATCH_TRAIN_CM = _BASELINE_PRELUDE + """
+from rvqcodec.grids import LatentGrid
+from rvqcodec.schemes import train_cm_model, write_predictor_file
+
+train = [LatentGrid(x) for x in np.load(payload["latents"])]
+write_predictor_file(payload["predictor"], train_cm_model(train, delta=payload["delta"]))
+with open(payload["predictor"], "rb") as f:
+    out["predictor"] = hashlib.sha256(f.read()).hexdigest()
+print(json.dumps(out))
+"""
+
 
 def _dispatch_targets() -> list[str]:
     """numpy's SIMD dispatch targets above its baseline that this CPU runs."""
@@ -343,13 +359,29 @@ def _dispatch_targets() -> list[str]:
     return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
+def _run_at_baseline(script: str, payload) -> dict:
+    """Run ``script`` on ``payload`` in a process with every dispatch target
+    above numpy's baseline disabled, as on a CPU without the extensions."""
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no target above its baseline on this CPU")
+    src = str(Path(rvqcodec.__file__).resolve().parent.parent)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps([payload, targets]),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["enabled"] == []
+    return result
+
+
 def test_cm_streams_decode_exactly_with_every_dispatch_target_disabled(tmp_path):
     """The golden C=1 cm streams, encoded here, decode to the encoder's exact
     reconstruction in a process that runs numpy at its baseline SIMD target,
     as on a CPU without the dispatched extensions."""
-    targets = _dispatch_targets()
-    if not targets:
-        pytest.skip("numpy dispatches no target above its baseline on this CPU")
     train = _training_set()
     cases, expected = {}, {}
     for delta in DELTAS:
@@ -366,17 +398,20 @@ def test_cm_streams_decode_exactly_with_every_dispatch_target_disabled(tmp_path)
                 "streams": [st.to_bytes().hex() for st in coded.group_streams],
             }
             expected[name] = _sha(_latent_bytes(coded.reconstruction))
-    src = str(Path(rvqcodec.__file__).resolve().parent.parent)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _DISPATCH_DECODE], input=json.dumps([cases, targets]),
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["enabled"] == []
-    assert result["latents"] == expected
+    assert _run_at_baseline(_DISPATCH_DECODE, cases)["latents"] == expected
+
+
+def test_cm_training_is_golden_with_every_dispatch_target_disabled(tmp_path):
+    """The C=4 cm predictor, retrained from the same latents in a process
+    that runs numpy at its baseline SIMD target, writes the golden bytes:
+    the log-sigma targets' ``np.log`` and the ridge solves give the same
+    bits at numpy's baseline as with its dispatched targets."""
+    latents = tmp_path / "train.npy"
+    np.save(latents, np.stack([lat.data for lat in _vector_training_set()]))
+    payload = {"latents": str(latents), "predictor": str(tmp_path / "cm.efpr"),
+               "delta": VEC_DELTA}
+    result = _run_at_baseline(_DISPATCH_TRAIN_CM, payload)
+    assert result["predictor"] == GOLDEN_VECTOR[f"cm-d{VEC_DELTA}-predictor"]
 
 
 # C = 4 with 128-codeword stages, group and hyper: every search of training
@@ -392,12 +427,12 @@ GOLDEN_SCREEN = {
     "iq-m1-stream": "aa67300a22e1e3c88ee487cffb509b700e4c90936c80c16594493af1e7f06772",
     "iq-m2-latent": "82a2548ec563375b19cc0e4f11b38e79fbea076cdbd84fa30dfb4f09b4eda9d1",
     "iq-m2-stream": "fea66e37a95f721c880858a9482efe4d5faa2a972401a814bb3f7488fccc94b6",
-    "rd-codebooks": "55a10c1400826bf0ba0aaac339d42c109ebe22b35d45332db17683078d905517",
-    "rd-m1-latent": "0cfd4d299570e8f754fe7d349b047de587789e5c5932372fdf5f6a6e5286dc08",
-    "rd-m1-stream": "687db64395df679db03dafbe551bf60397956fd34a8e2149303e783762155658",
-    "rd-m2-latent": "1b82335ebd6f24d5959c1a342c3091ecc6074ad95ad70ef631232efffca32b06",
-    "rd-m2-stream": "8f58d566b382cd7a77dc673617c5210eb2ac2a17823fb7d41a75d59332b6fae1",
-    "rd-predictor": "7715979cf62bddb391d7d2d58725f6c63f76063ccc24bd8288ddd199b194399e",
+    "rd-codebooks": "2e1bf3da350d29c2c5f62a937a38eaa2f1052d963e7a4f301ce4a8aaa0b5eaa5",
+    "rd-m1-latent": "795152cf4c64542287b799b745c5e6197b1f3a48b77dc4f0601a4b736215f795",
+    "rd-m1-stream": "0e7e91ca2167d73feeff0369b356730f9c15cd0b97a41c2e9303c7446a9e57ad",
+    "rd-m2-latent": "18c2a7ecb957718f6058f98b83aa77b138459a107eaf4be1e17187a4a1e383ca",
+    "rd-m2-stream": "da3b704fc9fb72d5be94fd8fa92905b99bf017d70e8d78d2e5015d1a02d727a3",
+    "rd-predictor": "72657933aee1cc74e01877b4559234cb230edff70044dc5870c7285f70311c0e",
 }
 
 

@@ -415,6 +415,28 @@ def test_train_cm_model_rejects_a_non_finite_delta():
             train_cm_model(_corpus(2), delta=delta)
 
 
+def test_cm_training_draws_no_random_numbers(tmp_path):
+    """cm's heads are closed-form fits: the seed changes no byte of the model."""
+    for seed in (0, 9):
+        write_predictor_file(
+            tmp_path / f"s{seed}.efpr", train_cm_model(_corpus(12), delta=0.5, seed=seed)
+        )
+    assert (tmp_path / "s0.efpr").read_bytes() == (tmp_path / "s9.efpr").read_bytes()
+
+
+@pytest.mark.parametrize("a", [0.5, 0.0, -1.0])
+def test_log_sigma_head_recovers_a_linear_log_scale(a):
+    """y = 0.3 psi_0 + exp(a psi_0 + 0.2) z with z ~ N(0, 1): the fitted
+    log-sigma head reads slope a and intercept 0.2 on psi_0."""
+    rng = rng_for(0)
+    psi = rng.standard_normal((20_000, 2))
+    z = rng.standard_normal((20_000, 1))
+    y = 0.3 * psi[:, :1] + np.exp(a * psi[:, :1] + 0.2) * z
+    w, b = schemes._fit_group_heads(psi, y, 1e-3)
+    assert abs(w[0, 1] - a) < 0.05
+    assert abs(b[1] - 0.2) < 0.05
+
+
 def test_train_rd_model_rejects_thin_corpora():
     tiny = SourceConfig(channels=1, height=4, width=4, rho=0.5, seed=1)
     with pytest.raises(ValueError, match="training"):
