@@ -16,17 +16,57 @@ breaks ties to the lowest index.  The two faster searches below return its
 indices and per-row minimum distances bit for bit, and hand it every row
 they cannot settle themselves.
 
-For C = 1 the search is exact and sorted: each codebook is sorted once,
-``searchsorted`` finds the two neighbours of every input, and the same
-fl((x - c)**2) that ``cdist`` computes is compared between them, ties going
-to the lowest original index.  Those distances never decrease away from the
-input on either side, so the minimum lies at a neighbour; a row whose
-minimum may also be reached beyond its neighbours (distinct codewords
-rounding to equal distances at large |x|, or a non-finite distance) falls
-back to ``cdist`` + ``argmin``.  The comparison works per element, in
-``_CHUNK``-row blocks that stay in cache: one search of 300,000 rows at
-K = 64 took 11.2 ms against 17.3 ms over whole-array temporaries (sorted
-samples, below), and 31.2 ms against 41.8 ms without.
+For C = 1 the search is exact and sorted.  Each codebook's distinct values
+are sorted once, and every input x gets q, the number of values below it,
+so that its two neighbours are values q - 1 and q.  The same
+fl((x - c)**2) that ``cdist`` computes is compared between them, ties
+going to the lowest original index.  Those distances never decrease away
+from the input on either side, so the minimum lies at a neighbour; a row
+whose minimum may also be reached beyond its neighbours (distinct
+codewords rounding to equal distances at large |x|, or a non-finite
+distance) falls back to ``cdist`` + ``argmin``.  The comparison works per
+element, in ``_CHUNK``-row blocks that stay in cache.
+
+Encoding finds q by a bucket lookup (``_bucket_lookup``) once a codebook
+has ``_BUCKET_MIN_VALUES`` distinct values and a search has
+``_BUCKET_MIN_ROWS`` rows; ``searchsorted`` places smaller searches, and
+training places the codeword values among its sorted samples (below).  The
+grid splits [lowest, highest value] into a power of two of equal buckets,
+at least twice the span over the smallest gap between values and at most
+``_BUCKET_MAX``.  A row's bucket is fl(fl(x - lo) * scale), clipped to the
+grid and truncated, and start[b] counts the values whose own bucket,
+computed the same way, is below b.  Every step is monotone in x, so a value
+in a lower bucket than x's bucket t is below x and one in a higher bucket
+is not: q lies in [start[t], start[t + 1]], and one step up, taken while
+the next value is still below x, reaches it when bucket t holds at most one
+value.  The float arithmetic is not what certifies q, though: every row is
+checked with the comparisons that define ``searchsorted``'s q,
+values[q - 1] < x <= values[q], which hold for one q alone, and a row that
+fails is placed by ``searchsorted``.  The check reads the two neighbours
+that the distance comparison reads.  A grid whose scale (buckets over span)
+is not finite and positive is refused: a span that overflows gives a scale
+of 0, a subnormal span an infinite one, and inf * 0 or 0 * inf would make a
+bucket NaN.  Sized from the smallest gap, no bucket of the 192 encode
+searches of perfbench's ``scalar-large`` (4,096 rows at K = 64, rd and iq,
+m = 1 to 3, holdout seeds 1 to 4) held two values, and none of their
+786,432 rows went to ``searchsorted``; a bucket shared by several values
+(a tight cluster next to a far codeword caps the grid) sends the rows high
+in it there.  Speed-up of one labels-only C = 1 search, ``searchsorted``
+time over lookup time, for n rows against Lloyd codebooks of Gaussian
+samples, fresh Gaussian rows every call, low and high of two runs (one
+core of a Xeon, numpy 2.4; K = 64, n = 4,096 took 66.5 ns per row against
+29.1 ns):
+
+    K        n = 256      512         1,024       4,096
+    2       0.77 0.81   0.89 0.90   0.88 0.89   1.12 1.20
+    4       0.81 0.84   0.82 0.92   1.00 1.07   1.25 1.30
+    8       0.79 0.89   0.92 0.97   1.02 1.26   1.44 1.53
+    16      0.89 0.90   1.08 1.15   1.24 1.31   1.79 1.80
+    64      1.07 1.09   1.34 1.46   1.67 1.68   2.28 2.31
+    256     1.02 1.81   1.54 1.55   2.02 2.04   3.01 3.10
+
+Below 16 values or 1,024 rows some cell reads near or below 1, so those
+searches stay with ``searchsorted``.
 
 Lloyd training searches the same C = 1 samples on every pass, so
 ``train_codebook`` argsorts them once, and each pass places the K codeword
@@ -56,7 +96,8 @@ duplicated codewords, near-ties and blocks where (max|x| + max|c|)^2 could
 overflow go to cdist.  An earlier screen built the whole n x K estimate and
 a candidate count over it before any row could skip cdist, and ran at
 0.46-0.61x the speed of cdist + argmin; this one keeps each block in cache,
-takes two argmins per row and sums one distance per row.  The screen's cost
+takes two argmins per row and sums one distance per row, none when only
+labels are asked for, as ``nn_quantize`` asks.  The screen's cost
 per row grows with K and hardly with C, cdist's with K * C.  Speed-up of
 one search, cdist time over screen time, at n = 1,024 and 22,528 rows (one
 core of a Xeon, OpenBLAS on one thread; C = 16, K = 256, n = 22,528 took
@@ -120,6 +161,15 @@ _SCREEN_MIN_K = 64
 _SCREEN_MIN_KC = 512
 _SCREEN_ENTRIES = 2**17
 
+# The C = 1 search places rows by a bucket lookup from 16 distinct codeword
+# values and 1,024 rows (crossover table in the module docstring), and by
+# ``searchsorted`` below that and in training.  A codebook's grid has the
+# power of two of buckets at or above twice its span over its smallest gap,
+# at most 2**12 (32 KB of starts).  A grid needs two values for a span.
+_BUCKET_MIN_VALUES = 16
+_BUCKET_MIN_ROWS = 1024
+_BUCKET_MAX = 2**12
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -147,8 +197,9 @@ class Codebook:
 
     @cached_property
     def _search_table(self):
-        """Sorted search table for C = 1 (None otherwise), built once."""
-        return _build_search_table(self.codewords)
+        """Sorted search table for C = 1, with its bucket grid (None
+        otherwise), built once."""
+        return _build_search_table(self.codewords, buckets=True)
 
 
 @dataclass(frozen=True)
@@ -252,45 +303,104 @@ def _nearest_cdist(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarr
     return labels, dist
 
 
-def _build_search_table(codewords: np.ndarray):
+def _build_search_table(codewords: np.ndarray, buckets: bool = False):
     """Distinct values of a (K, 1) codebook in ascending order, each with the
     lowest index holding it, padded by two infinite sentinels per side so
-    every input has two neighbours on each side; None for C > 1."""
+    every input has two neighbours on each side, and with ``buckets`` their
+    ``_build_buckets`` grid (else None); None for C > 1."""
     if codewords.shape[1] != 1:
         return None
     values, first = np.unique(codewords[:, 0], return_index=True)
+    grid = _build_buckets(values) if buckets else None
     inf = np.array([np.inf, np.inf])
-    return np.concatenate([-inf, values, inf]), np.pad(first, 2)
+    return np.concatenate([-inf, values, inf]), np.pad(first, 2), grid
+
+
+def _bucket_index(x, lo, scale, count):
+    """Bucket of each x: ``(x - lo) * scale`` clipped to [0, count - 1] and
+    truncated.  Every step is monotone in x, and for finite x, lo and
+    0 < scale < inf no step yields NaN (an overflow gives +-inf, which the
+    clip bounds)."""
+    t = x - lo
+    t *= scale
+    np.clip(t, 0.0, count - 1.0, out=t)
+    return t.astype(np.intp)
+
+
+def _build_buckets(values: np.ndarray):
+    """``(lo, scale, start)`` of a uniform grid of buckets over the sorted
+    distinct ``values``, or None for fewer than ``_BUCKET_MIN_VALUES`` of
+    them or a span whose scale would not be finite and positive (a span
+    that overflows, or a subnormal one).  ``start[b]`` counts the values
+    whose own ``_bucket_index`` is below b."""
+    if values.shape[0] < _BUCKET_MIN_VALUES:
+        return None
+    lo = values[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = values[-1] - lo
+        need = 2.0 * span / np.diff(values).min()
+        count = _BUCKET_MAX if not need < _BUCKET_MAX else 1 << int(np.ceil(np.log2(need)))
+        scale = count / span
+    if not 0.0 < scale < np.inf:
+        return None
+    own = _bucket_index(values, lo, scale, count)
+    return lo, scale, np.searchsorted(own, np.arange(count))
+
+
+def _bucket_lookup(x: np.ndarray, values: np.ndarray, grid):
+    """``q = searchsorted(values[2:-2], x)`` by bucket lookup, with the two
+    neighbours ``values[q + 1]`` and ``values[q + 2]`` of every x.
+
+    Starting from the values below x's bucket, q takes one step up while
+    the next value is still below x.  Each row is then checked with the
+    comparisons that define ``searchsorted``'s q, ``values[q + 1] < x <=
+    values[q + 2]``, and a row that fails is placed by ``searchsorted``.
+    """
+    lo, scale, start = grid
+    q = start[_bucket_index(x, lo, scale, start.shape[0])]
+    q += values[2:][q] < x
+    below = values[1:][q]
+    above = values[2:][q]
+    bad = ~((below < x) & (x <= above))
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        q[rows] = np.searchsorted(values[2:-2], x[rows])
+        below[rows] = values[1:][q[rows]]
+        above[rows] = values[2:][q[rows]]
+    return q, below, above
 
 
 def _nearest(
-    vectors: np.ndarray, codewords: np.ndarray, table, ranked=None
-) -> tuple[np.ndarray, np.ndarray]:
+    vectors: np.ndarray, codewords: np.ndarray, table, ranked=None, distances: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Nearest codeword per row as (index, squared distance).
 
     ``table`` is ``_build_search_table(codewords)``; without one (C > 1)
     this is the cdist search, screened by ``_nearest_screened`` for the
     codebook sizes where that is faster.  With one, see the module
-    docstring: the two sorted neighbours are compared, and a row whose
+    docstring: each row's place q among the sorted values comes from the
+    table's bucket grid when it has one and there are at least
+    ``_BUCKET_MIN_ROWS`` rows (``_bucket_lookup``), else from
+    ``searchsorted``; the two neighbours are compared, and a row whose
     minimum also reaches the next value out on either side, or is not
     finite, is searched by cdist.  ``ranked`` is ``(order, vectors[order,
     0])`` for an argsort ``order`` of ``vectors[:, 0]``: with it the
     codeword values are placed among the sorted rows instead of each row
-    among the codeword values, with the same result.
+    among the codeword values, with the same result.  Without
+    ``distances`` the second element may be None.
     """
     if table is None:
         k, c = codewords.shape
         if k >= _SCREEN_MIN_K and k * c >= _SCREEN_MIN_KC:
-            return _nearest_screened(vectors, codewords)
+            return _nearest_screened(vectors, codewords, distances)
         return _nearest_cdist(vectors, codewords)
-    values, first = table
+    values, first, grid = table
     x = vectors[:, 0]
     n = x.shape[0]
     # values[2:-2][q - 1] < x <= values[2:-2][q]: the two neighbours of x sit
     # at values[q + 1] and values[q + 2], the next ones out at q and q + 3.
-    if ranked is None:
-        q = np.searchsorted(values[2:-2], x)
-    else:
+    q = None
+    if ranked is not None:
         # p[j] sorted rows are <= values[2:-2][j], so the sorted row at
         # position i has q = #{j: p[j] <= i} values below it.
         order, sorted_x = ranked
@@ -298,15 +408,22 @@ def _nearest(
         runs = np.diff(p, prepend=0, append=n)
         q = np.empty(n, dtype=np.intp)
         q[order] = np.repeat(np.arange(p.shape[0] + 1), runs)
+    elif grid is None or n < _BUCKET_MIN_ROWS:
+        q = np.searchsorted(values[2:-2], x)
     labels = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
     unsure = []
     # Per-element passes over cache-sized row blocks: no bit depends on them.
     for lo in range(0, n, _CHUNK):
-        xb, qb = x[lo : lo + _CHUNK], q[lo : lo + _CHUNK]
+        xb = x[lo : lo + _CHUNK]
+        if q is None:
+            qb, below, above = _bucket_lookup(xb, values, grid)
+        else:
+            qb = q[lo : lo + _CHUNK]
+            below, above = values[1:][qb], values[2:][qb]
         with np.errstate(over="ignore", invalid="ignore"):  # such rows go to cdist
-            d_lo = (xb - values[1:][qb]) ** 2
-            d_hi = (xb - values[2:][qb]) ** 2
+            d_lo = (xb - below) ** 2
+            d_hi = (xb - above) ** 2
             i_lo = first[1:][qb]
             i_hi = first[2:][qb]
             labels[lo : lo + _CHUNK] = np.where(
@@ -324,15 +441,19 @@ def _nearest(
     return labels, dist
 
 
-def _nearest_screened(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_screened(
+    vectors: np.ndarray, codewords: np.ndarray, distances: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """``_nearest_cdist(vectors, codewords)``, bit for bit, with cdist run
     only on the rows a matrix-product screen cannot settle.
 
     Per block of ``_SCREEN_ENTRIES // K`` rows, one GEMM of ``[x, 1]`` with
     ``[-2 c; |c|^2]`` estimates each distance less the row's ``|x|^2``.
     A row whose runner-up estimate exceeds its lowest by more than 2E
-    (``_estimate_error``) has one strictly nearest codeword; its distance
-    is then summed as cdist sums it.  Every other row goes to cdist.
+    (``_estimate_error``) has one strictly nearest codeword; with
+    ``distances`` its distance is then summed as cdist sums it, and
+    without them None is returned in their place.  Every other row goes to
+    cdist.
     """
     n, c = vectors.shape
     k = codewords.shape[0]
@@ -363,6 +484,11 @@ def _nearest_screened(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.nd
         gap = flat[row_starts + np.argmin(est, axis=1)] - lowest
         labels[lo : lo + m] = best
         np.greater(gap, 2.0 * _estimate_error(c, max_x, max_c), out=sure[lo : lo + m])
+    unsure = np.flatnonzero(~sure)
+    if not distances:
+        if unsure.size:
+            labels[unsure] = _nearest_cdist(vectors[unsure], codewords)[0]
+        return labels, None
     # cdist's per-pair order: fl((x_j - c_j)**2) added over j = 0, 1, ...
     diff = codewords[labels]
     with np.errstate(over="ignore"):  # unsure rows are searched again below
@@ -371,9 +497,8 @@ def _nearest_screened(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.nd
         dist = diff[:, 0].copy()
         for j in range(1, c):
             dist += diff[:, j]
-    if not sure.all():
-        rows = np.flatnonzero(~sure)
-        labels[rows], dist[rows] = _nearest_cdist(vectors[rows], codewords)
+    if unsure.size:
+        labels[unsure], dist[unsure] = _nearest_cdist(vectors[unsure], codewords)
     return labels, dist
 
 
@@ -392,7 +517,7 @@ def nn_quantize(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(f"vectors must be (n, {codebook.dim}), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vectors must be finite")
-    return _nearest(v, codebook.codewords, codebook._search_table)[0]
+    return _nearest(v, codebook.codewords, codebook._search_table, distances=False)[0]
 
 
 def rvq_quantize(rvq: ResidualVQ, vectors: np.ndarray, m: int) -> tuple[IndexStack, np.ndarray]:

@@ -24,6 +24,7 @@ import rvqcodec
 from rvqcodec import schemes
 from rvqcodec.bitstream import StreamHeader, pack, unpack
 from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid, SourceConfig, gauss_markov_sample
+from rvqcodec.quantizers import QuantizerSet, read_codebook_file, write_codebook_file
 from rvqcodec.rans import RansStream
 from rvqcodec.schemes import (
     CM_SUPPORT_RADIUS,
@@ -349,6 +350,26 @@ print(json.dumps(out))
 """
 
 
+_DISPATCH_IQ_ENCODE = _BASELINE_PRELUDE + """
+from rvqcodec.bitstream import StreamHeader, pack
+from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid
+from rvqcodec.quantizers import QuantizerSet, read_codebook_file
+from rvqcodec.schemes import iq_encode
+
+qset = QuantizerSet(groups=tuple(read_codebook_file(p) for p in payload["codebooks"]))
+latent = LatentGrid(np.load(payload["latent"]))
+out["streams"] = {}
+for m in payload["ms"]:
+    header = StreamHeader(
+        height=latent.height * LATENT_DOWNSAMPLE, width=latent.width * LATENT_DOWNSAMPLE, q=m
+    )
+    coded = iq_encode(latent, qset, m)
+    stream = pack(header, coded.hyper_stack, coded.group_stacks, qset)
+    out["streams"][str(m)] = hashlib.sha256(stream.header.to_bytes() + stream.payload).hexdigest()
+print(json.dumps(out))
+"""
+
+
 def _dispatch_targets() -> list[str]:
     """numpy's SIMD dispatch targets above its baseline that this CPU runs."""
     try:
@@ -436,16 +457,12 @@ GOLDEN_SCREEN = {
 }
 
 
-def _compute_screen_digests(tmp):
-    train = [
-        gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=9), index=i)
-        for i in range(7)
-    ]
-    latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=10), index=0)
+def _model_digests(tmp, train, latent, stages, seed, hyper_stage_sizes=None):
+    """Codebooks, rd predictor, and rd/iq streams and latents at m = 1, 2."""
     rd_model = train_rd_model(
-        train, SCREEN_STAGES, hyper_stage_sizes=SCREEN_STAGES, iterations=10, seed=4
+        train, stages, hyper_stage_sizes=hyper_stage_sizes, iterations=10, seed=seed
     )
-    iq_qset = train_iq_model(train, SCREEN_STAGES, iterations=10, seed=4)
+    iq_qset = train_iq_model(train, stages, iterations=10, seed=seed)
     out = {
         "rd-codebooks": _sha(_codebook_bytes(rd_model[1])),
         "rd-predictor": _sha(_predictor_bytes(rd_model[0], tmp / "rd.efpr")),
@@ -459,6 +476,15 @@ def _compute_screen_digests(tmp):
     return out
 
 
+def _compute_screen_digests(tmp):
+    train = [
+        gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=9), index=i)
+        for i in range(7)
+    ]
+    latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=10), index=0)
+    return _model_digests(tmp, train, latent, SCREEN_STAGES, 4, hyper_stage_sizes=SCREEN_STAGES)
+
+
 @pytest.fixture(scope="module")
 def screen_digests(tmp_path_factory):
     return _compute_screen_digests(tmp_path_factory.mktemp("golden-screen"))
@@ -467,3 +493,70 @@ def screen_digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCREEN))
 def test_golden_screen_digest(screen_digests, name):
     assert screen_digests[name] == GOLDEN_SCREEN[name]
+
+
+# C = 1 with 64-codeword stages over 64 x 64 latents: every encode search
+# places a 1,024-row group among 64 values, above the bucket lookup's gate
+# in ``quantizers._nearest`` (every other C = 1 golden codes 256-row groups
+# at K = 16, below it).  Recorded with the plain ``searchsorted`` search, so
+# the buckets are pinned to its bytes.  Training places the codeword values
+# among the sorted samples and does no bucket work.
+BUCKET_SIZE = 64
+BUCKET_STAGES = (64, 64)
+
+GOLDEN_BUCKET = {
+    "iq-codebooks": "50a4a03a4b1903c5c3016953ea45e3a0f66885e951c386b9803a9d5a6f8194ba",
+    "iq-m1-latent": "b0a03f8e78cf5c4bdf2b1f60ff54fc2647f7a8765c5f95ce128d4bfa99a4852f",
+    "iq-m1-stream": "1e29b3faa283525f1e3b3d078dd23ec7ab88befc63776d314ce0699d055e8151",
+    "iq-m2-latent": "b2d20c9255c3703bec13d0c1b3789a975df2a5d57f80f44bd575649fd9029053",
+    "iq-m2-stream": "617822e29d87d6a010a7e6220f27bac082e4fbc310d614d0f67a0a23698d6aab",
+    "rd-codebooks": "cdd68204bc4147afa3a526bb9a5df8515056c677093fbdebeab6fd90169c0931",
+    "rd-m1-latent": "8a363d0ff7fe36834954c6535f280d72081047d7324007f3de0290dc33a0d9b9",
+    "rd-m1-stream": "93d5899ee1ed90cb8ef7dc704c26e924c752289d1ec77bede344dce26356265a",
+    "rd-m2-latent": "3b3a29a9971be52ae705480de4000a691b053e6afedbc81c297c5a2f2c6a4c03",
+    "rd-m2-stream": "1a9bb81be484719a1ef4e5222b64e70d74b08482bd0624d90571a9de708c8214",
+    "rd-predictor": "6d757335c5e44037e8e4d6ea17724078fb0305e4a83c8f60d17af1e0e9beb343",
+}
+
+
+def _bucket_training_set():
+    return [
+        gauss_markov_sample(SourceConfig(1, BUCKET_SIZE, BUCKET_SIZE, rho=0.9, seed=11), index=i)
+        for i in range(6)
+    ]
+
+
+def _bucket_latent():
+    return gauss_markov_sample(SourceConfig(1, BUCKET_SIZE, BUCKET_SIZE, rho=0.9, seed=12), index=0)
+
+
+def _compute_bucket_digests(tmp):
+    return _model_digests(tmp, _bucket_training_set(), _bucket_latent(), BUCKET_STAGES, 5)
+
+
+@pytest.fixture(scope="module")
+def bucket_digests(tmp_path_factory):
+    return _compute_bucket_digests(tmp_path_factory.mktemp("golden-bucket"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUCKET))
+def test_golden_bucket_digest(bucket_digests, name):
+    assert bucket_digests[name] == GOLDEN_BUCKET[name]
+
+
+def test_bucket_iq_encode_is_exact_with_every_dispatch_target_disabled(tmp_path):
+    """The bucket section's iq codebooks, written to files and read back,
+    encode its latent to the same stream bytes in a process that runs numpy
+    at its baseline SIMD target: the bucket index arithmetic and the exact
+    neighbour check place every row alike at any dispatch target.  iq has
+    no predictor, so no ``exp`` enters the stream."""
+    qset = train_iq_model(_bucket_training_set(), BUCKET_STAGES, iterations=10, seed=5)
+    paths = [str(tmp_path / f"group{i}.efcb") for i in range(len(qset.groups))]
+    for path, rvq in zip(paths, qset.groups):
+        write_codebook_file(path, rvq)
+    read_back = QuantizerSet(groups=tuple(read_codebook_file(p) for p in paths))
+    latent = _bucket_latent()
+    np.save(tmp_path / "latent.npy", latent.data)
+    expected = {str(m): _sha(_fixed_round_trip("iq", latent, read_back, m)[0]) for m in (1, 2)}
+    payload = {"codebooks": paths, "latent": str(tmp_path / "latent.npy"), "ms": [1, 2]}
+    assert _run_at_baseline(_DISPATCH_IQ_ENCODE, payload)["streams"] == expected

@@ -22,6 +22,8 @@ from rvqcodec.quantizers import (
 )
 from rvqcodec import quantizers
 from rvqcodec.quantizers import (
+    _bucket_index,
+    _bucket_lookup,
     _build_search_table,
     _chunked_sum,
     _kmeanspp_seed,
@@ -133,26 +135,75 @@ def _search_cases(draw):
     return _column(cw), _column(x)
 
 
+def _subnormal_span_case():
+    """Codeword values a subnormal span apart: the grid's scale, buckets
+    over span, is infinite, and a row at the lowest value would give
+    0 * inf = NaN as its bucket."""
+    cw = [0.0, 5e-324, 1e-323, 1.5e-323]
+    return _column(cw), _column([0.0, 5e-324, -1.0, 1e-323, 2e-323, 1.0])
+
+
+def _overflow_span_case():
+    """Codewords at +-1e308, whose span overflows to inf: the grid's scale
+    is 0, and a row whose offset overflows would give inf * 0 = NaN."""
+    return _column([-1e308, 0.0, 1e308]), _column([-1e308, 1e308, 0.0, 5e307, -3e307, 1.0])
+
+
+def _beyond_ends_case():
+    """Rows below the lowest and above the highest codeword value, near and
+    far, which clip to the first and last bucket."""
+    return _column(np.arange(-3.0, 4.0)), _column(
+        [-1e300, -4.0, -3.0, -3.5, np.nextafter(-3.0, -4.0), 3.5, 3.0, 4.0, 1e300]
+    )
+
+
+def _cluster_case():
+    """A tight cluster and one far codeword: the grid is capped and the
+    whole cluster shares one bucket, so rows inside it are placed by
+    ``searchsorted`` after the bucket lookup's check fails."""
+    cw = np.concatenate([1e-9 * np.arange(40), [1e6]])
+    x = np.concatenate([cw, 1e-9 * (np.arange(41) - 0.5), [-1.0, 0.5, 5e5, 2e6]])
+    return _column(cw), _column(x)
+
+
+def _signed_zero_case():
+    """Duplicated codeword values and zeros of both signs, in codewords and
+    rows."""
+    cw = [0.0, -0.0, 1.0, 1.0, -1.0, -0.0, 2.0, 2.0, 5e-324]
+    x = [-0.0, 0.0, 1.0, 0.5, -0.5, 2.0, -5e-324, 5e-324, 1.5, -1.0]
+    return _column(cw), _column(x)
+
+
+def _edge_example(case):
+    return example(case=case, tie_seed=0, chunk=quantizers._CHUNK)
+
+
 @settings(max_examples=300)
 @given(
     case=_search_cases(),
     tie_seed=st.integers(0, 2**31),
     chunk=st.sampled_from([quantizers._CHUNK, 1, 3]),
 )
+@_edge_example(_subnormal_span_case())
+@_edge_example(_overflow_span_case())
+@_edge_example(_beyond_ends_case())
+@_edge_example(_cluster_case())
+@_edge_example(_signed_zero_case())
 def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
-    """Both C = 1 searches are cdist + argmin: each row placed among the
-    codeword values, and the training path, codeword values placed among
-    the sorted rows in whatever order the argsort leaves equal rows.  The
-    two send the same rows to the cdist fallback: the neighbour check
-    certifies a row's result whatever interval it was given, so only the
-    fallback shows an interval that differs.  Small chunks split the
-    neighbour comparison into blocks whose fallback rows are gathered."""
+    """The three C = 1 searches are cdist + argmin: each row placed among
+    the codeword values by ``searchsorted``, or by the bucket lookup with
+    its gates at their minimum (two distinct values, any row count), and
+    the training path, codeword values placed among the sorted rows in
+    whatever order the argsort leaves equal rows.  The three send the same
+    rows to the cdist fallback: the neighbour check certifies a row's
+    result whatever interval it was given, so only the fallback shows an
+    interval that differs.  Small chunks split the neighbour comparison
+    and the bucket lookup into blocks whose fallback rows are gathered."""
     codewords, vectors = case
     d2 = cdist(vectors, codewords, metric="sqeuclidean")
     expected = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
     mins = d2[np.arange(len(vectors)), expected]
-    cb = Codebook(codewords)
-    assert np.array_equal(nn_quantize(cb, vectors), expected)
+    assert np.array_equal(nn_quantize(Codebook(codewords), vectors), expected)
     x = vectors[:, 0]
     order = np.lexsort((rng_for(tie_seed).random(x.shape[0]), x))
     searched = []
@@ -165,12 +216,91 @@ def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantizers, "_nearest_cdist", spy)
         mp.setattr(quantizers, "_CHUNK", chunk)
-        for ranked in (None, (order, x[order])) if cb.dim == 1 else (None,):
+        mp.setattr(quantizers, "_BUCKET_MIN_VALUES", 2)
+        mp.setattr(quantizers, "_BUCKET_MIN_ROWS", 0)
+        if codewords.shape[1] == 1:
+            plain = _build_search_table(codewords)
+            searches = [
+                (plain, None),
+                (_build_search_table(codewords, buckets=True), None),
+                (plain, (order, x[order])),
+            ]
+        else:
+            searches = [(None, None)]
+        for table, ranked in searches:
             searched.append(None)
-            labels, dist = _nearest(vectors, cb.codewords, cb._search_table, ranked)
+            labels, dist = _nearest(vectors, codewords, table, ranked)
             assert np.array_equal(labels, expected)
             assert dist.tobytes() == mins.tobytes()
-    assert searched[-1] == searched[0]
+    assert searched == [searched[0]] * len(searched)
+
+
+@pytest.mark.parametrize(
+    "case, built",
+    [
+        (_subnormal_span_case(), False),
+        (_overflow_span_case(), False),
+        (_beyond_ends_case(), True),
+        (_cluster_case(), True),
+        (_signed_zero_case(), True),
+    ],
+)
+def test_bucket_grid_refuses_spans_without_a_finite_scale(monkeypatch, case, built):
+    """A grid is built only where its scale is finite and positive, so no
+    row's bucket arithmetic can be NaN; where it is built, its lookup gives
+    ``searchsorted``'s q and neighbours on every row."""
+    monkeypatch.setattr(quantizers, "_BUCKET_MIN_VALUES", 2)
+    codewords, vectors = case
+    values, _, grid = _build_search_table(codewords, buckets=True)
+    assert (grid is not None) == built
+    if built:
+        x = vectors[:, 0]
+        want = np.searchsorted(values[2:-2], x)
+        q, below, above = _bucket_lookup(x, values, grid)
+        assert np.array_equal(q, want)
+        assert below.tobytes() == values[1:][want].tobytes()
+        assert above.tobytes() == values[2:][want].tobytes()
+
+
+def test_bucket_lookup_falls_back_where_a_bucket_holds_several_values():
+    """The cluster case caps the grid at ``_BUCKET_MAX`` buckets and puts
+    all 40 cluster values in bucket 0, so rows high in the cluster need
+    more than the one step up: they fail the check and are placed by
+    ``searchsorted``."""
+    codewords, vectors = _cluster_case()
+    values, _, (lo, scale, start) = _build_search_table(codewords, buckets=True)
+    assert start.shape[0] == quantizers._BUCKET_MAX
+    x = vectors[:, 0]
+    stepped = start[_bucket_index(x, lo, scale, start.shape[0])] + 1
+    assert (stepped < np.searchsorted(values[2:-2], x)).sum() > 30
+
+
+def test_nn_quantize_uses_the_bucket_grid_at_its_gates(monkeypatch):
+    """A codebook of ``_BUCKET_MIN_VALUES`` distinct values has a grid and
+    one with fewer has none.  ``nn_quantize`` places one row fewer than
+    ``_BUCKET_MIN_ROWS`` by one ``searchsorted``, and ``_BUCKET_MIN_ROWS``
+    rows by the lookup, which on a trained codebook of 64 Gaussian values
+    leaves no row of a Gaussian batch to ``searchsorted``."""
+    k = quantizers._BUCKET_MIN_VALUES
+    assert Codebook(_column(np.arange(k)))._search_table[2] is not None
+    assert Codebook(_column(np.arange(k - 1)))._search_table[2] is None
+    rng = rng_for(71)
+    cb, _ = train_codebook(rng.standard_normal((4096, 1)), 64, iterations=8, seed=2)
+    assert cb._search_table[2] is not None
+    x = rng.standard_normal((quantizers._BUCKET_MIN_ROWS, 1))
+    want = cdist(x, cb.codewords, metric="sqeuclidean").argmin(axis=1)
+    placed = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        placed.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    assert np.array_equal(nn_quantize(cb, x[:-1]), want[:-1])
+    assert placed == [x.shape[0] - 1]
+    assert np.array_equal(nn_quantize(cb, x), want)
+    assert placed == [x.shape[0] - 1]
 
 
 def _screened_k(c):
@@ -241,13 +371,17 @@ def _scale_case(scale):
 def test_screened_search_is_the_cdist_search(case):
     """The GEMM-screened search returns the labels and distances of cdist +
     argmin bit for bit, whatever it settles itself and whatever it hands to
-    cdist: ties to the lowest index, overflowing rows, subnormal rows."""
+    cdist: ties to the lowest index, overflowing rows, subnormal rows.
+    Asked for labels only, as ``nn_quantize`` asks, it returns the same
+    labels and no distances."""
     x, cw = case
     assert cw.shape[0] >= _screened_k(cw.shape[1])
     want_labels, want_dist = quantizers._nearest_cdist(x, cw)
     labels, dist = _nearest(x, cw, None)
     assert labels.tobytes() == want_labels.tobytes()
     assert dist.tobytes() == want_dist.tobytes()
+    labels, dist = _nearest(x, cw, None, distances=False)
+    assert labels.tobytes() == want_labels.tobytes() and dist is None
 
 
 def test_screened_search_runs_cdist_only_on_unsettled_rows(monkeypatch):
