@@ -692,7 +692,8 @@ def rate_dominance_experiment(
     coarse analytic screen ranks all menu^4 assignments under each rate
     cap, the best few are trained for real, and the measured points are
     matched against each entropy-coded point.  Rates are measured bits per
-    latent element on the holdout set.
+    latent element on the holdout set.  A row's ``slack`` is its rate cap
+    less the matched rate: the overhead the match still absorbs.
     """
     train, hold = _corpus(source, train_count, holdout_count)
 
@@ -743,6 +744,7 @@ def rate_dominance_experiment(
                 "sizes": best["sizes"] if best else None,
                 "rd_rate": best["rate"] if best else None,
                 "rd_mse": best["mse"] if best else None,
+                "slack": cap - best["rate"] if best else None,
                 "passed": bool(ok),
             }
         )

@@ -217,28 +217,33 @@ def _load_model(model_dir: str, scheme: str) -> tuple:
     raise _CliError(f"model directory {model_dir}: {problem}", IO_ERROR)
 
 
+def _source_config(args, seed: int) -> SourceConfig:
+    """The synthetic source that ``--shape``, ``--rho`` and ``--var`` name."""
+    shape = _parse_ints(args.shape, "--shape")
+    if len(shape) != 3:
+        raise _CliError(f"--shape expects C,H,W, got {args.shape!r}", USAGE_ERROR)
+    try:
+        return SourceConfig(
+            channels=shape[0], height=shape[1], width=shape[2],
+            rho=args.rho, variance=args.var, seed=seed,
+        )
+    except ValueError as e:
+        raise _CliError(str(e), USAGE_ERROR)
+
+
 # ---------------------------------------------------------------------------
 # Commands.
 
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    shape = _parse_ints(args.shape, "--shape")
-    if len(shape) != 3:
-        raise _CliError(f"--shape expects C,H,W, got {args.shape!r}", USAGE_ERROR)
-    try:
-        config = SourceConfig(
-            channels=shape[0], height=shape[1], width=shape[2],
-            rho=args.rho, variance=args.var, seed=args.seed,
-        )
-    except ValueError as e:
-        raise _CliError(str(e), USAGE_ERROR)
+    config = _source_config(args, args.seed)
     latent = gauss_markov_sample(config, index=args.index)
     path = out / args.out
     write_latent_file(path, latent)
     manifest_config = {
-        "shape": list(shape), "rho": args.rho, "var": args.var,
-        "seed": args.seed, "index": args.index,
+        "shape": [config.channels, config.height, config.width], "rho": args.rho,
+        "var": args.var, "seed": args.seed, "index": args.index,
     }
     _write_manifest(out, "synth", manifest_config, {"latent": path}, None)
     print(f"wrote {path}: shape {latent.shape}, rho={args.rho}, seed={args.seed}")
@@ -414,16 +419,7 @@ def cmd_verify_props(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    shape = _parse_ints(args.shape, "--shape")
-    if len(shape) != 3:
-        raise _CliError(f"--shape expects C,H,W, got {args.shape!r}", USAGE_ERROR)
-    try:
-        source = SourceConfig(
-            channels=shape[0], height=shape[1], width=shape[2],
-            rho=args.rho, variance=args.var, seed=args.source_seed,
-        )
-    except ValueError as e:
-        raise _CliError(str(e), USAGE_ERROR)
+    source = _source_config(args, args.source_seed)
     schemes = args.schemes.split(",")
     ms = _parse_ints(args.ms, "--ms")
     deltas = _parse_floats(args.deltas, "--deltas") if "cm" in schemes else ()
@@ -453,8 +449,8 @@ def cmd_sweep(args) -> int:
     csv_path = out / "rd_curves.csv"
     write_rd_curves_csv(csv_path, curves)
     config = {
-        "shape": list(shape), "rho": args.rho, "var": args.var,
-        "source_seed": args.source_seed, "schemes": schemes, "ms": list(ms),
+        "shape": [source.channels, source.height, source.width], "rho": args.rho,
+        "var": args.var, "source_seed": args.source_seed, "schemes": schemes, "ms": list(ms),
         "deltas": list(deltas), "Ks": list(sizes), "stages": args.stages,
         "iters": args.iters, "seed": args.seed,
         "train_count": args.train_count, "holdout_count": args.holdout_count,
@@ -512,7 +508,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", default=None, help="key=value file overriding defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("synth", help="sample a Gauss-Markov latent to an EFLT file")
     p.add_argument("--shape", required=True, help="C,H,W")
@@ -587,11 +582,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--test-scheme", default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_bdrate)
-    subparsers["bdrate"] = p
-
-    for name in ("synth", "train", "encode", "decode", "verify-props", "sweep"):
-        subparsers[name] = sub.choices[name]
-    return parser, subparsers
+    return parser, dict(sub.choices)
 
 
 def main(argv=None) -> int:

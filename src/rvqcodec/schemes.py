@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,48 +110,54 @@ _PREDICT_BLOCK = 2**16
 # ``_predict_with``.  A multiple of 16, which numpy 1.x requires.
 _PREDICT_BUFSIZE = 64
 _PREDICTOR_MAGIC = b"EFPR"
-_PREDICTOR_VERSION = 1
+_PREDICTOR_VERSION = 2
+_PREDICTOR_HEADER = struct.Struct("<4sBIB")
+
+
+def _context_dims(c: int, uses_hyper: bool) -> list[int]:
+    """Context dimensions of groups 1-4: C per previously decoded group, then
+    C for phi when the hyper grid is used."""
+    return [c * (i + uses_hyper) for i in range(4)]
 
 
 @dataclass(frozen=True)
 class ContextPredictor:
     """Per-group affine maps from flattened context to (mu, log sigma).
 
-    ``weights[i]`` has shape (d_i, 2C): the first C output columns are mu,
-    the last C are log sigma.  ``d_i`` counts the context channels: C per
-    previously decoded group, plus C for phi when the hyper grid is used.
-    Group 1 sees only phi (or nothing but the bias without a hyper grid).
+    A predictor is its weights: ``weights[i]`` has shape (d_i, 2C) and
+    ``biases[i]`` shape (2C,), the first C output columns mu and the last C
+    log sigma, and the shapes imply the rest.  ``channels`` is C, half the
+    length of a bias; ``uses_hyper`` says group 1 has C weight rows (phi)
+    rather than 0 (the bias alone).  Group i then sees d_i = C * (i + 1)
+    context dimensions with the hyper grid and C * i without
+    (``_context_dims``).  Predicted sigma is floored at ``SIGMA_FLOOR``.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    channels: int
-    uses_hyper: bool
-    sigma_min: float = SIGMA_FLOOR
+    channels: int = field(init=False)
+    uses_hyper: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.weights) != 4 or len(self.biases) != 4:
             raise ValueError("predictor needs maps for exactly four groups")
-        if not (np.isfinite(self.sigma_min) and self.sigma_min > 0.0):
-            raise ValueError(f"sigma_min must be positive and finite, got {self.sigma_min}")
-        c = self.channels
-        ws, bs = [], []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
-            b = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
-            d_exp = c * (i + (1 if self.uses_hyper else 0))
-            if w.shape != (d_exp, 2 * c):
-                raise ValueError(
-                    f"group {i + 1} weight shape {w.shape} != ({d_exp}, {2 * c})"
-                )
+        ws = [np.ascontiguousarray(np.asarray(w, dtype=np.float64)) for w in self.weights]
+        bs = [np.ascontiguousarray(np.asarray(b, dtype=np.float64)) for b in self.biases]
+        c = bs[0].size // 2
+        if c < 1:
+            raise ValueError(f"group 1 bias shape {bs[0].shape} is not (2C,) for a C >= 1")
+        uses_hyper = ws[0].size > 0
+        for i, (w, b, d) in enumerate(zip(ws, bs, _context_dims(c, uses_hyper))):
+            if w.shape != (d, 2 * c):
+                raise ValueError(f"group {i + 1} weight shape {w.shape} != ({d}, {2 * c})")
             if b.shape != (2 * c,):
                 raise ValueError(f"group {i + 1} bias shape {b.shape} != ({2 * c},)")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"group {i + 1} weights and bias must be finite")
-            ws.append(w)
-            bs.append(b)
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "biases", tuple(bs))
+        object.__setattr__(self, "channels", c)
+        object.__setattr__(self, "uses_hyper", uses_hyper)
 
     def predict(self, group: int, context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mu, sigma) per position, each (n, C); sigma is floored.
@@ -170,7 +176,7 @@ class ContextPredictor:
         w = self.weights[group]
         if context.shape != (context.shape[0], w.shape[0]):
             raise ValueError(f"context shape {context.shape} != (n, {w.shape[0]})")
-        return _predict_with(w, self.biases[group], self.channels, self.sigma_min, context)
+        return _predict_with(w, self.biases[group], self.channels, context)
 
 
 def _check_cm_delta(delta) -> None:
@@ -244,9 +250,9 @@ def _check_geometry(shape: tuple[int, int, int], use_hyper: bool) -> None:
         )
 
 
-def _check_corpus(latents: list[LatentGrid], use_hyper: bool) -> int:
-    """Channel count of a training corpus: non-empty, one channel count,
-    every latent of a codable shape."""
+def _check_corpus(latents: list[LatentGrid], use_hyper: bool) -> None:
+    """A training corpus is non-empty, of one channel count, and every
+    latent is of a codable shape."""
     if not latents:
         raise ValueError("no training latents")
     c = latents[0].channels
@@ -256,7 +262,6 @@ def _check_corpus(latents: list[LatentGrid], use_hyper: bool) -> int:
                 f"training latents must share a channel count, got {c} and {lat.channels}"
             )
         _check_geometry(lat.shape, use_hyper)
-    return c
 
 
 def _check_hyper(predictor: ContextPredictor | None, qset: QuantizerSet) -> bool:
@@ -600,9 +605,10 @@ def _fit_group_heads(psi: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.nda
     return wmat, bias
 
 
-def _predict_with(w, b, c, sigma_min, psi):
-    """(mu, sigma) of raw heads, each a C-contiguous (n, C) array, for
-    ``ContextPredictor.predict`` and the fit loop.
+def _predict_with(w, b, c, psi):
+    """(mu, sigma) of raw heads, each a C-contiguous (n, C) array with sigma
+    floored at ``SIGMA_FLOOR``, for ``ContextPredictor.predict`` and the fit
+    loop.
 
     The heads accumulate channel-major: a ``(2C, n)`` array starts at the
     bias, and context dimension d adds ``w[d][:, None] * context[d]`` in
@@ -648,7 +654,7 @@ def _predict_with(w, b, c, sigma_min, psi):
                 block += w[d][:, None] * context[d]
     finally:
         np.setbufsize(old)
-    sigma = np.maximum(np.exp(out[c:]), sigma_min)
+    sigma = np.maximum(np.exp(out[c:]), SIGMA_FLOOR)
     return np.ascontiguousarray(out[:c].T), np.ascontiguousarray(sigma.T)
 
 
@@ -674,7 +680,7 @@ def _run_sequential_fit(latents, phi, close_group, lam):
         w, b = _fit_group_heads(psi, y, lam)
         weights.append(w)
         biases.append(b)
-        mu, sigma = _predict_with(w, b, c, SIGMA_FLOOR, psi)
+        mu, sigma = _predict_with(w, b, c, psi)
         decoded.append(close_group(i, mu, sigma, y))
     return weights, biases
 
@@ -698,7 +704,7 @@ def train_rd_model(
     are given via ``group_stage_sizes``.
     """
     use_hyper = hyper_stage_sizes is not None
-    c = _check_corpus(latents, use_hyper)
+    _check_corpus(latents, use_hyper)
     per_group = group_stage_sizes or tuple([tuple(stage_sizes)] * 4)
     if len(per_group) != 4:
         raise ValueError("need stage sizes for exactly four groups")
@@ -733,10 +739,7 @@ def train_rd_model(
         return sigma * rec + mu
 
     weights, biases = _run_sequential_fit(latents, phi, close_group, ridge_lambda)
-    predictor = ContextPredictor(
-        weights=tuple(weights), biases=tuple(biases), channels=c,
-        uses_hyper=use_hyper, sigma_min=SIGMA_FLOOR,
-    )
+    predictor = ContextPredictor(weights=tuple(weights), biases=tuple(biases))
     qset = QuantizerSet(groups=tuple(trained), hyper=hyper_q)
     return predictor, qset
 
@@ -773,7 +776,7 @@ def train_cm_model(
     passes it.
     """
     _check_cm_delta(delta)
-    c = _check_corpus(latents, use_hyper=False)
+    _check_corpus(latents, use_hyper=False)
 
     def close_group(i, mu, sigma, y):
         k = np.rint((y - mu) / delta)
@@ -781,10 +784,7 @@ def train_cm_model(
         return mu + delta * k
 
     weights, biases = _run_sequential_fit(latents, None, close_group, ridge_lambda)
-    return ContextPredictor(
-        weights=tuple(weights), biases=tuple(biases), channels=c,
-        uses_hyper=False, sigma_min=SIGMA_FLOOR,
-    )
+    return ContextPredictor(weights=tuple(weights), biases=tuple(biases))
 
 
 # ---------------------------------------------------------------------------
@@ -792,56 +792,44 @@ def train_cm_model(
 
 
 def write_predictor_file(path, predictor: ContextPredictor) -> None:
+    """EFPR v2: magic, version, C (u32), hyper flag (u8), then each group's
+    weights and bias as little-endian float64 in group order."""
     with open(path, "wb") as f:
-        f.write(_PREDICTOR_MAGIC)
         f.write(
-            struct.pack(
-                "<BIIB",
-                _PREDICTOR_VERSION,
-                len(predictor.weights),
-                predictor.channels,
-                1 if predictor.uses_hyper else 0,
+            _PREDICTOR_HEADER.pack(
+                _PREDICTOR_MAGIC, _PREDICTOR_VERSION, predictor.channels, predictor.uses_hyper
             )
         )
         for w, b in zip(predictor.weights, predictor.biases):
-            f.write(struct.pack("<II", w.shape[0], w.shape[1]))
             f.write(w.astype("<f8").tobytes(order="C"))
             f.write(b.astype("<f8").tobytes(order="C"))
-        f.write(struct.pack("<d", predictor.sigma_min))
 
 
 def read_predictor_file(path) -> ContextPredictor:
+    """Every shape follows from the header, so the file must be exactly the
+    length its C and hyper flag imply; no array is built before that holds."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 14 or raw[:4] != _PREDICTOR_MAGIC:
+    if len(raw) < _PREDICTOR_HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than a predictor header")
+    magic, version, c, hyper = _PREDICTOR_HEADER.unpack_from(raw)
+    if magic != _PREDICTOR_MAGIC:
         raise ValueError(f"{path}: not a predictor file (bad magic)")
-    version, groups, channels, uses_hyper = struct.unpack("<BIIB", raw[4:14])
     if version != _PREDICTOR_VERSION:
         raise ValueError(f"{path}: unsupported predictor version {version}")
-    off = 14
-    weights, biases = [], []
-    for _ in range(groups):
-        if off + 8 > len(raw):
-            raise ValueError(f"{path}: truncated group header")
-        d, two_c = struct.unpack("<II", raw[off : off + 8])
-        off += 8
-        wb = 8 * d * two_c
-        bb = 8 * two_c
-        if off + wb + bb > len(raw):
-            raise ValueError(f"{path}: truncated group payload")
-        weights.append(np.frombuffer(raw[off : off + wb], dtype="<f8").reshape(d, two_c).copy())
-        off += wb
-        biases.append(np.frombuffer(raw[off : off + bb], dtype="<f8").copy())
-        off += bb
-    if off + 8 > len(raw):
-        raise ValueError(f"{path}: truncated sigma_min field")
-    if off + 8 < len(raw):
-        raise ValueError(f"{path}: {len(raw) - off - 8} unexpected trailing bytes")
-    (sigma_min,) = struct.unpack("<d", raw[off : off + 8])
-    return ContextPredictor(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        channels=channels,
-        uses_hyper=bool(uses_hyper),
-        sigma_min=sigma_min,
-    )
+    if c < 1 or hyper > 1:
+        raise ValueError(f"{path}: bad header: C={c}, hyper flag {hyper}")
+    dims = _context_dims(c, hyper)
+    expected = _PREDICTOR_HEADER.size + 8 * sum((d + 1) * 2 * c for d in dims)
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes where C={c}, hyper flag {hyper} needs {expected}"
+        )
+    # An aligned native copy: the 10-byte header leaves the buffer misaligned.
+    values = np.frombuffer(raw, dtype="<f8", offset=_PREDICTOR_HEADER.size).astype(np.float64)
+    weights, biases, off = [], [], 0
+    for d in dims:
+        weights.append(values[off : off + d * 2 * c].reshape(d, 2 * c))
+        biases.append(values[off + d * 2 * c : off + (d + 1) * 2 * c])
+        off += (d + 1) * 2 * c
+    return ContextPredictor(weights=tuple(weights), biases=tuple(biases))

@@ -177,8 +177,10 @@ def test_criterion_4_rate_dominance(dominance):
     for r in dominance["rows"]:
         matched = (
             f"sizes={r['sizes']} rate={r['rd_rate']:.3f} mse={r['rd_mse']:.4f}"
+            f" slack={r['slack']:.4f}"
             if r["sizes"] is not None else "no point under the rate cap"
         )
+        assert r["slack"] == (None if r["sizes"] is None else r["rate_cap"] - r["rd_rate"])
         print(
             f"  delta={r['delta']:<6} cm rate={r['cm_rate']:.3f}"
             f" mse={r['cm_mse']:.4f} | fixed-length {matched}"

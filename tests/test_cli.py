@@ -393,7 +393,7 @@ def test_model_files_that_disagree_are_an_io_error(pipeline, tmp_path, capsys):
     shutil.copytree(pipeline["model"], wide)
     write_predictor_file(wide / "predictor.efpr", ContextPredictor(
         weights=tuple(np.zeros((2 * i, 4)) for i in range(4)),
-        biases=tuple(np.zeros(4) for _ in range(4)), channels=2, uses_hyper=False,
+        biases=tuple(np.zeros(4) for _ in range(4)),
     ))
     cases = [
         (hyper, "rd", "the rd model uses a hyper grid, yet codebook_hyper.efcb is missing"),
@@ -409,11 +409,10 @@ def test_model_files_that_disagree_are_an_io_error(pipeline, tmp_path, capsys):
 
 def test_non_finite_predictor_fields_are_an_io_error(pipeline, tmp_path, capsys):
     raw = (pipeline["model"] / "predictor.efpr").read_bytes()
-    d, two_c = struct.unpack("<II", raw[14:22])
-    bias = 22 + 8 * d * two_c  # group 1's first bias entry
+    c, hyper = struct.unpack("<IB", raw[5:10])
+    bias = 10 + 8 * (c * hyper) * 2 * c  # group 1's first bias entry
     cases = [
-        ("nan-sigma-min", raw[:-8] + struct.pack("<d", float("nan")),
-         "sigma_min must be positive and finite, got nan"),
+        ("truncated", raw[:-1], f"{len(raw) - 1} bytes where C={c}, hyper flag {hyper} needs"),
         ("inf-bias", raw[:bias] + struct.pack("<d", float("inf")) + raw[bias + 8:],
          "group 1 weights and bias must be finite"),
     ]
@@ -578,7 +577,10 @@ def _fake_experiments(monkeypatch, fail=()):
 
     def dominance(seed):
         calls.append("dominance")
-        return {"rows": [], "passed": "dominance" not in fail}
+        row = {"delta": 1.0, "cm_rate": 1.2, "cm_mse": 0.08, "rate_cap": 1.3333,
+               "sizes": (8, 3, 3, 1), "rd_rate": 1.3329, "rd_mse": 0.083, "slack": 0.0004,
+               "passed": True}
+        return {"rows": [row], "passed": "dominance" not in fail}
 
     def entropy(seed):
         calls.append("entropy")
@@ -614,6 +616,8 @@ def test_verify_props_all_pass(monkeypatch, tmp_path, capsys):
     assert "report" not in entropy
     assert entropy["rows"][0]["quantizer"] == "group1"
     assert entropy["gap"] <= entropy["threshold"]
+    # criterion 4's rows carry their slack under the rate cap
+    assert report["claims"]["dominance"]["rows"][0]["slack"] == 0.0004
 
 
 def test_verify_props_failure_exits_nonzero(monkeypatch, tmp_path, capsys):

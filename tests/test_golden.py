@@ -173,7 +173,7 @@ VEC_DELTA = 0.5
 
 GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
-    "cm-d0.5-predictor": "35183e432523168f3f8d91be1f121b2800fb324e325d66d44f9f7d5e302b93bc",
+    "cm-d0.5-predictor": "bfa3c706c70e180c5bac106b75451bb3c198cf080bc330c0ec136e4ba8319e8f",
     "cm-d0.5-stream": "1bf58e1a9199dfdaf614b3cd3550c565a88b141c1c8d945ac3afd4df869ef1a9",
     "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
     "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
@@ -181,13 +181,13 @@ GOLDEN_VECTOR = {
     "iq-m2-latent": "27a1d1a12c04daf8a176115d3e8b79832a599fbf647415641bfdaccb9a27e126",
     "iq-m2-stream": "ef4540a2cee2d661d2c118b1a29f3898831ed6d7a2e8bd77c237b65f58d5faab",
     "rd-closed-m1-codebooks": "fb30ca5db6f201594bcb8ef8cd7e7cc039e9daa0a988fc1242e10031859a856f",
-    "rd-closed-m1-predictor": "196c7d840ec8a5f1314ea402c81f90f01438b2455c4c69c018d455ecebdd53c7",
+    "rd-closed-m1-predictor": "2492661b36482a0c993a4fa5932455ed828a82fe4ebe08e43d9663e67582ee53",
     "rd-codebooks": "ef503c35ae0e28bb6450ca4019766dcdea02a17e5d0146d8745235bb480f0827",
     "rd-m1-latent": "7050907ccc5b4e9a606559e205d20a7ff9d806fc57cfef7bfce5c9886fa497aa",
     "rd-m1-stream": "120e546d4d44545ab0a75a8c9c6f59804afa9bd3c2c504480d78eab7af161ae4",
     "rd-m2-latent": "ed07c4db14bf0579cffd1f40b37094f2c3a801a3505c2f0e8b88d81e13dd32b2",
     "rd-m2-stream": "326f41a0feae56e7d50f44b96dfb7d052c6a2a0a4a6e07525a795dcf6b94b4d3",
-    "rd-predictor": "9d13035915d5fa96054d88e1988ece936497fd5a5b634664b0dd36a6bd1b698a",
+    "rd-predictor": "f0655ea9716ec6db1f91bf04c2cf5f0a627eb04e3360645cc520d8ac786774e7",
 }
 
 
@@ -453,7 +453,7 @@ GOLDEN_SCREEN = {
     "rd-m1-stream": "0e7e91ca2167d73feeff0369b356730f9c15cd0b97a41c2e9303c7446a9e57ad",
     "rd-m2-latent": "18c2a7ecb957718f6058f98b83aa77b138459a107eaf4be1e17187a4a1e383ca",
     "rd-m2-stream": "da3b704fc9fb72d5be94fd8fa92905b99bf017d70e8d78d2e5015d1a02d727a3",
-    "rd-predictor": "72657933aee1cc74e01877b4559234cb230edff70044dc5870c7285f70311c0e",
+    "rd-predictor": "6f45d2e5d85de5bd4447ed953616441d0ced0ed2e24d320099dd7c94de4a8324",
 }
 
 
@@ -515,7 +515,7 @@ GOLDEN_BUCKET = {
     "rd-m1-stream": "93d5899ee1ed90cb8ef7dc704c26e924c752289d1ec77bede344dce26356265a",
     "rd-m2-latent": "3b3a29a9971be52ae705480de4000a691b053e6afedbc81c297c5a2f2c6a4c03",
     "rd-m2-stream": "1a9bb81be484719a1ef4e5222b64e70d74b08482bd0624d90571a9de708c8214",
-    "rd-predictor": "6d757335c5e44037e8e4d6ea17724078fb0305e4a83c8f60d17af1e0e9beb343",
+    "rd-predictor": "6a3960fe4bc88a1ca628054348f9dc6089c9c25584f22a0bc4d528d60aa50a01",
 }
 
 

@@ -30,6 +30,7 @@ from rvqcodec.quantizers import (
 from rvqcodec.rans import RansStream, gaussian_table_batch
 from rvqcodec.schemes import (
     CM_SUPPORT_RADIUS,
+    SIGMA_FLOOR,
     CodedLatent,
     ContextPredictor,
     SchemeConfig,
@@ -72,59 +73,63 @@ def _identity_predictor(channels=1):
         np.zeros((channels * i, 2 * channels)) for i in range(4)
     )
     biases = tuple(np.zeros(2 * channels) for _ in range(4))
-    return ContextPredictor(
-        weights=weights, biases=biases, channels=channels, uses_hyper=False
-    )
+    return ContextPredictor(weights=weights, biases=biases)
 
 
-def test_predictor_validation():
-    with pytest.raises(ValueError, match="four groups"):
-        ContextPredictor(
-            weights=(np.zeros((0, 2)),),
-            biases=(np.zeros(2),),
-            channels=1,
-            uses_hyper=False,
-        )
-    with pytest.raises(ValueError, match="weight shape"):
-        ContextPredictor(
-            weights=tuple(np.zeros((5, 2)) for _ in range(4)),
-            biases=tuple(np.zeros(2) for _ in range(4)),
-            channels=1,
-            uses_hyper=False,
-        )
-    with pytest.raises(ValueError, match="sigma_min"):
-        _p = _identity_predictor()
-        ContextPredictor(
-            weights=_p.weights,
-            biases=_p.biases,
-            channels=1,
-            uses_hyper=False,
-            sigma_min=0.0,
-        )
-    _p = _identity_predictor()
+def test_predictor_derives_channels_and_hyper_from_its_shapes():
+    """C is half a bias length and the hyper flag says group 1 has C weight
+    rows, not 0; every other set of shapes is rejected, and ``replace``
+    derives both again from the new maps."""
+    for c in range(1, 5):
+        for uses_hyper in (False, True):
+            dims = [c * (i + uses_hyper) for i in range(4)]
+            pred = ContextPredictor(
+                weights=tuple(np.zeros((d, 2 * c)) for d in dims),
+                biases=tuple(np.zeros(2 * c) for _ in dims),
+            )
+            assert (pred.channels, pred.uses_hyper) == (c, uses_hyper)
+    p = _identity_predictor(channels=2)
+    for biases, message in (
+        ((np.zeros(3),) + p.biases[1:], r"group 1 weight shape \(0, 4\) != \(0, 2\)"),
+        ((np.zeros(1),) + p.biases[1:], "group 1 bias shape"),
+        ((np.zeros((2, 2)),) + p.biases[1:], r"group 1 bias shape \(2, 2\) != \(4,\)"),
+        (p.biases[:3] + (np.zeros(2),), r"group 4 bias shape \(2,\) != \(4,\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ContextPredictor(weights=p.weights, biases=biases)
+    for weights, message in (
+        ((np.zeros((1, 4)),) + p.weights[1:], r"group 1 weight shape \(1, 4\) != \(2, 4\)"),
+        (p.weights[:2] + (np.zeros((3, 4)), p.weights[3]),
+         r"group 3 weight shape \(3, 4\) != \(4, 4\)"),
+        (tuple(np.zeros((5, 4)) for _ in range(4)), r"group 1 weight shape \(5, 4\)"),
+        (p.weights[:1], "four groups"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ContextPredictor(weights=weights, biases=p.biases)
+    hyper = replace(p, weights=tuple(np.zeros((2 * (i + 1), 4)) for i in range(4)))
+    assert (hyper.channels, hyper.uses_hyper) == (2, True)
+    one = replace(hyper, weights=_identity_predictor().weights, biases=_identity_predictor().biases)
+    assert (one.channels, one.uses_hyper) == (1, False)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="sigma_min must be positive and finite"):
-            replace(_p, sigma_min=bad)
         for field in ("weights", "biases"):
-            arrays = [a.copy() for a in getattr(_p, field)]
+            arrays = [a.copy() for a in getattr(p, field)]
             arrays[3].flat[0] = bad
             with pytest.raises(ValueError, match="group 4 weights and bias must be finite"):
-                replace(_p, **{field: tuple(arrays)})
+                replace(p, **{field: tuple(arrays)})
 
 
 def test_predict_applies_affine_map_and_floors_sigma():
-    p = _identity_predictor()
     w = tuple(
         np.full((1 * i, 2), 0.5) if i else np.zeros((0, 2)) for i in range(4)
     )
     b = tuple(np.array([1.0, -50.0]) for _ in range(4))
-    pred = ContextPredictor(weights=w, biases=b, channels=1, uses_hyper=False)
+    pred = ContextPredictor(weights=w, biases=b)
     ctx = np.array([[2.0], [4.0]])
     mu, sigma = pred.predict(1, ctx)
     assert np.allclose(mu[:, 0], [2.0, 3.0])
-    # log sigma of -49 is far below the floor
-    assert np.array_equal(sigma, np.full((2, 1), pred.sigma_min))
-    del p
+    # log sigma of -49 is far below the floor, which is cm's lowest scale level
+    assert np.array_equal(sigma, np.full((2, 1), SIGMA_FLOOR))
+    assert _CM_LEVELS[0] == SIGMA_FLOOR
 
 
 @pytest.mark.parametrize(
@@ -147,8 +152,6 @@ def test_predict_is_the_per_dimension_loop_across_blocks(c, n, monkeypatch):
         pred = ContextPredictor(
             weights=tuple(rng.standard_normal((d, 2 * c)) for d in dims),
             biases=tuple(rng.standard_normal(2 * c) for _ in dims),
-            channels=c,
-            uses_hyper=uses_hyper,
         )
         for group, d in enumerate(dims):
             wide = rng.standard_normal((n, d + 1))
@@ -164,7 +167,7 @@ def test_predict_is_the_per_dimension_loop_across_blocks(c, n, monkeypatch):
                     assert mu.tobytes() == out[:, :c].tobytes()
                     assert (
                         sigma.tobytes()
-                        == np.maximum(np.exp(out[:, c:]), pred.sigma_min).tobytes()
+                        == np.maximum(np.exp(out[:, c:]), SIGMA_FLOOR).tobytes()
                     )
 
 
@@ -178,8 +181,6 @@ def test_predict_scopes_the_ufunc_buffer_size():
     pred = ContextPredictor(
         weights=tuple(rng.standard_normal((c * (i + 1), 2 * c)) for i in range(4)),
         biases=tuple(rng.standard_normal(2 * c) for _ in range(4)),
-        channels=c,
-        uses_hyper=True,
     )
     context = rng.standard_normal((n, d))
     before = np.getbufsize()
@@ -203,7 +204,7 @@ def test_predict_scopes_the_ufunc_buffer_size():
 
     with pytest.raises(RuntimeError, match="inside the loop"):
         schemes._predict_with(
-            pred.weights[3].view(Exploding), pred.biases[3], c, pred.sigma_min, context
+            pred.weights[3].view(Exploding), pred.biases[3], c, context
         )
     assert np.getbufsize() == before
 
@@ -514,35 +515,65 @@ def test_hyper_geometry_must_divide_by_four(rd_model):
 
 
 def test_predictor_file_round_trip(rd_model, tmp_path):
+    """write -> read -> write gives the same bytes, and the v2 layout is
+    the header then each group's weights and bias as ``<f8``."""
     predictor, _ = rd_model
     path = tmp_path / "p.efpr"
     write_predictor_file(path, predictor)
     back = read_predictor_file(path)
     assert back.channels == predictor.channels
     assert back.uses_hyper == predictor.uses_hyper
-    assert back.sigma_min == predictor.sigma_min
     for w0, b0, w1, b1 in zip(
         predictor.weights, predictor.biases, back.weights, back.biases
     ):
         assert np.array_equal(w0, w1)
         assert np.array_equal(b0, b1)
+    again = tmp_path / "again.efpr"
+    write_predictor_file(again, back)
+    raw = path.read_bytes()
+    assert again.read_bytes() == raw
+    body = b"".join(
+        w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        for w, b in zip(predictor.weights, predictor.biases)
+    )
+    assert raw == b"EFPR" + bytes([2]) + (1).to_bytes(4, "little") + b"\x00" + body
 
 
 def test_predictor_file_rejects_corruption(rd_model, tmp_path):
-    predictor, _ = rd_model
-    path = tmp_path / "p.efpr"
-    write_predictor_file(path, predictor)
-    raw = path.read_bytes()
+    """Every malformed file is a ValueError: a bad header or a length other
+    than its C and hyper flag imply is caught before any array is built,
+    and a non-finite weight by the predictor's own check."""
     bad = tmp_path / "bad.efpr"
-    bad.write_bytes(b"ZZZZ" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        read_predictor_file(bad)
-    bad.write_bytes(raw[:4] + b"\x06" + raw[5:])
-    with pytest.raises(ValueError, match="version"):
-        read_predictor_file(bad)
-    bad.write_bytes(raw[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        read_predictor_file(bad)
+
+    def rejects(data, match):
+        bad.write_bytes(data)
+        with mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as spy:
+            with pytest.raises(ValueError, match=match):
+                read_predictor_file(bad)
+        return spy.call_count
+
+    rng = rng_for(63)
+    hyper = ContextPredictor(  # C = 2 with the hyper grid
+        weights=tuple(rng.standard_normal((2 * (i + 1), 4)) for i in range(4)),
+        biases=tuple(rng.standard_normal(4) for _ in range(4)),
+    )
+    for predictor in (rd_model[0], hyper):
+        path = tmp_path / "p.efpr"
+        write_predictor_file(path, predictor)
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            assert rejects(raw[:n], "bytes") == 0
+        assert rejects(raw + b"\x00", f"{len(raw) + 1} bytes where C=") == 0
+        assert rejects(b"ZZZZ" + raw[4:], "magic") == 0
+        assert rejects(raw[:4] + b"\x01" + raw[5:], "unsupported predictor version 1") == 0
+        assert rejects(raw[:9] + b"\x02" + raw[10:], r"bad header: C=\d+, hyper flag 2") == 0
+        for c, match in ((0, "bad header: C=0,"), (2**32 - 1, f"bytes where C={2**32 - 1},")):
+            assert rejects(raw[:5] + c.to_bytes(4, "little") + raw[9:], match) == 0
+        c = predictor.channels
+        at = 10 + 8 * (c * predictor.uses_hyper + 1) * 2 * c  # group 2's first weight
+        for value in (float("nan"), float("inf")):
+            data = raw[:at] + np.array(value, dtype="<f8").tobytes() + raw[at + 8:]
+            rejects(data, "group 2 weights and bias must be finite")
 
 
 @pytest.fixture(scope="module")
@@ -592,8 +623,6 @@ def test_cm_rejects_hyper_predictors(cm_model, holdout):
     hyper = ContextPredictor(
         weights=tuple(np.zeros((i + 1, 2)) for i in range(4)),
         biases=tuple(np.zeros(2) for _ in range(4)),
-        channels=1,
-        uses_hyper=True,
     )
     config = SchemeConfig(scheme="cm", delta=0.5)
     with pytest.raises(ValueError, match="hyper"):
@@ -651,7 +680,6 @@ def test_cm_encoder_codes_each_symbol_under_its_nearest_scale_level(
                       for i in range(4)),
         biases=tuple(np.concatenate([rng.normal(0, 1, c), log_sigma + rng.normal(0, spread, c)])
                      for _ in range(4)),
-        channels=c, uses_hyper=False,
     )
     latent = LatentGrid(rng.normal(0, 2.0, (c, 8, 8)))
     encode_core = schemes._encode_core
