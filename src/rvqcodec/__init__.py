@@ -53,11 +53,9 @@ from .quantizers import (
     QuantizerSet,
     ResidualVQ,
     nn_quantize,
-    read_codebook_file,
     rvq_quantize,
     train_codebook,
     train_rvq,
-    write_codebook_file,
 )
 from .rans import RansStream, gaussian_cdf, gaussian_table_batch
 from .schemes import (
@@ -70,11 +68,11 @@ from .schemes import (
     iq_encode,
     rd_decode,
     rd_encode,
-    read_predictor_file,
+    read_model_file,
     train_cm_model,
     train_iq_model,
     train_rd_model,
-    write_predictor_file,
+    write_model_file,
 )
 from .timing import PhaseTimer
 

@@ -43,7 +43,6 @@ from .grids import (
     read_latent_file,
     write_latent_file,
 )
-from .quantizers import QuantizerSet, read_codebook_file, write_codebook_file
 from .schemes import (
     CodedLatent,
     SchemeConfig,
@@ -51,10 +50,10 @@ from .schemes import (
     iq_encode,
     rd_decode,
     rd_encode,
-    read_predictor_file,
+    read_model_file,
     train_iq_model,
     train_rd_model,
-    write_predictor_file,
+    write_model_file,
 )
 from .timing import PhaseTimer
 
@@ -62,9 +61,7 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 VERIFY_ERROR = 1
 
-_GROUP_CODEBOOK_FILES = tuple(f"codebook_group{i}.efcb" for i in range(1, 5))
-_HYPER_CODEBOOK_FILE = "codebook_hyper.efcb"
-_PREDICTOR_FILE = "predictor.efpr"
+_MODEL_FILE = "model.efmd"
 
 
 class _CliError(Exception):
@@ -190,31 +187,9 @@ def _read_required(path: str, reader, what: str):
         raise _CliError(f"{what} file {path}: {e}", IO_ERROR)
 
 
-def _load_model(model_dir: str, scheme: str) -> tuple:
-    d = Path(model_dir)
-    groups = tuple(
-        _read_required(str(d / name), read_codebook_file, "codebook")
-        for name in _GROUP_CODEBOOK_FILES
-    )
-    hyper = None
-    if (d / _HYPER_CODEBOOK_FILE).is_file():
-        hyper = _read_required(str(d / _HYPER_CODEBOOK_FILE), read_codebook_file, "codebook")
-    try:
-        qset = QuantizerSet(groups=groups, hyper=hyper)
-    except ValueError as e:
-        raise _CliError(f"model directory {model_dir}: {e}", IO_ERROR)
-    predictor = None
-    if scheme == "rd":
-        predictor = _read_required(str(d / _PREDICTOR_FILE), read_predictor_file, "predictor")
-    uses_hyper = predictor is not None and predictor.uses_hyper
-    if uses_hyper != (hyper is not None):
-        problem = (f"the {scheme} model {'uses a' if uses_hyper else 'takes no'} hyper grid, yet"
-                   f" {_HYPER_CODEBOOK_FILE} is {'present' if hyper else 'missing'}")
-    elif predictor is not None and predictor.channels != qset.groups[0].dim:
-        problem = f"predictor has {predictor.channels} channels, codebooks {qset.groups[0].dim}"
-    else:
-        return qset, predictor
-    raise _CliError(f"model directory {model_dir}: {problem}", IO_ERROR)
+def _load_model(model_dir: str) -> tuple:
+    """(predictor, or None for iq; quantizers) of ``model_dir``'s model file."""
+    return _read_required(str(Path(model_dir) / _MODEL_FILE), read_model_file, "model")
 
 
 def _source_config(args, seed: int) -> SourceConfig:
@@ -278,33 +253,29 @@ def cmd_train(args) -> int:
             )
     except ValueError as e:
         raise _CliError(f"training data unusable: {e}", USAGE_ERROR)
-    artifacts = {}
-    if predictor is not None:
-        write_predictor_file(out / _PREDICTOR_FILE, predictor)
-        artifacts["predictor"] = out / _PREDICTOR_FILE
-    for name, rvq in zip(_GROUP_CODEBOOK_FILES, qset.groups):
-        write_codebook_file(out / name, rvq)
-        artifacts[name] = out / name
-    if qset.hyper is not None:
-        write_codebook_file(out / _HYPER_CODEBOOK_FILE, qset.hyper)
-        artifacts[_HYPER_CODEBOOK_FILE] = out / _HYPER_CODEBOOK_FILE
+    try:
+        write_model_file(out / _MODEL_FILE, qset, predictor)
+    except ValueError as e:
+        raise _CliError(str(e), USAGE_ERROR)
+    artifacts = {"model": out / _MODEL_FILE}
 
     config = {
         "scheme": args.scheme, "stages": args.stages, "Ks": list(sizes), "Kz": args.Kz,
         "hyper": args.hyper, "iters": args.iters, "seed": args.seed, "data": data_paths,
     }
     manifest = _write_manifest(out, "train", config, artifacts, None)
-    print(f"trained {args.scheme} model: {len(artifacts)} files, manifest {manifest}")
+    print(f"trained {args.scheme} model {out / _MODEL_FILE}, manifest {manifest}")
     return 0
 
 
 def cmd_encode(args) -> int:
     out = _out_dir(args)
     latent = _read_required(args.latent, read_latent_file, "latent")
-    qset, predictor = _load_model(args.model_dir, args.scheme)
+    predictor, qset = _load_model(args.model_dir)
+    scheme = "iq" if predictor is None else "rd"
     timer = PhaseTimer()
     try:
-        if args.scheme == "rd":
+        if predictor is not None:
             coded = rd_encode(latent, predictor, qset, args.m, timer=timer)
         else:
             coded = iq_encode(latent, qset, args.m, timer=timer)
@@ -323,7 +294,7 @@ def cmd_encode(args) -> int:
 
     bpp = coded.rate_bits / (header.height * header.width)
     config = {
-        "scheme": args.scheme, "m": args.m, "latent": args.latent,
+        "scheme": scheme, "m": args.m, "latent": args.latent,
         "model_dir": args.model_dir,
     }
     artifacts = {"bitstream": out / args.out}
@@ -337,7 +308,8 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     out = _out_dir(args)
     stream = _read_required(args.stream, read_bitstream_file, "bitstream")
-    qset, predictor = _load_model(args.model_dir, args.scheme)
+    predictor, qset = _load_model(args.model_dir)
+    scheme = "iq" if predictor is None else "rd"
     timer = PhaseTimer()
     try:
         with timer.phase("pack"):
@@ -346,11 +318,11 @@ def cmd_decode(args) -> int:
         raise _CliError(f"bitstream file {args.stream}: {e}", IO_ERROR)
     try:
         coded = CodedLatent(
-            scheme=args.scheme, shape=_geometry(header, qset.groups[0].dim),
+            scheme=scheme, shape=_geometry(header, qset.groups[0].dim),
             reconstruction=None, rate_bits=float(8 * len(stream.payload)), m=header.q,
             group_stacks=group_stacks, hyper_stack=hyper_stack,
         )
-        if args.scheme == "rd":
+        if predictor is not None:
             recon = rd_decode(coded, predictor, qset, timer=timer)
         else:
             recon = iq_decode(coded, qset, timer=timer)
@@ -359,7 +331,7 @@ def cmd_decode(args) -> int:
     write_latent_file(out / args.out, recon)
     artifacts = {"reconstruction": out / args.out}
     message = f"decoded {args.stream} -> {out / args.out}"
-    config = {"scheme": args.scheme, "stream": args.stream, "model_dir": args.model_dir}
+    config = {"scheme": scheme, "stream": args.stream, "model_dir": args.model_dir}
     if args.ref is not None:
         ref = _read_required(args.ref, read_latent_file, "reference latent")
         if ref.shape != recon.shape:
@@ -534,7 +506,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="encode a latent to a fixed-length bitstream")
-    p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--latent", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--m", type=_positive_int, required=True, help="stage count to transmit")
@@ -544,7 +515,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a bitstream to a latent")
-    p.add_argument("--scheme", default="rd", choices=("rd", "iq"))
     p.add_argument("--stream", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", default="recon.eflt")

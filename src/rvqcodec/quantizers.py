@@ -120,11 +120,14 @@ closer: that estimate is within E of cdist, so every row it skips is one
 whose distance cdist would not have lowered (``_screened_minimum``).
 Training returns the final pass's assignments, so callers do not search
 the same samples again.
+
+Codewords are float64 from training through search to the model file:
+``schemes.write_model_file`` stores them as ``<f8``, so a model read back
+is the model that was trained and measured, bit for bit.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,12 +145,7 @@ __all__ = [
     "rvq_quantize",
     "train_codebook",
     "train_rvq",
-    "write_codebook_file",
-    "read_codebook_file",
 ]
-
-_CODEBOOK_MAGIC = b"EFCB"
-_CODEBOOK_VERSION = 1
 
 # Row chunk of the cdist search (a chunk's distance buffer is 16 MB at
 # K = 256), of its distance sums, whose order ``_chunked_sum`` repeats, of
@@ -768,38 +766,3 @@ def train_rvq(
         return rvq, IndexStack(indices=tuple(stage_indices))
     return rvq
 
-
-def write_codebook_file(path, rvq: ResidualVQ) -> None:
-    """Serialize stages: magic, version, stage count, then (K, C, float32 data)."""
-    with open(path, "wb") as f:
-        f.write(_CODEBOOK_MAGIC)
-        f.write(struct.pack("<BI", _CODEBOOK_VERSION, rvq.stages))
-        for cb in rvq.stage_codebooks:
-            f.write(struct.pack("<II", cb.size, cb.dim))
-            f.write(cb.codewords.astype("<f4").tobytes(order="C"))
-
-
-def read_codebook_file(path) -> ResidualVQ:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 9 or raw[:4] != _CODEBOOK_MAGIC:
-        raise ValueError(f"{path}: not a codebook file (bad magic)")
-    version, stages = struct.unpack("<BI", raw[4:9])
-    if version != _CODEBOOK_VERSION:
-        raise ValueError(f"{path}: unsupported codebook version {version}")
-    off = 9
-    books = []
-    for _ in range(stages):
-        if off + 8 > len(raw):
-            raise ValueError(f"{path}: truncated stage header")
-        k, c = struct.unpack("<II", raw[off : off + 8])
-        off += 8
-        nbytes = 4 * k * c
-        if off + nbytes > len(raw):
-            raise ValueError(f"{path}: truncated stage payload")
-        cw = np.frombuffer(raw[off : off + nbytes], dtype="<f4").reshape(k, c)
-        off += nbytes
-        books.append(Codebook(codewords=cw.astype(np.float64)))
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
-    return ResidualVQ(stage_codebooks=tuple(books))

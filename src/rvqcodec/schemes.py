@@ -31,6 +31,12 @@ no prediction and no affine map.  Both charge the fixed-length rate of
 writes.  CM replaces the vector quantizer with uniform scalar rounding plus
 a conditional-Gaussian range coder: the same predictor interface without a
 hyper grid, rate paid in actual coded bits.
+
+An rd or iq model ships as one EFMD file (``write_model_file``): one
+header for the scheme, C, the hyper flag and the stage count, then every
+codebook and, for rd, the predictor's maps, all as float64.  A model read
+back is bit-identical to the one trained and measured in memory.  cm has
+no model file yet.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .grids import (
     partition_quadtree,
 )
 from .quantizers import (
+    Codebook,
     IndexStack,
     QuantizerSet,
     ResidualVQ,
@@ -76,8 +83,8 @@ __all__ = [
     "train_rd_model",
     "train_iq_model",
     "train_cm_model",
-    "write_predictor_file",
-    "read_predictor_file",
+    "write_model_file",
+    "read_model_file",
 ]
 
 SIGMA_FLOOR = 1e-3
@@ -109,9 +116,12 @@ _PREDICT_BLOCK = 2**16
 # ufunc buffer size, in elements, in effect inside the loop: see
 # ``_predict_with``.  A multiple of 16, which numpy 1.x requires.
 _PREDICT_BUFSIZE = 64
-_PREDICTOR_MAGIC = b"EFPR"
-_PREDICTOR_VERSION = 2
-_PREDICTOR_HEADER = struct.Struct("<4sBIB")
+# L2 penalty of every ridge fit (``_ridge_fit``).
+_RIDGE_LAMBDA = 1e-3
+_MODEL_MAGIC = b"EFMD"
+_MODEL_VERSION = 1
+# magic, version, scheme, C, hyper flag, stage count S
+_MODEL_HEADER = struct.Struct("<4sBBIBB")
 
 
 def _context_dims(c: int, uses_hyper: bool) -> list[int]:
@@ -451,7 +461,7 @@ def _cm_rows(sigma: np.ndarray) -> np.ndarray:
 
 
 def _check_cm_predictor(predictor: ContextPredictor) -> None:
-    # train_cm_model fits no hyper heads; a predictor file may still carry them.
+    # train_cm_model fits no hyper heads; a hand-built predictor may have them.
     if predictor.uses_hyper:
         raise ValueError("cm predictors take no hyper grid; this one uses one")
 
@@ -569,8 +579,9 @@ def cm_decode(
 # Fitting.
 
 
-def _ridge_fit(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Least squares with an L2 penalty; returns (d+1, k) with bias last.
+def _ridge_fit(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least squares with the L2 penalty ``_RIDGE_LAMBDA``; returns (d+1, k)
+    with bias last.
 
     Normal equations are accumulated with non-BLAS einsum so refits are
     reproducible across platforms.
@@ -578,12 +589,12 @@ def _ridge_fit(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarra
     n = design.shape[0]
     a = np.concatenate([design, np.ones((n, 1))], axis=1)
     gram = np.einsum("nd,ne->de", a, a, optimize=False)
-    gram[np.diag_indices_from(gram)] += lam
+    gram[np.diag_indices_from(gram)] += _RIDGE_LAMBDA
     rhs = np.einsum("nd,nk->dk", a, targets, optimize=False)
     return np.linalg.solve(gram, rhs)
 
 
-def _fit_group_heads(psi: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _fit_group_heads(psi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fit mu by ridge onto y, and log sigma by ridge onto log|residual|.
 
     For a Gaussian residual r of scale sigma, E[log|r|] = log sigma -
@@ -595,10 +606,10 @@ def _fit_group_heads(psi: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.nda
     floor, so the fit recovers it; a homoscedastic source gives a constant
     head.
     """
-    sol_mu = _ridge_fit(psi, y, lam)
+    sol_mu = _ridge_fit(psi, y)
     resid = y - (psi @ sol_mu[:-1] + sol_mu[-1])
     targets = 0.5 * np.log(np.maximum(resid * resid, SIGMA_FLOOR**2)) + _LOG_ABS_OFFSET
-    sol_sig = _ridge_fit(psi, targets, lam)
+    sol_sig = _ridge_fit(psi, targets)
 
     wmat = np.concatenate([sol_mu[:-1], sol_sig[:-1]], axis=1)
     bias = np.concatenate([sol_mu[-1], sol_sig[-1]])
@@ -658,7 +669,7 @@ def _predict_with(w, b, c, psi):
     return np.ascontiguousarray(out[:c].T), np.ascontiguousarray(sigma.T)
 
 
-def _run_sequential_fit(latents, phi, close_group, lam):
+def _run_sequential_fit(latents, phi, close_group):
     """Fit the four heads in coding order, each on context decoded through
     ``close_group(i, mu, sigma, y)``, which gets group i's rows of every
     latent at once; ``phi`` holds the stacked hyper context rows, or None.
@@ -677,7 +688,7 @@ def _run_sequential_fit(latents, phi, close_group, lam):
             raise ValueError(
                 f"group {i + 1}: {psi.shape[0]} training positions < 10x {params} parameters"
             )
-        w, b = _fit_group_heads(psi, y, lam)
+        w, b = _fit_group_heads(psi, y)
         weights.append(w)
         biases.append(b)
         mu, sigma = _predict_with(w, b, c, psi)
@@ -692,7 +703,6 @@ def train_rd_model(
     m: int | None = None,
     iterations: int = 20,
     seed: int = 0,
-    ridge_lambda: float = 1e-3,
     group_stage_sizes: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[ContextPredictor, QuantizerSet]:
     """Interleaved training of predictor heads and residual quantizers.
@@ -738,7 +748,7 @@ def train_rd_model(
         rec = _rvq_reconstruct(rvq, IndexStack(indices=stack.indices[:mm]))
         return sigma * rec + mu
 
-    weights, biases = _run_sequential_fit(latents, phi, close_group, ridge_lambda)
+    weights, biases = _run_sequential_fit(latents, phi, close_group)
     predictor = ContextPredictor(weights=tuple(weights), biases=tuple(biases))
     qset = QuantizerSet(groups=tuple(trained), hyper=hyper_q)
     return predictor, qset
@@ -765,7 +775,6 @@ def train_iq_model(
 def train_cm_model(
     latents: list[LatentGrid],
     delta: float,
-    ridge_lambda: float = 1e-3,
     seed: int = 0,
 ) -> ContextPredictor:
     """Fit the per-group affine heads on context decoded closed-loop through
@@ -783,53 +792,77 @@ def train_cm_model(
         np.clip(k, -CM_SUPPORT_RADIUS, CM_SUPPORT_RADIUS, out=k)
         return mu + delta * k
 
-    weights, biases = _run_sequential_fit(latents, None, close_group, ridge_lambda)
+    weights, biases = _run_sequential_fit(latents, None, close_group)
     return ContextPredictor(weights=tuple(weights), biases=tuple(biases))
 
 
 # ---------------------------------------------------------------------------
-# Predictor file format.
+# Model file format.
 
 
-def write_predictor_file(path, predictor: ContextPredictor) -> None:
-    """EFPR v2: magic, version, C (u32), hyper flag (u8), then each group's
-    weights and bias as little-endian float64 in group order."""
+def write_model_file(path, qset: QuantizerSet, predictor: ContextPredictor | None = None) -> None:
+    """EFMD v1: magic, version, scheme (0 iq, 1 rd), C (u32), hyper flag
+    (u8) and stage count S (u8); every stage size K as u32, hyper first when
+    flagged, then groups 1-4; every codebook's K x C codewords as ``<f8`` in
+    the same order; then for rd each group's weights and bias as ``<f8``."""
+    hyper = _check_hyper(predictor, qset)
+    c = qset.groups[0].dim
+    if predictor is not None and predictor.channels != c:
+        raise ValueError(f"predictor has {predictor.channels} channels, codebooks {c}")
+    if qset.stages > 255:
+        raise ValueError(f"{qset.stages} stages; a model file holds at most 255")
+    rvqs = ((qset.hyper,) if hyper else ()) + qset.groups
+    books = [cb.codewords for rvq in rvqs for cb in rvq.stage_codebooks]
+    maps = []
+    if predictor is not None:
+        maps = [a for pair in zip(predictor.weights, predictor.biases) for a in pair]
     with open(path, "wb") as f:
-        f.write(
-            _PREDICTOR_HEADER.pack(
-                _PREDICTOR_MAGIC, _PREDICTOR_VERSION, predictor.channels, predictor.uses_hyper
-            )
-        )
-        for w, b in zip(predictor.weights, predictor.biases):
-            f.write(w.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes(order="C"))
+        f.write(_MODEL_HEADER.pack(
+            _MODEL_MAGIC, _MODEL_VERSION, predictor is not None, c, hyper, qset.stages
+        ))
+        f.write(struct.pack(f"<{len(books)}I", *(cw.shape[0] for cw in books)))
+        for a in books + maps:
+            f.write(a.astype("<f8").tobytes())
 
 
-def read_predictor_file(path) -> ContextPredictor:
-    """Every shape follows from the header, so the file must be exactly the
-    length its C and hyper flag imply; no array is built before that holds."""
+def read_model_file(path) -> tuple[ContextPredictor | None, QuantizerSet]:
+    """(predictor, or None for iq; quantizers) of an EFMD file.  Every shape
+    follows from the header and the stage sizes, so the file must be exactly
+    the length they imply; no array is built before that holds."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < _PREDICTOR_HEADER.size:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than a predictor header")
-    magic, version, c, hyper = _PREDICTOR_HEADER.unpack_from(raw)
-    if magic != _PREDICTOR_MAGIC:
-        raise ValueError(f"{path}: not a predictor file (bad magic)")
-    if version != _PREDICTOR_VERSION:
-        raise ValueError(f"{path}: unsupported predictor version {version}")
-    if c < 1 or hyper > 1:
-        raise ValueError(f"{path}: bad header: C={c}, hyper flag {hyper}")
-    dims = _context_dims(c, hyper)
-    expected = _PREDICTOR_HEADER.size + 8 * sum((d + 1) * 2 * c for d in dims)
-    if len(raw) != expected:
+    if len(raw) < _MODEL_HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than a model header")
+    magic, version, scheme, c, hyper, stages = _MODEL_HEADER.unpack_from(raw)
+    if magic != _MODEL_MAGIC:
+        raise ValueError(f"{path}: not a model file (bad magic)")
+    if version != _MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported model version {version}")
+    if scheme > 1 or hyper > scheme or c < 1 or stages < 1:  # a hyper grid only for rd
         raise ValueError(
-            f"{path}: {len(raw)} bytes where C={c}, hyper flag {hyper} needs {expected}"
+            f"{path}: bad header: scheme {scheme}, C={c}, hyper flag {hyper}, S={stages}"
         )
-    # An aligned native copy: the 10-byte header leaves the buffer misaligned.
-    values = np.frombuffer(raw, dtype="<f8", offset=_PREDICTOR_HEADER.size).astype(np.float64)
-    weights, biases, off = [], [], 0
-    for d in dims:
-        weights.append(values[off : off + d * 2 * c].reshape(d, 2 * c))
-        biases.append(values[off + d * 2 * c : off + (d + 1) * 2 * c])
-        off += (d + 1) * 2 * c
-    return ContextPredictor(weights=tuple(weights), biases=tuple(biases))
+    count = stages * (4 + hyper)
+    table = _MODEL_HEADER.size + 4 * count
+    if len(raw) < table:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than its {count} stage sizes")
+    sizes = struct.unpack_from(f"<{count}I", raw, _MODEL_HEADER.size)
+    if min(sizes) < 1:
+        raise ValueError(f"{path}: a stage size is 0")
+    dims = _context_dims(c, hyper) if scheme else []
+    expected = table + 8 * c * (sum(sizes) + sum(2 * (d + 1) for d in dims))
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes where its header needs {expected}")
+    # An aligned native copy: the header and size table may leave it misaligned.
+    values = np.frombuffer(raw, dtype="<f8", offset=table).astype(np.float64)
+    counts = [k * c for k in sizes] + [2 * c * n for d in dims for n in (d, 1)]
+    parts = np.split(values, np.cumsum(counts)[:-1])
+    rvqs = [
+        ResidualVQ(tuple(Codebook(p.reshape(-1, c)) for p in parts[i : i + stages]))
+        for i in range(0, count, stages)
+    ]
+    qset = QuantizerSet(groups=tuple(rvqs[hyper:]), hyper=rvqs[0] if hyper else None)
+    if not scheme:
+        return None, qset
+    weights = tuple(p.reshape(-1, 2 * c) for p in parts[count::2])
+    return ContextPredictor(weights=weights, biases=tuple(parts[count + 1 :: 2])), qset

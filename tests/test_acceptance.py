@@ -81,10 +81,25 @@ def pipeline_entropy():
     return pipeline_entropy_experiment(seed=5)
 
 
+# Timed decodes per operating point; criterion 10 compares the sums of the
+# per-point medians, so one stall of the box moves no point's figure.
+_LATENCY_REPEATS = 5
+
+
+def _median_time(decode) -> float:
+    times = []
+    for _ in range(_LATENCY_REPEATS):
+        start = time.perf_counter()
+        decode()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
+
+
 @pytest.fixture(scope="module")
 def latency():
     """Equal-point-count decode timing: three stage counts against three
-    step sizes on the same holdout latents."""
+    step sizes on the same holdout latents, each decode timed
+    ``_LATENCY_REPEATS`` times."""
     source = SourceConfig(channels=1, height=64, width=64, rho=0.9, variance=1.0, seed=33)
     train = [gauss_markov_sample(source, index=i) for i in range(8)]
     hold = [gauss_markov_sample(source, index=1000 + i) for i in range(2)]
@@ -103,16 +118,18 @@ def latency():
                 q=m,
             )
             stream = pack(header, coded.hyper_stack, coded.group_stacks, qset)
-            start = time.perf_counter()
-            with rd_timer.phase("pack"):
-                _, hyper_stack, group_stacks = unpack(stream, qset)
-            rebuilt = CodedLatent(
-                scheme="rd", shape=coded.shape, reconstruction=None,
-                rate_bits=coded.rate_bits, m=m,
-                group_stacks=group_stacks, hyper_stack=hyper_stack,
-            )
-            rd_decode(rebuilt, pred_rd, qset, timer=rd_timer)
-            rd_decode_s += time.perf_counter() - start
+
+            def decode():
+                with rd_timer.phase("pack"):
+                    _, hyper_stack, group_stacks = unpack(stream, qset)
+                rebuilt = CodedLatent(
+                    scheme="rd", shape=coded.shape, reconstruction=None,
+                    rate_bits=coded.rate_bits, m=m,
+                    group_stacks=group_stacks, hyper_stack=hyper_stack,
+                )
+                rd_decode(rebuilt, pred_rd, qset, timer=rd_timer)
+
+            rd_decode_s += _median_time(decode)
 
     cm_timer = PhaseTimer()
     cm_decode_s = 0.0
@@ -121,9 +138,7 @@ def latency():
         config = SchemeConfig(scheme="cm", delta=delta)
         for x in hold:
             coded = cm_encode(x, pred_cm, config, timer=cm_timer)
-            start = time.perf_counter()
-            cm_decode(coded, pred_cm, config, timer=cm_timer)
-            cm_decode_s += time.perf_counter() - start
+            cm_decode_s += _median_time(lambda: cm_decode(coded, pred_cm, config, timer=cm_timer))
 
     return {
         "rd_phases": rd_timer.as_dict(),
@@ -369,5 +384,6 @@ def test_criterion_10_latency_structure(latency):
         f"entropy-coding phase: cm {cm_ec:.1f}ms > rd {rd_ec:.1f}ms"
         f" (cm tables {cm_tables:.1f}ms, {cm_tables / cm_ec:.0%} of it);"
         f" decode wall time: rd {latency['rd_decode_s'] * 1e3:.1f}ms"
-        f" < cm {latency['cm_decode_s'] * 1e3:.1f}ms at 6 points each",
+        f" < cm {latency['cm_decode_s'] * 1e3:.1f}ms, summed medians of"
+        f" {_LATENCY_REPEATS} decodes at 6 points each",
     )

@@ -2,19 +2,29 @@
 
 import hashlib
 import json
-import shutil
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rvqcodec.cli as cli
 from rvqcodec.analysis import CodebookEntropyRow, EntropyReport
-from rvqcodec.bitstream import fixed_length_bits
+from rvqcodec.bitstream import StreamHeader, fixed_length_bits, pack, read_bitstream_file
 from rvqcodec.cli import IO_ERROR, USAGE_ERROR, VERIFY_ERROR, main
-from rvqcodec.quantizers import Codebook, ResidualVQ, write_codebook_file
-from rvqcodec.schemes import ContextPredictor, write_predictor_file
+from rvqcodec.grids import LATENT_DOWNSAMPLE, read_latent_file, write_latent_file
+from rvqcodec.quantizers import Codebook, QuantizerSet, ResidualVQ
+from rvqcodec.schemes import (
+    iq_decode,
+    iq_encode,
+    rd_decode,
+    rd_encode,
+    read_model_file,
+    train_iq_model,
+    train_rd_model,
+    write_model_file,
+)
 
 # Frozen fixture: the pipeline below (fixed seeds, fixed model) must keep
 # producing this exact bitstream.
@@ -60,7 +70,7 @@ def pipeline(tmp_path_factory):
     enc = root / "enc"
     rc = main(
         [
-            "encode", "--scheme", "rd", "--latent", str(hold),
+            "encode", "--latent", str(hold),
             "--model-dir", str(model), "--m", "1",
             "--out", "stream.efbs", "--recon", "recon.eflt",
             "--out-dir", str(enc),
@@ -136,14 +146,13 @@ def test_non_positive_count_is_a_usage_error(tmp_path, capsys, command, value):
 
 def test_train_writes_model_files_and_manifest(pipeline):
     model = pipeline["model"]
-    for i in range(1, 5):
-        assert (model / f"codebook_group{i}.efcb").is_file()
-    assert (model / "predictor.efpr").is_file()
-    assert not (model / "codebook_hyper.efcb").is_file()  # hyper off
+    assert sorted(p.name for p in model.iterdir()) == ["manifest.json", "model.efmd"]
+    predictor, qset = read_model_file(model / "model.efmd")
+    assert predictor is not None and not predictor.uses_hyper and qset.hyper is None
     manifest = json.loads((model / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["Ks"] == [8, 8, 8, 8]
-    assert "predictor" in manifest["artifacts"]
+    assert manifest["artifacts"] == {"model": str(model / "model.efmd")}
 
 
 def test_train_iq_writes_no_predictor(pipeline, tmp_path):
@@ -157,8 +166,8 @@ def test_train_iq_writes_no_predictor(pipeline, tmp_path):
         ]
     )
     assert rc == 0
-    assert not (tmp_path / "predictor.efpr").is_file()
-    assert (tmp_path / "codebook_group1.efcb").is_file()
+    predictor, qset = read_model_file(tmp_path / "model.efmd")
+    assert predictor is None and qset.groups[0].stage_sizes == (4,)
 
 
 def test_train_toy_corpus_is_fast(pipeline, tmp_path):
@@ -189,6 +198,11 @@ def test_train_usage_errors(pipeline, tmp_path, capsys):
     rc = main(["train", "--Ks", "4,4,4,4", "--out-dir", str(tmp_path)])
     assert rc == USAGE_ERROR  # no --data
     capsys.readouterr()
+    rc = main(["train", "--data", data, "--Ks", "1,1,1,1", "--stages", "256",
+               "--out-dir", str(tmp_path / "deep")])
+    assert rc == USAGE_ERROR
+    assert "256 stages; a model file holds at most 255" in capsys.readouterr().err
+    assert not (tmp_path / "deep" / "model.efmd").exists()
 
 
 @pytest.mark.parametrize("scheme", ["rd", "iq"])
@@ -221,7 +235,7 @@ def test_encode_reports_formula_bpp(pipeline, capsys):
     enc2 = pipeline["root"] / "enc2"
     rc = main(
         [
-            "encode", "--scheme", "rd", "--latent", str(pipeline["hold"]),
+            "encode", "--latent", str(pipeline["hold"]),
             "--model-dir", str(pipeline["model"]), "--m", "1",
             "--out-dir", str(enc2),
         ]
@@ -229,7 +243,7 @@ def test_encode_reports_formula_bpp(pipeline, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     # a 1x32x32 latent is 512x512 pixels with 16x16 positions per group
-    qset, _ = cli._load_model(str(pipeline["model"]), "rd")
+    _, qset = cli._load_model(str(pipeline["model"]))
     expected = fixed_length_bits(qset, 1, (1, 32, 32)) / 512**2
     assert f"bpp={expected:.6f}" in out
     manifest = json.loads((enc2 / "manifest.json").read_text())
@@ -244,7 +258,7 @@ def test_encode_is_deterministic(pipeline):
     enc3 = pipeline["root"] / "enc3"
     rc = main(
         [
-            "encode", "--scheme", "rd", "--latent", str(pipeline["hold"]),
+            "encode", "--latent", str(pipeline["hold"]),
             "--model-dir", str(pipeline["model"]), "--m", "1",
             "--out-dir", str(enc3),
         ]
@@ -259,7 +273,7 @@ def test_decode_round_trip_matches_encoder_reconstruction(pipeline, capsys):
     dec = pipeline["root"] / "dec"
     rc = main(
         [
-            "decode", "--scheme", "rd", "--stream", str(pipeline["enc"] / "stream.efbs"),
+            "decode", "--stream", str(pipeline["enc"] / "stream.efbs"),
             "--model-dir", str(pipeline["model"]), "--out", "dec.eflt",
             "--ref", str(pipeline["hold"]), "--out-dir", str(dec),
         ]
@@ -272,8 +286,9 @@ def test_decode_round_trip_matches_encoder_reconstruction(pipeline, capsys):
     ).read_bytes()
 
 
-def test_encode_rejects_cm(pipeline, tmp_path):
-    # cm writes entropy-coded streams, not fixed-length bitstream files
+def test_encode_rejects_cm(pipeline, tmp_path, capsys):
+    # cm writes entropy-coded streams, not fixed-length bitstream files, and
+    # encode and decode take their scheme from the model file alone
     for argv in (
         ["encode", "--scheme", "cm", "--latent", str(pipeline["hold"]),
          "--model-dir", str(pipeline["model"]), "--m", "1"],
@@ -283,12 +298,13 @@ def test_encode_rejects_cm(pipeline, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out-dir", str(tmp_path)])
         assert exc.value.code == USAGE_ERROR
+        assert "unrecognized arguments: --scheme cm" in capsys.readouterr().err
 
 
 def test_encode_m_beyond_model_stages_fails_verification(pipeline, tmp_path):
     rc = main(
         [
-            "encode", "--scheme", "rd", "--latent", str(pipeline["hold"]),
+            "encode", "--latent", str(pipeline["hold"]),
             "--model-dir", str(pipeline["model"]), "--m", "3",
             "--out-dir", str(tmp_path),
         ]
@@ -299,7 +315,7 @@ def test_encode_m_beyond_model_stages_fails_verification(pipeline, tmp_path):
 def test_missing_inputs_are_io_errors(pipeline, tmp_path):
     rc = main(
         [
-            "encode", "--scheme", "rd", "--latent", "no-such-file.eflt",
+            "encode", "--latent", "no-such-file.eflt",
             "--model-dir", str(pipeline["model"]), "--m", "1",
             "--out-dir", str(tmp_path),
         ]
@@ -307,7 +323,7 @@ def test_missing_inputs_are_io_errors(pipeline, tmp_path):
     assert rc == IO_ERROR
     rc = main(
         [
-            "decode", "--scheme", "rd", "--stream", "no-such-file.efbs",
+            "decode", "--stream", "no-such-file.efbs",
             "--model-dir", str(pipeline["model"]), "--out-dir", str(tmp_path),
         ]
     )
@@ -320,7 +336,7 @@ def test_decode_truncated_stream_fails(pipeline, tmp_path, capsys):
     cut.write_bytes(stream[:-5])
     rc = main(
         [
-            "decode", "--scheme", "rd", "--stream", str(cut),
+            "decode", "--stream", str(cut),
             "--model-dir", str(pipeline["model"]), "--out-dir", str(tmp_path),
         ]
     )
@@ -334,7 +350,7 @@ def test_decode_padded_stream_is_an_io_error(pipeline, tmp_path, capsys):
     padded.write_bytes(stream + b"\xff" * 100)
     rc = main(
         [
-            "decode", "--scheme", "rd", "--stream", str(padded),
+            "decode", "--stream", str(padded),
             "--model-dir", str(pipeline["model"]), "--out-dir", str(tmp_path),
         ]
     )
@@ -346,7 +362,7 @@ def test_decode_shape_mismatch_is_a_verification_error(pipeline, tmp_path):
     other = _synth(tmp_path, "other.eflt", 0, shape="1,16,16")
     rc = main(
         [
-            "decode", "--scheme", "rd", "--stream", str(pipeline["enc"] / "stream.efbs"),
+            "decode", "--stream", str(pipeline["enc"] / "stream.efbs"),
             "--model-dir", str(pipeline["model"]), "--ref", str(other),
             "--out-dir", str(tmp_path / "out"),
         ]
@@ -354,17 +370,17 @@ def test_decode_shape_mismatch_is_a_verification_error(pipeline, tmp_path):
     assert rc == VERIFY_ERROR
 
 
-def _encode_and_decode_exit_codes(pipeline, model, out, scheme="rd"):
+def _encode_and_decode_exit_codes(pipeline, model, out):
     """Exit codes of encode and decode of the pipeline's holdout with ``model``."""
     encode = main(
         [
-            "encode", "--scheme", scheme, "--latent", str(pipeline["hold"]),
+            "encode", "--latent", str(pipeline["hold"]),
             "--model-dir", str(model), "--m", "1", "--out-dir", str(out / "enc"),
         ]
     )
     decode = main(
         [
-            "decode", "--scheme", scheme, "--stream", str(pipeline["enc"] / "stream.efbs"),
+            "decode", "--stream", str(pipeline["enc"] / "stream.efbs"),
             "--model-dir", str(model), "--out-dir", str(out / "dec"),
         ]
     )
@@ -381,75 +397,184 @@ def _train(pipeline, out, *flags):
     return out
 
 
-def test_model_files_that_disagree_are_an_io_error(pipeline, tmp_path, capsys):
-    hyper = _train(pipeline, tmp_path / "hyper", "--scheme", "rd", "--hyper", "on", "--Kz", "4")
-    iq = _train(pipeline, tmp_path / "iq", "--scheme", "iq")
-    plain = tmp_path / "plain"
-    shutil.copytree(pipeline["model"], plain)
-    shutil.copy(hyper / "codebook_hyper.efcb", plain)
-    shutil.copy(hyper / "codebook_hyper.efcb", iq)
-    (hyper / "codebook_hyper.efcb").unlink()
-    wide = tmp_path / "wide"
-    shutil.copytree(pipeline["model"], wide)
-    write_predictor_file(wide / "predictor.efpr", ContextPredictor(
-        weights=tuple(np.zeros((2 * i, 4)) for i in range(4)),
-        biases=tuple(np.zeros(4) for _ in range(4)),
-    ))
+@pytest.fixture(scope="module")
+def hyper_and_iq_models(pipeline, tmp_path_factory):
+    """An rd model with a Kz=4 hyper grid and an iq model, each with the
+    pipeline model's stage sizes."""
+    root = tmp_path_factory.mktemp("models")
+    hyper = _train(pipeline, root / "hyper", "--scheme", "rd", "--hyper", "on", "--Kz", "4")
+    iq = _train(pipeline, root / "iq", "--scheme", "iq")
+    return hyper, iq
+
+
+def _patch(raw, at, fmt, value):
+    """``raw`` with ``struct.pack(fmt, value)`` written over it at ``at``."""
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt):]
+
+
+def _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases):
+    """Each (name, model.efmd bytes, message) exits 3 on both encode and
+    decode, and both print the reader's reason."""
+    for name, data, message in cases:
+        model = tmp_path / name
+        model.mkdir()
+        (model / "model.efmd").write_bytes(data)
+        codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / name)
+        assert codes == (IO_ERROR, IO_ERROR), name
+        err = capsys.readouterr().err
+        assert err.count("error: model file") == 2 and err.count(message) == 2, (name, err)
+
+
+def _efmd(model_dir):
+    return (model_dir / "model.efmd").read_bytes()
+
+
+def test_model_files_that_disagree_are_an_io_error(
+    pipeline, hyper_and_iq_models, tmp_path, capsys
+):
+    """A model is one file, so its parts can only disagree with its header:
+    a scheme byte or hyper flag that does not match what follows exits 3."""
+    rd, (hyper, iq) = _efmd(pipeline["model"]), map(_efmd, hyper_and_iq_models)
+    # Cleared, the flag leaves the hyper grid's K=4 and groups 1-3's K=8 as
+    # the four group sizes, and four (C=1) groups' maps without phi rows.
+    sizes = struct.unpack_from("<4I", hyper, 12)
+    unflagged = 12 + 16 + 8 * (sum(sizes) + 2 * (1 + 2 + 3 + 4))
     cases = [
-        (hyper, "rd", "the rd model uses a hyper grid, yet codebook_hyper.efcb is missing"),
-        (plain, "rd", "the rd model takes no hyper grid, yet codebook_hyper.efcb is present"),
-        (iq, "iq", "the iq model takes no hyper grid, yet codebook_hyper.efcb is present"),
-        (wide, "rd", "predictor has 2 channels, codebooks 1"),
+        ("rd-read-as-iq", _patch(rd, 5, "<B", 0),
+         f"{len(rd)} bytes where its header needs {len(iq)}"),
+        ("iq-read-as-rd", _patch(iq, 5, "<B", 1),
+         f"{len(iq)} bytes where its header needs {len(rd)}"),
+        ("iq-with-hyper", _patch(iq, 10, "<B", 1), "bad header: scheme 0, C=1, hyper flag 1, S=1"),
+        ("hyper-unflagged", _patch(hyper, 10, "<B", 0),
+         f"{len(hyper)} bytes where its header needs {unflagged}"),
     ]
-    for model, scheme, message in cases:
-        codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / model.name, scheme)
-        assert codes == (IO_ERROR, IO_ERROR)
-        assert capsys.readouterr().err.count(message) == 2
+    _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
 
 
 def test_non_finite_predictor_fields_are_an_io_error(pipeline, tmp_path, capsys):
-    raw = (pipeline["model"] / "predictor.efpr").read_bytes()
-    c, hyper = struct.unpack("<IB", raw[5:10])
-    bias = 10 + 8 * (c * hyper) * 2 * c  # group 1's first bias entry
+    """A truncated model file and an inf or NaN in the maps exit 3."""
+    raw = _efmd(pipeline["model"])
+    c, sizes = raw[6], struct.unpack_from("<4I", raw, 12)
+    bias = 12 + 16 + 8 * c * sum(sizes)  # group 1's bias: it has no weight rows
     cases = [
-        ("truncated", raw[:-1], f"{len(raw) - 1} bytes where C={c}, hyper flag {hyper} needs"),
-        ("inf-bias", raw[:bias] + struct.pack("<d", float("inf")) + raw[bias + 8:],
+        ("truncated", raw[:-1], f"{len(raw) - 1} bytes where its header needs {len(raw)}"),
+        ("inf-bias", _patch(raw, bias, "<d", float("inf")),
          "group 1 weights and bias must be finite"),
+        ("nan-weight", _patch(raw, bias + 8 * 2 * c, "<d", float("nan")),
+         "group 2 weights and bias must be finite"),
     ]
-    for name, data, message in cases:
-        model = tmp_path / name
-        shutil.copytree(pipeline["model"], model)
-        (model / "predictor.efpr").write_bytes(data)
-        codes = _encode_and_decode_exit_codes(pipeline, model, tmp_path / name)
-        assert codes == (IO_ERROR, IO_ERROR)
-        assert capsys.readouterr().err.count(message) == 2
+    _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
 
 
 def test_codebooks_of_mixed_dimension_are_an_io_error(pipeline, tmp_path, capsys):
-    model = tmp_path / "model"
-    shutil.copytree(pipeline["model"], model)
-    wide = ResidualVQ(stage_codebooks=(Codebook(codewords=np.zeros((8, 2))),))
-    write_codebook_file(model / "codebook_group2.efcb", wide)
-    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
-    assert capsys.readouterr().err.count("vector dimension, got [1, 2, 1, 1]") == 2
+    """One C field sizes every codebook: a C that does not match the
+    codewords exits 3, and quantizers of mixed dimension cannot be built to
+    be written."""
+    raw = _efmd(pipeline["model"])
+    sizes = struct.unpack_from("<4I", raw, 12)
+    # C=2: K x 2 codewords, and groups 1-4 with 0, 2, 4, 6 weight rows of 4.
+    wide = 12 + 16 + 8 * 2 * (sum(sizes) + 2 * (1 + 3 + 5 + 7))
+    cases = [
+        ("c2", _patch(raw, 6, "<I", 2), f"{len(raw)} bytes where its header needs {wide}"),
+        ("c0", _patch(raw, 6, "<I", 0), "bad header: scheme 1, C=0, hyper flag 0, S=1"),
+    ]
+    _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
+    _, qset = read_model_file(pipeline["model"] / "model.efmd")
+    two = ResidualVQ(stage_codebooks=(Codebook(codewords=np.zeros((8, 2))),))
+    with pytest.raises(ValueError, match=r"vector dimension, got \[1, 2, 1, 1\]"):
+        QuantizerSet(groups=(qset.groups[0], two) + qset.groups[2:])
 
 
-def test_malformed_hyper_codebook_is_an_io_error(pipeline, tmp_path, capsys):
-    model = tmp_path / "model"
-    shutil.copytree(pipeline["model"], model)
-    (model / "codebook_hyper.efcb").write_bytes(b"EFCBjunk")
-    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
-    err = capsys.readouterr().err
-    assert err.count("error: codebook file") == 2 and "codebook_hyper.efcb" in err
+def test_malformed_hyper_codebook_is_an_io_error(
+    pipeline, hyper_and_iq_models, tmp_path, capsys
+):
+    """A hyper codebook of size 0, cut out, or holding a NaN exits 3, as
+    does a file that ends inside its header."""
+    raw = _efmd(hyper_and_iq_models[0])
+    table = 12 + 4 * 5  # the hyper grid's and groups 1-4's one stage size each
+    kz = struct.unpack_from("<I", raw, 12)[0]
+    cases = [
+        ("kz0", _patch(raw, 12, "<I", 0), "a stage size is 0"),
+        ("cut", raw[:table] + raw[table + 8 * kz:],
+         f"{len(raw) - 8 * kz} bytes where its header needs {len(raw)}"),
+        ("nan", _patch(raw, table, "<d", float("nan")), "codewords must be finite"),
+        ("junk", b"EFMDjunk", "8 bytes, shorter than a model header"),
+    ]
+    _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
 
 
 def test_stage_count_mismatched_model_is_an_io_error(pipeline, tmp_path, capsys):
-    model = tmp_path / "model"
-    shutil.copytree(pipeline["model"], model)
-    two_stages = tuple(Codebook(codewords=np.zeros((2, 1))) for _ in range(2))
-    write_codebook_file(model / "codebook_hyper.efcb", ResidualVQ(stage_codebooks=two_stages))
-    assert _encode_and_decode_exit_codes(pipeline, model, tmp_path) == (IO_ERROR, IO_ERROR)
-    assert capsys.readouterr().err.count("share a stage count") == 2
+    """One S field holds every quantizer's stage count: S=0, or a two-stage
+    model read as one stage, exits 3, and quantizers of mixed stage count
+    cannot be built to be written."""
+    raw = _efmd(pipeline["model"])
+    predictor, qset = read_model_file(pipeline["model"] / "model.efmd")
+    doubled = QuantizerSet(groups=tuple(
+        ResidualVQ(stage_codebooks=rvq.stage_codebooks * 2) for rvq in qset.groups
+    ))
+    write_model_file(tmp_path / "two.efmd", doubled, predictor)
+    two = (tmp_path / "two.efmd").read_bytes()
+    cases = [
+        ("s0", _patch(raw, 11, "<B", 0), "bad header: scheme 1, C=1, hyper flag 0, S=0"),
+        # With S=1 the first four of the eight sizes are the groups' sizes.
+        ("s1", _patch(two, 11, "<B", 1), f"{len(two)} bytes where its header needs {len(raw)}"),
+    ]
+    _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
+    with pytest.raises(ValueError, match=r"share a stage count, got \[1, 2\]"):
+        QuantizerSet(groups=qset.groups[:3] + doubled.groups[3:])
+
+
+@pytest.mark.parametrize("scheme,hyper", [("rd", "off"), ("rd", "on"), ("iq", "off")])
+def test_shipped_model_is_the_measured_model(pipeline, tmp_path, scheme, hyper):
+    """The model ``train`` writes is, bit for bit, the model the same call
+    trains in memory on the same latent files, and ``encode``/``decode``
+    with it write what the in-memory model packs and decodes."""
+    model = _train(pipeline, tmp_path / "model", "--scheme", scheme, "--hyper", hyper,
+                   "--Kz", "4")
+    shipped = read_model_file(model / "model.efmd")
+    latents = [read_latent_file(pipeline["data"] / f"lat{i}.eflt") for i in range(10)]
+    sizes = ((8,),) * 4
+    if scheme == "rd":
+        measured = train_rd_model(
+            latents, (), hyper_stage_sizes=(4,) if hyper == "on" else None, m=None,
+            iterations=4, seed=0, group_stage_sizes=sizes,
+        )
+    else:
+        measured = None, train_iq_model(
+            latents, (), iterations=4, seed=0, group_stage_sizes=sizes
+        )
+    assert _model_arrays(*shipped) == _model_arrays(*measured)
+
+    enc, dec = tmp_path / "enc", tmp_path / "dec"
+    assert main(["encode", "--latent", str(pipeline["hold"]), "--model-dir", str(model),
+                 "--m", "1", "--out-dir", str(enc)]) == 0
+    assert main(["decode", "--stream", str(enc / "stream.efbs"), "--model-dir", str(model),
+                 "--out-dir", str(dec)]) == 0
+    assert json.loads((enc / "manifest.json").read_text())["config"]["scheme"] == scheme
+    predictor, qset = measured
+    hold = read_latent_file(pipeline["hold"])
+    if predictor is not None:
+        coded = rd_encode(hold, predictor, qset, 1)
+        decoded = rd_decode(replace(coded, reconstruction=None), predictor, qset)
+    else:
+        coded = iq_encode(hold, qset, 1)
+        decoded = iq_decode(replace(coded, reconstruction=None), qset)
+    f = LATENT_DOWNSAMPLE
+    header = StreamHeader(height=hold.height * f, width=hold.width * f, q=1)
+    stream = pack(header, coded.hyper_stack, coded.group_stacks, qset)
+    assert read_bitstream_file(enc / "stream.efbs") == stream
+    write_latent_file(tmp_path / "measured.eflt", decoded)
+    assert (dec / "recon.eflt").read_bytes() == (tmp_path / "measured.eflt").read_bytes()
+
+
+def _model_arrays(predictor, qset):
+    """(dtype, shape, bytes) of every codeword array, hyper first, then of
+    every map."""
+    rvqs = ((qset.hyper,) if qset.hyper is not None else ()) + qset.groups
+    arrays = [cb.codewords for rvq in rvqs for cb in rvq.stage_codebooks]
+    if predictor is not None:
+        arrays += [a for pair in zip(predictor.weights, predictor.biases) for a in pair]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def test_config_file_overrides_defaults_but_not_flags(tmp_path, capsys):

@@ -24,7 +24,6 @@ import rvqcodec
 from rvqcodec import schemes
 from rvqcodec.bitstream import StreamHeader, pack, unpack
 from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid, SourceConfig, gauss_markov_sample
-from rvqcodec.quantizers import QuantizerSet, read_codebook_file, write_codebook_file
 from rvqcodec.rans import RansStream
 from rvqcodec.schemes import (
     CM_SUPPORT_RADIUS,
@@ -39,7 +38,7 @@ from rvqcodec.schemes import (
     train_cm_model,
     train_iq_model,
     train_rd_model,
-    write_predictor_file,
+    write_model_file,
 )
 from rvqcodec.schemes import _cm_tables
 
@@ -173,7 +172,7 @@ VEC_DELTA = 0.5
 
 GOLDEN_VECTOR = {
     "cm-d0.5-latent": "5784f6d31f4bd32a29a006afb2f9df29ef4923aedfc978f0b08d4839fb242cd9",
-    "cm-d0.5-predictor": "bfa3c706c70e180c5bac106b75451bb3c198cf080bc330c0ec136e4ba8319e8f",
+    "cm-d0.5-predictor": "d07470ec33e51d8a3d08ee1f8c72dcc5cea9a60330cd75db6bb957fb2a00d00a",
     "cm-d0.5-stream": "1bf58e1a9199dfdaf614b3cd3550c565a88b141c1c8d945ac3afd4df869ef1a9",
     "iq-codebooks": "0030a61d6b23d8b777b3950fa128144d30c3a349c082e681cd893d26cf4e10a8",
     "iq-m1-latent": "b49cefe2b61fe293f82883792ddb8c990b41a8f735f81c7d99c3647789c2f90c",
@@ -181,13 +180,13 @@ GOLDEN_VECTOR = {
     "iq-m2-latent": "27a1d1a12c04daf8a176115d3e8b79832a599fbf647415641bfdaccb9a27e126",
     "iq-m2-stream": "ef4540a2cee2d661d2c118b1a29f3898831ed6d7a2e8bd77c237b65f58d5faab",
     "rd-closed-m1-codebooks": "fb30ca5db6f201594bcb8ef8cd7e7cc039e9daa0a988fc1242e10031859a856f",
-    "rd-closed-m1-predictor": "2492661b36482a0c993a4fa5932455ed828a82fe4ebe08e43d9663e67582ee53",
+    "rd-closed-m1-predictor": "65c85bdccf9de4f5ae74731ed6467fde90d19e23addf57b96b4bd2b4368a8ba8",
     "rd-codebooks": "ef503c35ae0e28bb6450ca4019766dcdea02a17e5d0146d8745235bb480f0827",
     "rd-m1-latent": "7050907ccc5b4e9a606559e205d20a7ff9d806fc57cfef7bfce5c9886fa497aa",
     "rd-m1-stream": "120e546d4d44545ab0a75a8c9c6f59804afa9bd3c2c504480d78eab7af161ae4",
     "rd-m2-latent": "ed07c4db14bf0579cffd1f40b37094f2c3a801a3505c2f0e8b88d81e13dd32b2",
     "rd-m2-stream": "326f41a0feae56e7d50f44b96dfb7d052c6a2a0a4a6e07525a795dcf6b94b4d3",
-    "rd-predictor": "f0655ea9716ec6db1f91bf04c2cf5f0a627eb04e3360645cc520d8ac786774e7",
+    "rd-predictor": "f6a52fa3c06dd142e5bcdb6b41a248ef0c7caaf6d162367899367508e50608f1",
 }
 
 
@@ -207,12 +206,15 @@ def _codebook_bytes(qset) -> bytes:
     )
 
 
-def _predictor_bytes(predictor, path) -> bytes:
-    write_predictor_file(path, predictor)
-    return path.read_bytes()
+def _predictor_bytes(predictor) -> bytes:
+    return b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for w, b in zip(predictor.weights, predictor.biases)
+        for a in (w, b)
+    )
 
 
-def _compute_vector_digests(tmp):
+def _compute_vector_digests():
     train = _vector_training_set()
     latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=8), index=0)
     rd_model = train_rd_model(
@@ -227,11 +229,11 @@ def _compute_vector_digests(tmp):
     cm_predictor = train_cm_model(train, delta=VEC_DELTA, seed=3)
     out = {
         "rd-codebooks": _sha(_codebook_bytes(rd_model[1])),
-        "rd-predictor": _sha(_predictor_bytes(rd_model[0], tmp / "rd.efpr")),
+        "rd-predictor": _sha(_predictor_bytes(rd_model[0])),
         "rd-closed-m1-codebooks": _sha(_codebook_bytes(rd_m1_model[1])),
-        "rd-closed-m1-predictor": _sha(_predictor_bytes(rd_m1_model[0], tmp / "rd1.efpr")),
+        "rd-closed-m1-predictor": _sha(_predictor_bytes(rd_m1_model[0])),
         "iq-codebooks": _sha(_codebook_bytes(iq_qset)),
-        f"cm-d{VEC_DELTA}-predictor": _sha(_predictor_bytes(cm_predictor, tmp / "cm.efpr")),
+        f"cm-d{VEC_DELTA}-predictor": _sha(_predictor_bytes(cm_predictor)),
     }
     for scheme, model in (("rd", rd_model), ("iq", iq_qset)):
         for m in (1, 2):
@@ -245,8 +247,8 @@ def _compute_vector_digests(tmp):
 
 
 @pytest.fixture(scope="module")
-def vector_digests(tmp_path_factory):
-    return _compute_vector_digests(tmp_path_factory.mktemp("golden-vector"))
+def vector_digests():
+    return _compute_vector_digests()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VECTOR))
@@ -318,11 +320,13 @@ out = {"enabled": [t for t in targets if umath.__cpu_features__.get(t)]}
 
 _DISPATCH_DECODE = _BASELINE_PRELUDE + """
 from rvqcodec.rans import RansStream
-from rvqcodec.schemes import CodedLatent, SchemeConfig, cm_decode, read_predictor_file
+from rvqcodec.schemes import CodedLatent, ContextPredictor, SchemeConfig, cm_decode
 
 out["latents"] = {}
 for name, case in payload.items():
-    predictor = read_predictor_file(case["predictor"])
+    maps = np.load(case["predictor"])
+    predictor = ContextPredictor(weights=tuple(maps[f"w{i}"] for i in range(4)),
+                                 biases=tuple(maps[f"b{i}"] for i in range(4)))
     received = CodedLatent(
         scheme="cm", shape=tuple(case["shape"]), reconstruction=None, rate_bits=0.0,
         delta=case["delta"],
@@ -340,12 +344,13 @@ print(json.dumps(out))
 
 _DISPATCH_TRAIN_CM = _BASELINE_PRELUDE + """
 from rvqcodec.grids import LatentGrid
-from rvqcodec.schemes import train_cm_model, write_predictor_file
+from rvqcodec.schemes import train_cm_model
 
 train = [LatentGrid(x) for x in np.load(payload["latents"])]
-write_predictor_file(payload["predictor"], train_cm_model(train, delta=payload["delta"]))
-with open(payload["predictor"], "rb") as f:
-    out["predictor"] = hashlib.sha256(f.read()).hexdigest()
+predictor = train_cm_model(train, delta=payload["delta"])
+maps = (a for w, b in zip(predictor.weights, predictor.biases) for a in (w, b))
+raw = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in maps)
+out["predictor"] = hashlib.sha256(raw).hexdigest()
 print(json.dumps(out))
 """
 
@@ -353,10 +358,9 @@ print(json.dumps(out))
 _DISPATCH_IQ_ENCODE = _BASELINE_PRELUDE + """
 from rvqcodec.bitstream import StreamHeader, pack
 from rvqcodec.grids import LATENT_DOWNSAMPLE, LatentGrid
-from rvqcodec.quantizers import QuantizerSet, read_codebook_file
-from rvqcodec.schemes import iq_encode
+from rvqcodec.schemes import iq_encode, read_model_file
 
-qset = QuantizerSet(groups=tuple(read_codebook_file(p) for p in payload["codebooks"]))
+_, qset = read_model_file(payload["model"])
 latent = LatentGrid(np.load(payload["latent"]))
 out["streams"] = {}
 for m in payload["ms"]:
@@ -407,8 +411,9 @@ def test_cm_streams_decode_exactly_with_every_dispatch_target_disabled(tmp_path)
     cases, expected = {}, {}
     for delta in DELTAS:
         predictor = train_cm_model(train, delta=delta, seed=3)
-        path = tmp_path / f"cm-d{delta}.efpr"
-        write_predictor_file(path, predictor)
+        path = tmp_path / f"cm-d{delta}.npz"
+        np.savez(path, **{f"w{i}": w for i, w in enumerate(predictor.weights)},
+                 **{f"b{i}": b for i, b in enumerate(predictor.biases)})
         latents = {f"cm-d{delta}": _golden_latent()}
         if delta == 1.0:
             latents["cm-outliers"] = _outlier_latent()
@@ -429,8 +434,7 @@ def test_cm_training_is_golden_with_every_dispatch_target_disabled(tmp_path):
     bits at numpy's baseline as with its dispatched targets."""
     latents = tmp_path / "train.npy"
     np.save(latents, np.stack([lat.data for lat in _vector_training_set()]))
-    payload = {"latents": str(latents), "predictor": str(tmp_path / "cm.efpr"),
-               "delta": VEC_DELTA}
+    payload = {"latents": str(latents), "delta": VEC_DELTA}
     result = _run_at_baseline(_DISPATCH_TRAIN_CM, payload)
     assert result["predictor"] == GOLDEN_VECTOR[f"cm-d{VEC_DELTA}-predictor"]
 
@@ -453,11 +457,11 @@ GOLDEN_SCREEN = {
     "rd-m1-stream": "0e7e91ca2167d73feeff0369b356730f9c15cd0b97a41c2e9303c7446a9e57ad",
     "rd-m2-latent": "18c2a7ecb957718f6058f98b83aa77b138459a107eaf4be1e17187a4a1e383ca",
     "rd-m2-stream": "da3b704fc9fb72d5be94fd8fa92905b99bf017d70e8d78d2e5015d1a02d727a3",
-    "rd-predictor": "6f45d2e5d85de5bd4447ed953616441d0ced0ed2e24d320099dd7c94de4a8324",
+    "rd-predictor": "30b7c73acc79c569892008fb44675d2fca82cfa3194067d8e41d3bfdb49f4e93",
 }
 
 
-def _model_digests(tmp, train, latent, stages, seed, hyper_stage_sizes=None):
+def _model_digests(train, latent, stages, seed, hyper_stage_sizes=None):
     """Codebooks, rd predictor, and rd/iq streams and latents at m = 1, 2."""
     rd_model = train_rd_model(
         train, stages, hyper_stage_sizes=hyper_stage_sizes, iterations=10, seed=seed
@@ -465,7 +469,7 @@ def _model_digests(tmp, train, latent, stages, seed, hyper_stage_sizes=None):
     iq_qset = train_iq_model(train, stages, iterations=10, seed=seed)
     out = {
         "rd-codebooks": _sha(_codebook_bytes(rd_model[1])),
-        "rd-predictor": _sha(_predictor_bytes(rd_model[0], tmp / "rd.efpr")),
+        "rd-predictor": _sha(_predictor_bytes(rd_model[0])),
         "iq-codebooks": _sha(_codebook_bytes(iq_qset)),
     }
     for scheme, model in (("rd", rd_model), ("iq", iq_qset)):
@@ -476,18 +480,18 @@ def _model_digests(tmp, train, latent, stages, seed, hyper_stage_sizes=None):
     return out
 
 
-def _compute_screen_digests(tmp):
+def _compute_screen_digests():
     train = [
         gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=9), index=i)
         for i in range(7)
     ]
     latent = gauss_markov_sample(SourceConfig(VEC_CHANNELS, SIZE, SIZE, rho=0.9, seed=10), index=0)
-    return _model_digests(tmp, train, latent, SCREEN_STAGES, 4, hyper_stage_sizes=SCREEN_STAGES)
+    return _model_digests(train, latent, SCREEN_STAGES, 4, hyper_stage_sizes=SCREEN_STAGES)
 
 
 @pytest.fixture(scope="module")
-def screen_digests(tmp_path_factory):
-    return _compute_screen_digests(tmp_path_factory.mktemp("golden-screen"))
+def screen_digests():
+    return _compute_screen_digests()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCREEN))
@@ -515,7 +519,7 @@ GOLDEN_BUCKET = {
     "rd-m1-stream": "93d5899ee1ed90cb8ef7dc704c26e924c752289d1ec77bede344dce26356265a",
     "rd-m2-latent": "3b3a29a9971be52ae705480de4000a691b053e6afedbc81c297c5a2f2c6a4c03",
     "rd-m2-stream": "1a9bb81be484719a1ef4e5222b64e70d74b08482bd0624d90571a9de708c8214",
-    "rd-predictor": "6a3960fe4bc88a1ca628054348f9dc6089c9c25584f22a0bc4d528d60aa50a01",
+    "rd-predictor": "e679a02566ecda232869d5ad665ac10d3fea1ed2b08fe5613cd20ca391d79b68",
 }
 
 
@@ -530,13 +534,13 @@ def _bucket_latent():
     return gauss_markov_sample(SourceConfig(1, BUCKET_SIZE, BUCKET_SIZE, rho=0.9, seed=12), index=0)
 
 
-def _compute_bucket_digests(tmp):
-    return _model_digests(tmp, _bucket_training_set(), _bucket_latent(), BUCKET_STAGES, 5)
+def _compute_bucket_digests():
+    return _model_digests(_bucket_training_set(), _bucket_latent(), BUCKET_STAGES, 5)
 
 
 @pytest.fixture(scope="module")
-def bucket_digests(tmp_path_factory):
-    return _compute_bucket_digests(tmp_path_factory.mktemp("golden-bucket"))
+def bucket_digests():
+    return _compute_bucket_digests()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUCKET))
@@ -545,18 +549,15 @@ def test_golden_bucket_digest(bucket_digests, name):
 
 
 def test_bucket_iq_encode_is_exact_with_every_dispatch_target_disabled(tmp_path):
-    """The bucket section's iq codebooks, written to files and read back,
-    encode its latent to the same stream bytes in a process that runs numpy
-    at its baseline SIMD target: the bucket index arithmetic and the exact
+    """The bucket section's iq model, shipped in a model file, encodes its
+    latent to the golden stream bytes in a process that runs numpy at its
+    baseline SIMD target: the bucket index arithmetic and the exact
     neighbour check place every row alike at any dispatch target.  iq has
     no predictor, so no ``exp`` enters the stream."""
     qset = train_iq_model(_bucket_training_set(), BUCKET_STAGES, iterations=10, seed=5)
-    paths = [str(tmp_path / f"group{i}.efcb") for i in range(len(qset.groups))]
-    for path, rvq in zip(paths, qset.groups):
-        write_codebook_file(path, rvq)
-    read_back = QuantizerSet(groups=tuple(read_codebook_file(p) for p in paths))
-    latent = _bucket_latent()
-    np.save(tmp_path / "latent.npy", latent.data)
-    expected = {str(m): _sha(_fixed_round_trip("iq", latent, read_back, m)[0]) for m in (1, 2)}
-    payload = {"codebooks": paths, "latent": str(tmp_path / "latent.npy"), "ms": [1, 2]}
+    write_model_file(tmp_path / "iq.efmd", qset)
+    np.save(tmp_path / "latent.npy", _bucket_latent().data)
+    expected = {str(m): GOLDEN_BUCKET[f"iq-m{m}-stream"] for m in (1, 2)}
+    payload = {"model": str(tmp_path / "iq.efmd"), "latent": str(tmp_path / "latent.npy"),
+               "ms": [1, 2]}
     assert _run_at_baseline(_DISPATCH_IQ_ENCODE, payload)["streams"] == expected

@@ -3,6 +3,8 @@ Gauss-Markov source, and latent files."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqcodec.grids import (
     GROUP_PHASES,
@@ -216,3 +218,19 @@ def test_latent_file_rejects_corruption(tmp_path):
     short.write_bytes(raw[:-3])
     with pytest.raises(ValueError, match="payload length"):
         read_latent_file(short)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_latent_file_mutations_raise_only_value_error(tmp_dir, mutate, data):
+    shape = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 4)))
+    path = tmp_dir / "x.eflt"
+    latent = LatentGrid(rng_for(data.draw(st.integers(0, 9))).standard_normal(shape))
+    write_latent_file(path, latent)
+    mutated, must_fail = mutate(data, path.read_bytes())
+    path.write_bytes(mutated)
+    try:
+        read_latent_file(path)
+    except ValueError:
+        return
+    assert not must_fail

@@ -14,11 +14,9 @@ from rvqcodec.quantizers import (
     QuantizerSet,
     ResidualVQ,
     nn_quantize,
-    read_codebook_file,
     rvq_quantize,
     train_codebook,
     train_rvq,
-    write_codebook_file,
 )
 from rvqcodec import quantizers
 from rvqcodec.quantizers import (
@@ -500,40 +498,6 @@ def test_rvq_heldout_mse_non_increasing_in_stage_count():
     assert mses[2] <= mses[1] + 1e-12
     # with three K=16 stages on Gaussian data the drop is real, not marginal
     assert mses[2] < 0.5 * mses[0]
-
-
-def test_codebook_file_round_trip(tmp_path):
-    rng = rng_for(29)
-    rvq = train_rvq(rng.standard_normal((500, 3)), (8, 4), iterations=5, seed=1)
-    path = tmp_path / "q.efcb"
-    write_codebook_file(path, rvq)
-    back = read_codebook_file(path)
-    assert back.stages == 2
-    for orig, got in zip(rvq.stage_codebooks, back.stage_codebooks):
-        # stored as 32-bit floats
-        assert np.array_equal(
-            got.codewords, orig.codewords.astype(np.float32).astype(np.float64)
-        )
-
-
-def test_codebook_file_rejects_corruption(tmp_path):
-    rvq = ResidualVQ(stage_codebooks=(Codebook(np.eye(2)),))
-    path = tmp_path / "q.efcb"
-    write_codebook_file(path, rvq)
-    raw = path.read_bytes()
-
-    bad = tmp_path / "bad.efcb"
-    bad.write_bytes(b"ZZZZ" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        read_codebook_file(bad)
-
-    bad.write_bytes(raw[:4] + b"\x07" + raw[5:])
-    with pytest.raises(ValueError, match="version"):
-        read_codebook_file(bad)
-
-    bad.write_bytes(raw[:-2])
-    with pytest.raises(ValueError):
-        read_codebook_file(bad)
 
 
 # ---------------------------------------------------------------------------

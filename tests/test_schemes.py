@@ -1,5 +1,5 @@
 """The three coding schemes: context construction, closed-loop determinism,
-ablation equivalences, and the predictor file format."""
+ablation equivalences, and the model file format."""
 
 from dataclasses import replace
 from unittest import mock
@@ -40,11 +40,11 @@ from rvqcodec.schemes import (
     iq_encode,
     rd_decode,
     rd_encode,
-    read_predictor_file,
+    read_model_file,
     train_cm_model,
     train_iq_model,
     train_rd_model,
-    write_predictor_file,
+    write_model_file,
 )
 from rvqcodec.schemes import _CM_BOUNDS, _CM_LEVELS, _cm_rows, _cm_tables
 from rvqcodec.timing import PhaseTimer
@@ -416,13 +416,11 @@ def test_train_cm_model_rejects_a_non_finite_delta():
             train_cm_model(_corpus(2), delta=delta)
 
 
-def test_cm_training_draws_no_random_numbers(tmp_path):
+def test_cm_training_draws_no_random_numbers():
     """cm's heads are closed-form fits: the seed changes no byte of the model."""
-    for seed in (0, 9):
-        write_predictor_file(
-            tmp_path / f"s{seed}.efpr", train_cm_model(_corpus(12), delta=0.5, seed=seed)
-        )
-    assert (tmp_path / "s0.efpr").read_bytes() == (tmp_path / "s9.efpr").read_bytes()
+    a, b = (train_cm_model(_corpus(12), delta=0.5, seed=seed) for seed in (0, 9))
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("a", [0.5, 0.0, -1.0])
@@ -433,7 +431,7 @@ def test_log_sigma_head_recovers_a_linear_log_scale(a):
     psi = rng.standard_normal((20_000, 2))
     z = rng.standard_normal((20_000, 1))
     y = 0.3 * psi[:, :1] + np.exp(a * psi[:, :1] + 0.2) * z
-    w, b = schemes._fit_group_heads(psi, y, 1e-3)
+    w, b = schemes._fit_group_heads(psi, y)
     assert abs(w[0, 1] - a) < 0.05
     assert abs(b[1] - 0.2) < 0.05
 
@@ -514,66 +512,150 @@ def test_hyper_geometry_must_divide_by_four(rd_model):
         rd_encode(bad, predictor, qset, m=1)
 
 
-def test_predictor_file_round_trip(rd_model, tmp_path):
-    """write -> read -> write gives the same bytes, and the v2 layout is
-    the header then each group's weights and bias as ``<f8``."""
-    predictor, _ = rd_model
-    path = tmp_path / "p.efpr"
-    write_predictor_file(path, predictor)
-    back = read_predictor_file(path)
-    assert back.channels == predictor.channels
-    assert back.uses_hyper == predictor.uses_hyper
-    for w0, b0, w1, b1 in zip(
-        predictor.weights, predictor.biases, back.weights, back.biases
-    ):
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(b0, b1)
-    again = tmp_path / "again.efpr"
-    write_predictor_file(again, back)
+def _random_model(c, scheme, hyper=False, seed=0):
+    """A two-stage model of standard normal codewords and maps, so every
+    mantissa bit is live; stage sizes differ per group and stage."""
+    rng = rng_for(seed)
+
+    def rvq(sizes):
+        return ResidualVQ(tuple(Codebook(rng.standard_normal((k, c))) for k in sizes))
+
+    qset = QuantizerSet(
+        groups=tuple(rvq((2 + i, 3)) for i in range(4)), hyper=rvq((4, 1)) if hyper else None
+    )
+    if scheme == "iq":
+        return None, qset
+    dims = schemes._context_dims(c, hyper)
+    return ContextPredictor(
+        weights=tuple(rng.standard_normal((d, 2 * c)) for d in dims),
+        biases=tuple(rng.standard_normal(2 * c) for _ in dims),
+    ), qset
+
+
+def _model_arrays(predictor, qset) -> list[np.ndarray]:
+    """Every array of a model in EFMD order: codewords, hyper first, then maps."""
+    rvqs = ((qset.hyper,) if qset.hyper is not None else ()) + qset.groups
+    arrays = [cb.codewords for rvq in rvqs for cb in rvq.stage_codebooks]
+    if predictor is not None:
+        arrays += [a for pair in zip(predictor.weights, predictor.biases) for a in pair]
+    return arrays
+
+
+_KINDS = [("iq", False), ("rd", False), ("rd", True)]
+_MODEL_KINDS = pytest.mark.parametrize("scheme,hyper", _KINDS)
+
+
+@_MODEL_KINDS
+@pytest.mark.parametrize("c", [1, 2])
+def test_model_file_round_trip(tmp_path, scheme, hyper, c):
+    """read(write(model)) is bit-identical to the model, write -> read ->
+    write gives the same bytes, and the layout is the header, the u32 stage
+    sizes and every array as ``<f8``."""
+    predictor, qset = _random_model(c, scheme, hyper)
+    path = tmp_path / "m.efmd"
+    write_model_file(path, qset, predictor)
+    back_predictor, back = read_model_file(path)
+    assert (back_predictor is None) == (scheme == "iq")
+    assert (back.hyper is None) == (not hyper)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in _model_arrays(back_predictor, back)] == [
+        (a.dtype, a.shape, a.tobytes()) for a in _model_arrays(predictor, qset)
+    ]
+    again = tmp_path / "again.efmd"
+    write_model_file(again, back, back_predictor)
     raw = path.read_bytes()
     assert again.read_bytes() == raw
-    body = b"".join(
-        w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
-        for w, b in zip(predictor.weights, predictor.biases)
-    )
-    assert raw == b"EFPR" + bytes([2]) + (1).to_bytes(4, "little") + b"\x00" + body
+    books = _model_arrays(None, qset)
+    head = b"EFMD" + bytes([1, scheme == "rd"]) + c.to_bytes(4, "little") + bytes([hyper, 2])
+    sizes = b"".join(cw.shape[0].to_bytes(4, "little") for cw in books)
+    body = b"".join(a.astype("<f8").tobytes() for a in _model_arrays(predictor, qset))
+    assert raw == head + sizes + body
 
 
-def test_predictor_file_rejects_corruption(rd_model, tmp_path):
-    """Every malformed file is a ValueError: a bad header or a length other
-    than its C and hyper flag imply is caught before any array is built,
-    and a non-finite weight by the predictor's own check."""
-    bad = tmp_path / "bad.efpr"
+def test_write_model_file_rejects_parts_that_disagree(tmp_path):
+    """Hyper presence and channel count are one field each in the file, so
+    the writer refuses a model whose parts disagree on them, and the stage
+    count is a byte."""
+    path = tmp_path / "m.efmd"
+    predictor, qset = _random_model(1, "rd")
+    _, hyper_qset = _random_model(1, "iq", hyper=True)
+    hyper_predictor, _ = _random_model(1, "rd", hyper=True)
+    wide_predictor, _ = _random_model(2, "rd")
+    cases = [
+        (hyper_qset, None, "iq takes no hyper grid"),
+        (hyper_qset, predictor, "the predictor takes no hyper grid"),
+        (qset, hyper_predictor, "predictor uses a hyper grid but quantizer set has none"),
+        (qset, wide_predictor, "predictor has 2 channels, codebooks 1"),
+    ]
+    deep = ResidualVQ(tuple(Codebook(np.zeros((1, 1))) for _ in range(256)))
+    cases.append((QuantizerSet(groups=(deep,) * 4), None, "256 stages; a model file holds"))
+    for q, p, match in cases:
+        with pytest.raises(ValueError, match=match):
+            write_model_file(path, q, p)
+    assert not path.exists()
+
+
+@_MODEL_KINDS
+@pytest.mark.parametrize("c", [1, 2])
+def test_model_file_rejects_corruption(tmp_path, scheme, hyper, c):
+    """Every malformed file is a ValueError: a bad header, a stage size of
+    0 or a length other than the header and stage sizes imply is caught
+    before any array is built, and a non-finite codeword or weight by the
+    codebook's or predictor's own check."""
+    predictor, qset = _random_model(c, scheme, hyper)
+    path = tmp_path / "m.efmd"
+    write_model_file(path, qset, predictor)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.efmd"
 
     def rejects(data, match):
         bad.write_bytes(data)
         with mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as spy:
             with pytest.raises(ValueError, match=match):
-                read_predictor_file(bad)
+                read_model_file(bad)
         return spy.call_count
 
-    rng = rng_for(63)
-    hyper = ContextPredictor(  # C = 2 with the hyper grid
-        weights=tuple(rng.standard_normal((2 * (i + 1), 4)) for i in range(4)),
-        biases=tuple(rng.standard_normal(4) for _ in range(4)),
-    )
-    for predictor in (rd_model[0], hyper):
-        path = tmp_path / "p.efpr"
-        write_predictor_file(path, predictor)
-        raw = path.read_bytes()
-        for n in range(len(raw)):
-            assert rejects(raw[:n], "bytes") == 0
-        assert rejects(raw + b"\x00", f"{len(raw) + 1} bytes where C=") == 0
-        assert rejects(b"ZZZZ" + raw[4:], "magic") == 0
-        assert rejects(raw[:4] + b"\x01" + raw[5:], "unsupported predictor version 1") == 0
-        assert rejects(raw[:9] + b"\x02" + raw[10:], r"bad header: C=\d+, hyper flag 2") == 0
-        for c, match in ((0, "bad header: C=0,"), (2**32 - 1, f"bytes where C={2**32 - 1},")):
-            assert rejects(raw[:5] + c.to_bytes(4, "little") + raw[9:], match) == 0
-        c = predictor.channels
-        at = 10 + 8 * (c * predictor.uses_hyper + 1) * 2 * c  # group 2's first weight
+    needs = "bytes where its header needs"
+    for n in range(len(raw)):
+        assert rejects(raw[:n], f"{n} bytes") == 0
+    assert rejects(raw + b"\x00", f"{len(raw) + 1} {needs} {len(raw)}") == 0
+    assert rejects(b"ZZZZ" + raw[4:], "magic") == 0
+    for version in (0, 2):
+        assert rejects(raw[:4] + bytes([version]) + raw[5:], f"model version {version}") == 0
+    assert rejects(raw[:5] + b"\x02" + raw[6:], "bad header: scheme 2,") == 0
+    assert rejects(raw[:10] + b"\x02" + raw[11:], "hyper flag 2,") == 0
+    iq_with_flag = raw[:5] + b"\x00" + raw[6:10] + b"\x01" + raw[11:]
+    assert rejects(iq_with_flag, r"bad header: scheme 0, C=\d+, hyper flag 1,") == 0
+    for value, match in ((0, "C=0,"), (2**32 - 1, needs)):
+        assert rejects(raw[:6] + value.to_bytes(4, "little") + raw[10:], match) == 0
+    assert rejects(raw[:11] + b"\x00" + raw[12:], "S=0") == 0
+    for value, match in ((0, "a stage size is 0"), (2**32 - 1, needs)):
+        assert rejects(raw[:12] + value.to_bytes(4, "little") + raw[16:], match) == 0
+
+    table = 12 + 4 * 2 * (4 + hyper)
+    sites = [(table, "codewords must be finite")]
+    if predictor is not None:  # group 2's first weight
+        books = sum(cw.size for cw in _model_arrays(None, qset))
+        sites.append((table + 8 * (books + 2 * c * (c * hyper + 1)),
+                      "group 2 weights and bias must be finite"))
+    for at, match in sites:
         for value in (float("nan"), float("inf")):
-            data = raw[:at] + np.array(value, dtype="<f8").tobytes() + raw[at + 8:]
-            rejects(data, "group 2 weights and bias must be finite")
+            rejects(raw[:at] + np.array(value, dtype="<f8").tobytes() + raw[at + 8:], match)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_model_file_mutations_raise_only_value_error(tmp_dir, mutate, data):
+    scheme, hyper = data.draw(st.sampled_from(_KINDS))
+    predictor, qset = _random_model(data.draw(st.integers(1, 2)), scheme, hyper)
+    path = tmp_dir / "m.efmd"
+    write_model_file(path, qset, predictor)
+    mutated, must_fail = mutate(data, path.read_bytes())
+    path.write_bytes(mutated)
+    try:
+        read_model_file(path)
+    except ValueError:
+        return
+    assert not must_fail
 
 
 @pytest.fixture(scope="module")
