@@ -184,7 +184,8 @@ def _read_required(path: str, reader, what: str):
     try:
         return reader(p)
     except ValueError as e:
-        raise _CliError(f"{what} file {path}: {e}", IO_ERROR)
+        # Most reader messages start with the path; print it once.
+        raise _CliError(f"{what} file {path}: {str(e).removeprefix(f'{p}: ')}", IO_ERROR)
 
 
 def _load_model(model_dir: str) -> tuple:

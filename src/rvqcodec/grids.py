@@ -213,7 +213,9 @@ def read_latent_file(path) -> LatentGrid:
     """Load a latent file; raises ValueError on any malformed field."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 17 or raw[:4] != _LATENT_MAGIC:
+    if len(raw) < 17:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than a latent header")
+    if raw[:4] != _LATENT_MAGIC:
         raise ValueError(f"{path}: not a latent file (bad magic)")
     version = raw[4]
     if version != _LATENT_VERSION:

@@ -17,70 +17,73 @@ indices and per-row minimum distances bit for bit, and hand it every row
 they cannot settle themselves.
 
 For C = 1 the search is exact and sorted.  Each codebook's distinct values
-are sorted once, and every input x gets q, the number of values below it,
-so that its two neighbours are values q - 1 and q.  The same
-fl((x - c)**2) that ``cdist`` computes is compared between them, ties
-going to the lowest original index.  Those distances never decrease away
-from the input on either side, so the minimum lies at a neighbour; a row
-whose minimum may also be reached beyond its neighbours (distinct
-codewords rounding to equal distances at large |x|, or a non-finite
-distance) falls back to ``cdist`` + ``argmin``.  The comparison works per
-element, in ``_CHUNK``-row blocks that stay in cache.
+v[0] < ... < v[K - 1] are sorted once, with the lowest index holding each
+and the K - 1 splits s[i] = fl(0.5 v[i] + 0.5 v[i + 1]).  Each row x gets
+a cell p, and the cell check settles it when best = fl((x - v[p])**2) lies
+strictly below fl((x - v[p - 1])**2) and fl((x - v[p + 1])**2), with
+infinities beyond both ends.  fl(x - v) is monotone in v and rounding keeps
+magnitudes in order, so these distances never decrease moving away from x
+on either side.  If v[p] <= x, the values below v[p] are at least as far as
+v[p - 1], and v[p + 1] lies above x (else it would be no farther than
+v[p]), so the values above are at least as far as v[p + 1]; v[p] >= x is
+the mirror case.  So v[p] is the row's unique nearest value: cdist +
+argmin returns the lowest index holding it, with distance best.  The check
+settles a row exactly when its cell holds that value, however the cell was
+found; other rows (distinct values tied at the minimum, as when distances
+round to equal at large |x|, or an overflow) go to cdist + argmin.  It runs
+per element, in ``_CHUNK``-row blocks that stay in cache.
 
-Encoding finds q by a bucket lookup (``_bucket_lookup``) once a codebook
-has ``_BUCKET_MIN_VALUES`` distinct values and a search has
-``_BUCKET_MIN_ROWS`` rows; ``searchsorted`` places smaller searches, and
-training places the codeword values among its sorted samples (below).  The
-grid splits [lowest, highest value] into a power of two of equal buckets,
-at least twice the span over the smallest gap between values and at most
-``_BUCKET_MAX``.  A row's bucket is fl(fl(x - lo) * scale), clipped to the
-grid and truncated, and start[b] counts the values whose own bucket,
-computed the same way, is below b.  Every step is monotone in x, so a value
-in a lower bucket than x's bucket t is below x and one in a higher bucket
-is not: q lies in [start[t], start[t + 1]], and one step up, taken while
-the next value is still below x, reaches it when bucket t holds at most one
-value.  The float arithmetic is not what certifies q, though: every row is
-checked with the comparisons that define ``searchsorted``'s q,
-values[q - 1] < x <= values[q], which hold for one q alone, and a row that
-fails is placed by ``searchsorted``.  The check reads the two neighbours
-that the distance comparison reads.  A grid whose scale (buckets over span)
-is not finite and positive is refused: a span that overflows gives a scale
-of 0, a subnormal span an infinite one, and inf * 0 or 0 * inf would make a
-bucket NaN.  Sized from the smallest gap, no bucket of the 192 encode
-searches of perfbench's ``scalar-large`` (4,096 rows at K = 64, rd and iq,
-m = 1 to 3, holdout seeds 1 to 4) held two values, and none of their
-786,432 rows went to ``searchsorted``; a bucket shared by several values
-(a tight cluster next to a far codeword caps the grid) sends the rows high
-in it there.  Speed-up of one labels-only C = 1 search, ``searchsorted``
-time over lookup time, for n rows against Lloyd codebooks of Gaussian
-samples, fresh Gaussian rows every call, low and high of two runs (one
-core of a Xeon, numpy 2.4; K = 64, n = 4,096 took 66.5 ns per row against
-29.1 ns):
+A row's cell is the number of splits below it, ``searchsorted(splits, x)``.
+Encoding finds it by a bucket lookup once a codebook has
+``_BUCKET_MIN_VALUES`` distinct values and a search ``_BUCKET_MIN_ROWS``
+rows, else by ``searchsorted``; training places the splits among its sorted
+samples (below).  The grid splits [lowest, highest split] into a power of
+two of equal buckets, at least twice the span over the smallest gap between
+splits and at most ``_BUCKET_MAX``.  A row's bucket is fl(fl(x - lo) *
+scale), clipped to the grid and truncated, and start[b] counts the splits
+whose own bucket is below b.  Every step is monotone in x, so the cell lies
+in [start[t], start[t + 1]] for x's bucket t, and one step up, taken while
+the next split is below x, reaches it when bucket t holds at most one split
+and never passes it.  The cell check certifies the lookup; the rows any
+placement leaves unsettled are placed by ``searchsorted`` and checked
+again.  A grid whose scale (buckets over span) is not finite and positive
+is refused: an overflowing span gives 0, a subnormal one inf, and inf * 0
+is NaN.
+
+The three placements send the same rows to cdist, since a guess g short of
+``searchsorted``'s cell never settles: x lies above s[g], so v[g + 1] is no
+farther than v[g] unless x lies below the exact midpoint of the two, and
+s[g], the double nearest that midpoint, leaves no double between them.  The
+halves are exact but at subnormal values, and an inexact one can leave a
+double there only where both values and x lie below 2**-1020 in magnitude,
+where every squared distance underflows to 0 and no row settles.
+
+On perfbench's ``scalar-large`` models (K = 64, rd and iq) no bucket held
+two splits, and no row of 768 encode searches (4,096 rows, m = 1 to 3,
+holdout seeds 1 to 4) was placed again or went to cdist.  Speed-up of one
+labels-only search, ``searchsorted`` placement time over lookup time, n
+rows against Lloyd codebooks of Gaussian samples, fresh rows every call,
+two runs (one core of a Xeon, numpy 2.4; K = 64, n = 4,096 took 15.0-15.7
+ns per row against 49.7-56.6 ns):
 
     K        n = 256      512         1,024       4,096
-    2       0.77 0.81   0.89 0.90   0.88 0.89   1.12 1.20
-    4       0.81 0.84   0.82 0.92   1.00 1.07   1.25 1.30
-    8       0.79 0.89   0.92 0.97   1.02 1.26   1.44 1.53
-    16      0.89 0.90   1.08 1.15   1.24 1.31   1.79 1.80
-    64      1.07 1.09   1.34 1.46   1.67 1.68   2.28 2.31
-    256     1.02 1.81   1.54 1.55   2.02 2.04   3.01 3.10
+    4       0.85 0.87   1.00 0.93   1.13 1.15   1.54 1.58
+    8       0.89 0.93   1.07 1.06   1.30 1.31   1.88 1.98
+    16      0.97 1.02   1.15 1.22   1.47 1.14   2.19 2.36
+    64      1.18 1.16   1.52 1.44   1.95 2.06   3.60 3.32
+    256     1.31 1.36   1.81 1.84   1.58 2.55   4.51 4.66
 
-Below 16 values or 1,024 rows some cell reads near or below 1, so those
-searches stay with ``searchsorted``.
+Below 16 values or 512 rows some cell reads near or below 1, so those
+searches stay with ``searchsorted``; the row gate stays at 1,024.
 
 Lloyd training searches the same C = 1 samples on every pass, so
-``train_codebook`` argsorts them once, and each pass places the K codeword
-values among the n sorted samples instead of each sample among the values.
-The search needs only q, the number of distinct values below a sample x,
-and both ways count the same thing with the same ``<``: a value v is below
-x exactly when every sample <= v sorts before x's position i, that is when
-``searchsorted(sorted_x, v, side="right") <= i``; when v >= x, the samples
-at positions 0..i are all <= v and the count passes i.  Equal samples lie
-on the same side of every value, so the order among them does not matter.
-q is then the array ``searchsorted(values, x)`` gives, and the neighbour
-comparison and cdist fallback after it are unchanged.  At n = 32,768 and
-K = 64 finding q took 0.14 ms per pass against 2.2 ms, and the argsort
-0.84 ms once per call (one core of a Xeon, numpy 2.4).
+``train_codebook`` argsorts them once and each pass places the K - 1 splits
+among the n sorted samples.  A split s is below the sample at sorted
+position i exactly when ``searchsorted(sorted_x, s, side="right") <= i``,
+whatever order equal samples take, so the cells are those
+``searchsorted(splits, x)`` gives.  At n = 32,768 and K = 64 this took
+0.14 ms per pass against 2.2 ms, and the argsort 0.84 ms once per call
+(one core of a Xeon, numpy 2.4).
 
 For C > 1 the search is screened by a matrix product once K >= 64 and
 K * C >= 512 (``_nearest_screened``).  In blocks of 2**17 / K rows, so a
@@ -149,7 +152,7 @@ __all__ = [
 
 # Row chunk of the cdist search (a chunk's distance buffer is 16 MB at
 # K = 256), of its distance sums, whose order ``_chunked_sum`` repeats, of
-# the C = 1 neighbour comparison and of the k-means++ prefix search.
+# the C = 1 cell check and of the k-means++ prefix search.
 _CHUNK = 8192
 
 # The C > 1 search is screened by a matrix product from K = 64 codewords
@@ -162,8 +165,8 @@ _SCREEN_ENTRIES = 2**17
 # The C = 1 search places rows by a bucket lookup from 16 distinct codeword
 # values and 1,024 rows (crossover table in the module docstring), and by
 # ``searchsorted`` below that and in training.  A codebook's grid has the
-# power of two of buckets at or above twice its span over its smallest gap,
-# at most 2**12 (32 KB of starts).  A grid needs two values for a span.
+# power of two of buckets at or above twice its splits' span over their
+# smallest gap, at most 2**12 (32 KB of starts).
 _BUCKET_MIN_VALUES = 16
 _BUCKET_MIN_ROWS = 1024
 _BUCKET_MAX = 2**12
@@ -302,70 +305,89 @@ def _nearest_cdist(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarr
 
 
 def _build_search_table(codewords: np.ndarray, buckets: bool = False):
-    """Distinct values of a (K, 1) codebook in ascending order, each with the
-    lowest index holding it, padded by two infinite sentinels per side so
-    every input has two neighbours on each side, and with ``buckets`` their
-    ``_build_buckets`` grid (else None); None for C > 1."""
+    """Search table of a (K, 1) codebook, None for C > 1: its distinct values
+    ascending, padded by one infinity per side; the lowest index holding
+    each; the splits between neighbours, closed by +inf; and with
+    ``buckets`` their ``_build_buckets`` grid (else None)."""
     if codewords.shape[1] != 1:
         return None
     values, first = np.unique(codewords[:, 0], return_index=True)
-    grid = _build_buckets(values) if buckets else None
-    inf = np.array([np.inf, np.inf])
-    return np.concatenate([-inf, values, inf]), np.pad(first, 2), grid
+    splits = np.append(0.5 * values[:-1] + 0.5 * values[1:], np.inf)
+    grid = _build_buckets(splits[:-1]) if buckets else None
+    return np.concatenate([[-np.inf], values, [np.inf]]), first, splits, grid
 
 
 def _bucket_index(x, lo, scale, count):
     """Bucket of each x: ``(x - lo) * scale`` clipped to [0, count - 1] and
     truncated.  Every step is monotone in x, and for finite x, lo and
     0 < scale < inf no step yields NaN (an overflow gives +-inf, which the
-    clip bounds)."""
-    t = x - lo
-    t *= scale
+    clip bounds; its warning is silenced)."""
+    with np.errstate(over="ignore"):
+        t = x - lo
+        t *= scale
     np.clip(t, 0.0, count - 1.0, out=t)
     return t.astype(np.intp)
 
 
-def _build_buckets(values: np.ndarray):
+def _build_buckets(splits: np.ndarray):
     """``(lo, scale, start)`` of a uniform grid of buckets over the sorted
-    distinct ``values``, or None for fewer than ``_BUCKET_MIN_VALUES`` of
-    them or a span whose scale would not be finite and positive (a span
-    that overflows, or a subnormal one).  ``start[b]`` counts the values
-    whose own ``_bucket_index`` is below b."""
-    if values.shape[0] < _BUCKET_MIN_VALUES:
+    finite ``splits``, or None below two splits or ``_BUCKET_MIN_VALUES``
+    values, or where the scale would not be finite and positive.
+    ``start[b]`` counts the splits whose own ``_bucket_index`` is below b."""
+    if splits.shape[0] < max(2, _BUCKET_MIN_VALUES - 1):
         return None
-    lo = values[0]
+    lo = splits[0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        span = values[-1] - lo
-        need = 2.0 * span / np.diff(values).min()
+        span = splits[-1] - lo
+        need = 2.0 * span / np.diff(splits).min()
         count = _BUCKET_MAX if not need < _BUCKET_MAX else 1 << int(np.ceil(np.log2(need)))
         scale = count / span
     if not 0.0 < scale < np.inf:
         return None
-    own = _bucket_index(values, lo, scale, count)
+    own = _bucket_index(splits, lo, scale, count)
     return lo, scale, np.searchsorted(own, np.arange(count))
 
 
-def _bucket_lookup(x: np.ndarray, values: np.ndarray, grid):
-    """``q = searchsorted(values[2:-2], x)`` by bucket lookup, with the two
-    neighbours ``values[q + 1]`` and ``values[q + 2]`` of every x.
-
-    Starting from the values below x's bucket, q takes one step up while
-    the next value is still below x.  Each row is then checked with the
-    comparisons that define ``searchsorted``'s q, ``values[q + 1] < x <=
-    values[q + 2]``, and a row that fails is placed by ``searchsorted``.
-    """
+def _place(x: np.ndarray, splits: np.ndarray, grid, ranked) -> np.ndarray:
+    """Each row's cell, ``searchsorted(splits, x)``: from ``ranked`` by
+    placing the splits among the sorted rows, or from ``_BUCKET_MIN_ROWS``
+    rows and a grid by the bucket lookup, whose guess may fall short where a
+    bucket holds several splits (module docstring)."""
+    if ranked is not None:
+        # p[j] sorted rows are <= splits[j], so the sorted row at position i
+        # has #{j: p[j] <= i} splits below it.
+        order, sorted_x = ranked
+        p = np.searchsorted(sorted_x, splits[:-1], side="right")
+        cell = np.empty(x.shape[0], dtype=np.intp)
+        cell[order] = np.repeat(np.arange(p.shape[0] + 1), np.diff(p, prepend=0, append=len(x)))
+        return cell
+    if grid is None or x.shape[0] < _BUCKET_MIN_ROWS:
+        return np.searchsorted(splits, x)
     lo, scale, start = grid
-    q = start[_bucket_index(x, lo, scale, start.shape[0])]
-    q += values[2:][q] < x
-    below = values[1:][q]
-    above = values[2:][q]
-    bad = ~((below < x) & (x <= above))
-    if bad.any():
-        rows = np.flatnonzero(bad)
-        q[rows] = np.searchsorted(values[2:-2], x[rows])
-        below[rows] = values[1:][q[rows]]
-        above[rows] = values[2:][q[rows]]
-    return q, below, above
+    cell = start[_bucket_index(x, lo, scale, start.shape[0])]
+    cell += splits[cell] < x
+    return cell
+
+
+def _settled(x: np.ndarray, values: np.ndarray, cell: np.ndarray):
+    """(settled, best): the cell check of every row; ``values`` is the
+    table's padded column, so v[p] is ``values[p + 1]``.  An overflow makes
+    ``best`` infinite, and the row unsettled."""
+    settled = np.empty(x.shape[0], dtype=bool)
+    dist = np.empty(x.shape[0])
+    with np.errstate(over="ignore"):
+        for lo in range(0, x.shape[0], _CHUNK):
+            xb = x[lo : lo + _CHUNK]
+            cb = cell[lo : lo + _CHUNK]
+            best = np.subtract(xb, values[1:][cb], out=dist[lo : lo + _CHUNK])
+            best *= best
+            d = xb - values[cb]
+            d *= d
+            ok = np.greater(d, best, out=settled[lo : lo + _CHUNK])
+            np.subtract(xb, values[2:][cb], out=d)
+            d *= d
+            ok &= d > best
+    return settled, dist
 
 
 def _nearest(
@@ -375,66 +397,29 @@ def _nearest(
 
     ``table`` is ``_build_search_table(codewords)``; without one (C > 1)
     this is the cdist search, screened by ``_nearest_screened`` for the
-    codebook sizes where that is faster.  With one, see the module
-    docstring: each row's place q among the sorted values comes from the
-    table's bucket grid when it has one and there are at least
-    ``_BUCKET_MIN_ROWS`` rows (``_bucket_lookup``), else from
-    ``searchsorted``; the two neighbours are compared, and a row whose
-    minimum also reaches the next value out on either side, or is not
-    finite, is searched by cdist.  ``ranked`` is ``(order, vectors[order,
-    0])`` for an argsort ``order`` of ``vectors[:, 0]``: with it the
-    codeword values are placed among the sorted rows instead of each row
-    among the codeword values, with the same result.  Without
-    ``distances`` the second element may be None.
+    codebook sizes where that is faster.  With one (module docstring), the
+    cell check settles each row at its ``_place`` cell, or at its
+    ``searchsorted`` cell if that placement left it unsettled, and cdist
+    searches the rest.  ``ranked`` is ``(order, vectors[order, 0])`` for an
+    argsort ``order`` of ``vectors[:, 0]``.  Without ``distances`` the
+    second element may be None.
     """
     if table is None:
         k, c = codewords.shape
         if k >= _SCREEN_MIN_K and k * c >= _SCREEN_MIN_KC:
             return _nearest_screened(vectors, codewords, distances)
         return _nearest_cdist(vectors, codewords)
-    values, first, grid = table
+    values, first, splits, grid = table
     x = vectors[:, 0]
-    n = x.shape[0]
-    # values[2:-2][q - 1] < x <= values[2:-2][q]: the two neighbours of x sit
-    # at values[q + 1] and values[q + 2], the next ones out at q and q + 3.
-    q = None
-    if ranked is not None:
-        # p[j] sorted rows are <= values[2:-2][j], so the sorted row at
-        # position i has q = #{j: p[j] <= i} values below it.
-        order, sorted_x = ranked
-        p = np.searchsorted(sorted_x, values[2:-2], side="right")
-        runs = np.diff(p, prepend=0, append=n)
-        q = np.empty(n, dtype=np.intp)
-        q[order] = np.repeat(np.arange(p.shape[0] + 1), runs)
-    elif grid is None or n < _BUCKET_MIN_ROWS:
-        q = np.searchsorted(values[2:-2], x)
-    labels = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    unsure = []
-    # Per-element passes over cache-sized row blocks: no bit depends on them.
-    for lo in range(0, n, _CHUNK):
-        xb = x[lo : lo + _CHUNK]
-        if q is None:
-            qb, below, above = _bucket_lookup(xb, values, grid)
-        else:
-            qb = q[lo : lo + _CHUNK]
-            below, above = values[1:][qb], values[2:][qb]
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows go to cdist
-            d_lo = (xb - below) ** 2
-            d_hi = (xb - above) ** 2
-            i_lo = first[1:][qb]
-            i_hi = first[2:][qb]
-            labels[lo : lo + _CHUNK] = np.where(
-                (d_hi < d_lo) | ((d_hi == d_lo) & (i_hi < i_lo)), i_hi, i_lo
-            )
-            best = np.minimum(d_lo, d_hi, out=dist[lo : lo + _CHUNK])
-            # Nothing compares above an infinite or NaN distance, so this
-            # also sends every row with a non-finite minimum to cdist.
-            exact = ((xb - values[qb]) ** 2 > best) & ((xb - values[3:][qb]) ** 2 > best)
-        if not exact.all():
-            unsure.append(lo + np.flatnonzero(~exact))
-    if unsure:
-        rows = np.concatenate(unsure)
+    cell = _place(x, splits, grid, ranked)
+    settled, dist = _settled(x, values, cell)
+    if not settled.all():
+        rows = np.flatnonzero(~settled)
+        cell[rows] = np.searchsorted(splits, x[rows])
+        settled[rows], dist[rows] = _settled(x[rows], values, cell[rows])
+    labels = first[cell]
+    if not settled.all():
+        rows = np.flatnonzero(~settled)
         labels[rows], dist[rows] = _nearest_cdist(vectors[rows], codewords)
     return labels, dist
 

@@ -308,8 +308,8 @@ def test_bitstream_file_round_trip(tmp_path):
     bad.write_bytes(raw[:4] + b"\x05" + raw[5:])
     with pytest.raises(ValueError, match="version"):
         read_bitstream_file(bad)
-    bad.write_bytes(raw[:7])
-    with pytest.raises(ValueError):
+    bad.write_bytes(raw[:8])
+    with pytest.raises(ValueError, match="8 bytes, shorter than a bitstream header"):
         read_bitstream_file(bad)
 
 

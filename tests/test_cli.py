@@ -414,7 +414,7 @@ def _patch(raw, at, fmt, value):
 
 def _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases):
     """Each (name, model.efmd bytes, message) exits 3 on both encode and
-    decode, and both print the reader's reason."""
+    decode, and both print the reader's reason and the file's path once."""
     for name, data, message in cases:
         model = tmp_path / name
         model.mkdir()
@@ -423,6 +423,19 @@ def _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases):
         assert codes == (IO_ERROR, IO_ERROR), name
         err = capsys.readouterr().err
         assert err.count("error: model file") == 2 and err.count(message) == 2, (name, err)
+        assert err.count(str(model / "model.efmd")) == 2, (name, err)
+
+
+def test_latent_cut_inside_its_header_is_an_io_error(pipeline, tmp_path, capsys):
+    """A latent file cut to 16 bytes, one short of its header, exits 3 with
+    its byte count, and the path is printed once."""
+    cut = tmp_path / "cut.eflt"
+    cut.write_bytes(pipeline["hold"].read_bytes()[:16])
+    rc = main(["encode", "--latent", str(cut), "--model-dir", str(pipeline["model"]),
+               "--m", "1", "--out-dir", str(tmp_path / "enc")])
+    err = capsys.readouterr().err
+    assert rc == IO_ERROR
+    assert err == f"error: latent file {cut}: 16 bytes, shorter than a latent header\n"
 
 
 def _efmd(model_dir):
@@ -499,6 +512,7 @@ def test_malformed_hyper_codebook_is_an_io_error(
          f"{len(raw) - 8 * kz} bytes where its header needs {len(raw)}"),
         ("nan", _patch(raw, table, "<d", float("nan")), "codewords must be finite"),
         ("junk", b"EFMDjunk", "8 bytes, shorter than a model header"),
+        ("header-cut", raw[:11], "11 bytes, shorter than a model header"),
     ]
     _assert_model_file_io_errors(pipeline, tmp_path, capsys, cases)
 

@@ -503,8 +503,8 @@ def test_golden_screen_digest(screen_digests, name):
 # places a 1,024-row group among 64 values, above the bucket lookup's gate
 # in ``quantizers._nearest`` (every other C = 1 golden codes 256-row groups
 # at K = 16, below it).  Recorded with the plain ``searchsorted`` search, so
-# the buckets are pinned to its bytes.  Training places the codeword values
-# among the sorted samples and does no bucket work.
+# the buckets are pinned to its bytes.  Training places the splits between
+# codeword values among the sorted samples and does no bucket work.
 BUCKET_SIZE = 64
 BUCKET_STAGES = (64, 64)
 
@@ -551,9 +551,10 @@ def test_golden_bucket_digest(bucket_digests, name):
 def test_bucket_iq_encode_is_exact_with_every_dispatch_target_disabled(tmp_path):
     """The bucket section's iq model, shipped in a model file, encodes its
     latent to the golden stream bytes in a process that runs numpy at its
-    baseline SIMD target: the bucket index arithmetic and the exact
-    neighbour check place every row alike at any dispatch target.  iq has
-    no predictor, so no ``exp`` enters the stream."""
+    baseline SIMD target: the bucket index arithmetic and the cell check,
+    each row's distance against its two neighbours', place and settle
+    every row alike at any dispatch target.  iq has no predictor, so no
+    ``exp`` enters the stream."""
     qset = train_iq_model(_bucket_training_set(), BUCKET_STAGES, iterations=10, seed=5)
     write_model_file(tmp_path / "iq.efmd", qset)
     np.save(tmp_path / "latent.npy", _bucket_latent().data)

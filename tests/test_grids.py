@@ -209,6 +209,11 @@ def test_latent_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="magic"):
         read_latent_file(bad_magic)
 
+    cut = tmp_path / "cut.eflt"
+    cut.write_bytes(raw[:16])
+    with pytest.raises(ValueError, match=f"^{cut}: 16 bytes, shorter than a latent header$"):
+        read_latent_file(cut)
+
     bad_version = tmp_path / "v.eflt"
     bad_version.write_bytes(raw[:4] + b"\x09" + raw[5:])
     with pytest.raises(ValueError, match="version"):

@@ -1,5 +1,7 @@
 """Codebooks, nearest-neighbor search, Lloyd training, and residual stacks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rvqcodec.analysis import IndexHistogram, entropy_gap
-from rvqcodec.grids import rng_for
+from rvqcodec.grids import SourceConfig, gauss_markov_sample, rng_for
 from rvqcodec.quantizers import (
     Codebook,
     IndexStack,
@@ -21,14 +23,15 @@ from rvqcodec.quantizers import (
 from rvqcodec import quantizers
 from rvqcodec.quantizers import (
     _bucket_index,
-    _bucket_lookup,
     _build_search_table,
     _chunked_sum,
     _kmeanspp_seed,
     _nearest,
+    _place,
     _row_norms,
     _screened_minimum,
 )
+from rvqcodec.schemes import iq_encode, rd_encode, train_iq_model, train_rd_model
 
 
 def test_codebook_validation():
@@ -142,9 +145,11 @@ def _subnormal_span_case():
 
 
 def _overflow_span_case():
-    """Codewords at +-1e308, whose span overflows to inf: the grid's scale
-    is 0, and a row whose offset overflows would give inf * 0 = NaN."""
-    return _column([-1e308, 0.0, 1e308]), _column([-1e308, 1e308, 0.0, 5e307, -3e307, 1.0])
+    """Codewords near +-1.7e308, whose splits span more than the largest
+    double, so the span overflows to inf: the grid's scale is 0, and a row
+    whose offset overflows would give inf * 0 = NaN."""
+    cw = [-1.7e308, -1.6e308, 0.0, 1.6e308, 1.7e308]
+    return _column(cw), _column([-1.7e308, 1.7e308, 0.0, 5e307, -3e307, 1.0, 1.65e308])
 
 
 def _beyond_ends_case():
@@ -157,8 +162,9 @@ def _beyond_ends_case():
 
 def _cluster_case():
     """A tight cluster and one far codeword: the grid is capped and the
-    whole cluster shares one bucket, so rows inside it are placed by
-    ``searchsorted`` after the bucket lookup's check fails."""
+    splits of the whole cluster share one bucket, so rows inside it are
+    placed by ``searchsorted`` after the bucket lookup's cell fails the
+    cell check."""
     cw = np.concatenate([1e-9 * np.arange(40), [1e6]])
     x = np.concatenate([cw, 1e-9 * (np.arange(41) - 0.5), [-1.0, 0.5, 5e5, 2e6]])
     return _column(cw), _column(x)
@@ -172,8 +178,36 @@ def _signed_zero_case():
     return _column(cw), _column(x)
 
 
-def _edge_example(case):
-    return example(case=case, tie_seed=0, chunk=quantizers._CHUNK)
+def _midpoint_case():
+    """Neighbours -2**53 and 2**53 + 2, whose exact midpoint is 1, next to far
+    codewords that cap the grid: ``fl(v + 0.5 * fl(w - v))`` would round the
+    split to 0, leaving x = 0.5 nearest -2**53 yet above the split, so the
+    bucket lookup's guess would settle a row that ``searchsorted`` sends to
+    cdist.  ``0.5 * v + 0.5 * w`` rounds once, to 1."""
+    cw = [-(2.0**54), -(2.0**53), 2.0**53 + 2, 2.0**67]
+    return _column(cw), _column([0.5, 1.0, -0.5, 2.0, 0.0])
+
+
+_EDGE_CASES = (
+    _subnormal_span_case, _overflow_span_case, _beyond_ends_case, _cluster_case,
+    _signed_zero_case, _midpoint_case,
+)
+
+
+def _edge_examples(**fixed):
+    """Hypothesis examples of every edge case, with ``fixed`` arguments."""
+    def decorate(test):
+        for case in _EDGE_CASES:
+            test = example(case=case(), **fixed)(test)
+        return test
+    return decorate
+
+
+def _argmin(codewords, vectors):
+    """cdist + argmin: the reference search's labels and minimum distances."""
+    d2 = cdist(vectors, codewords, metric="sqeuclidean")
+    labels = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
+    return labels, d2[np.arange(len(vectors)), labels]
 
 
 @settings(max_examples=300)
@@ -182,25 +216,19 @@ def _edge_example(case):
     tie_seed=st.integers(0, 2**31),
     chunk=st.sampled_from([quantizers._CHUNK, 1, 3]),
 )
-@_edge_example(_subnormal_span_case())
-@_edge_example(_overflow_span_case())
-@_edge_example(_beyond_ends_case())
-@_edge_example(_cluster_case())
-@_edge_example(_signed_zero_case())
+@_edge_examples(tie_seed=0, chunk=quantizers._CHUNK)
 def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
-    """The three C = 1 searches are cdist + argmin: each row placed among
-    the codeword values by ``searchsorted``, or by the bucket lookup with
-    its gates at their minimum (two distinct values, any row count), and
-    the training path, codeword values placed among the sorted rows in
-    whatever order the argsort leaves equal rows.  The three send the same
-    rows to the cdist fallback: the neighbour check certifies a row's
-    result whatever interval it was given, so only the fallback shows an
-    interval that differs.  Small chunks split the neighbour comparison
-    and the bucket lookup into blocks whose fallback rows are gathered."""
+    """The three C = 1 placements give cdist + argmin: each row's cell by
+    ``searchsorted`` among the splits, by the bucket lookup with its gates
+    at their minimum (two splits, any row count) and ``searchsorted`` for
+    the rows its guess leaves unsettled, and the training path, the splits
+    placed among the sorted rows in whatever order the argsort leaves equal
+    rows.  The three send the same rows to the cdist fallback: the cell
+    check settles a row exactly when its cell holds its unique nearest
+    value, and a bucket guess short of ``searchsorted``'s cell never does
+    (module docstring).  Small chunks split the cell check into blocks."""
     codewords, vectors = case
-    d2 = cdist(vectors, codewords, metric="sqeuclidean")
-    expected = d2.argmin(axis=1)  # numpy argmin takes the lowest tied index
-    mins = d2[np.arange(len(vectors)), expected]
+    expected, mins = _argmin(codewords, vectors)
     assert np.array_equal(nn_quantize(Codebook(codewords), vectors), expected)
     x = vectors[:, 0]
     order = np.lexsort((rng_for(tie_seed).random(x.shape[0]), x))
@@ -233,6 +261,28 @@ def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
     assert searched == [searched[0]] * len(searched)
 
 
+@settings(max_examples=300)
+@given(case=_search_cases(), seed=st.integers(0, 2**31))
+@_edge_examples(seed=0)
+def test_cell_check_alone_certifies_any_cell(case, seed):
+    """With every row given a random cell, and a random one again where the
+    first leaves it unsettled, the C = 1 search still returns cdist's
+    labels and distance bytes (first column of every search case): the
+    cell check settles a row only when its cell holds the unique nearest
+    value, and cdist searches every other row."""
+    codewords, vectors = case[0][:, :1], case[1][:, :1]
+    expected, mins = _argmin(codewords, vectors)
+    table = _build_search_table(codewords, buckets=True)
+    cells = table[2].shape[0]
+    rng = rng_for(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantizers, "_place", lambda x, *_: rng.integers(0, cells, x.shape[0]))
+        mp.setattr(np, "searchsorted", lambda a, v: rng.integers(0, cells, np.shape(v)))
+        labels, dist = _nearest(vectors, codewords, table)
+    assert np.array_equal(labels, expected)
+    assert dist.tobytes() == mins.tobytes()
+
+
 @pytest.mark.parametrize(
     "case, built",
     [
@@ -244,33 +294,65 @@ def test_nn_quantize_is_argmin_property(case, tie_seed, chunk):
     ],
 )
 def test_bucket_grid_refuses_spans_without_a_finite_scale(monkeypatch, case, built):
-    """A grid is built only where its scale is finite and positive, so no
-    row's bucket arithmetic can be NaN; where it is built, its lookup gives
-    ``searchsorted``'s q and neighbours on every row."""
+    """A grid is built only where the splits' scale is finite and positive,
+    so no row's bucket arithmetic can be NaN.  Where it is built, its guess
+    never passes ``searchsorted``'s cell among the splits and equals it on
+    every row whose bucket holds at most one split."""
     monkeypatch.setattr(quantizers, "_BUCKET_MIN_VALUES", 2)
+    monkeypatch.setattr(quantizers, "_BUCKET_MIN_ROWS", 0)
     codewords, vectors = case
-    values, _, grid = _build_search_table(codewords, buckets=True)
+    _, _, splits, grid = _build_search_table(codewords, buckets=True)
     assert (grid is not None) == built
     if built:
         x = vectors[:, 0]
-        want = np.searchsorted(values[2:-2], x)
-        q, below, above = _bucket_lookup(x, values, grid)
-        assert np.array_equal(q, want)
-        assert below.tobytes() == values[1:][want].tobytes()
-        assert above.tobytes() == values[2:][want].tobytes()
+        cell = _place(x, splits, grid, None)
+        want = np.searchsorted(splits, x)
+        lo, scale, start = grid
+        bucket = _bucket_index(x, lo, scale, start.shape[0])
+        held = np.diff(start, append=splits.shape[0] - 1)[bucket]
+        assert (cell <= want).all()
+        assert np.array_equal(cell[held <= 1], want[held <= 1])
 
 
-def test_bucket_lookup_falls_back_where_a_bucket_holds_several_values():
+def _spy_placements(monkeypatch):
+    """(placed, searched): lists that record the row count of every
+    ``np.searchsorted`` placement and every ``_nearest_cdist`` search."""
+    placed, searched = [], []
+    searchsorted, fallback = np.searchsorted, quantizers._nearest_cdist
+
+    def spy(a, v, *args, **kwargs):
+        placed.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    def cdist_spy(rows, cw):
+        searched.append(rows.shape[0])
+        return fallback(rows, cw)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    monkeypatch.setattr(quantizers, "_nearest_cdist", cdist_spy)
+    return placed, searched
+
+
+def test_bucket_lookup_falls_back_where_a_bucket_holds_several_values(monkeypatch):
     """The cluster case caps the grid at ``_BUCKET_MAX`` buckets and puts
-    all 40 cluster values in bucket 0, so rows high in the cluster need
-    more than the one step up: they fail the check and are placed by
-    ``searchsorted``."""
+    all 39 splits of the cluster in bucket 0, so the lookup falls short of
+    the cell of rows high in the cluster: they fail the cell check and one
+    ``searchsorted`` places them again, after which cdist searches only the
+    rows that the plain ``searchsorted`` search sends there (ties)."""
     codewords, vectors = _cluster_case()
-    values, _, (lo, scale, start) = _build_search_table(codewords, buckets=True)
+    table = _build_search_table(codewords, buckets=True)
+    lo, scale, start = table[3]
     assert start.shape[0] == quantizers._BUCKET_MAX
-    x = vectors[:, 0]
-    stepped = start[_bucket_index(x, lo, scale, start.shape[0])] + 1
-    assert (stepped < np.searchsorted(values[2:-2], x)).sum() > 30
+    assert np.count_nonzero(_bucket_index(table[2][:-1], lo, scale, start.shape[0]) == 0) == 39
+    monkeypatch.setattr(quantizers, "_BUCKET_MIN_ROWS", 0)
+    placed, searched = _spy_placements(monkeypatch)
+    labels, dist = _nearest(vectors, codewords, table)
+    expected, mins = _argmin(codewords, vectors)
+    assert np.array_equal(labels, expected)
+    assert dist.tobytes() == mins.tobytes()
+    assert len(placed) == 1 and placed[0] > 30
+    _nearest(vectors, codewords, _build_search_table(codewords))
+    assert len(searched) == 2 and searched[0] == searched[1] < placed[0]
 
 
 def test_nn_quantize_uses_the_bucket_grid_at_its_gates(monkeypatch):
@@ -280,25 +362,38 @@ def test_nn_quantize_uses_the_bucket_grid_at_its_gates(monkeypatch):
     rows by the lookup, which on a trained codebook of 64 Gaussian values
     leaves no row of a Gaussian batch to ``searchsorted``."""
     k = quantizers._BUCKET_MIN_VALUES
-    assert Codebook(_column(np.arange(k)))._search_table[2] is not None
-    assert Codebook(_column(np.arange(k - 1)))._search_table[2] is None
+    assert Codebook(_column(np.arange(k)))._search_table[3] is not None
+    assert Codebook(_column(np.arange(k - 1)))._search_table[3] is None
     rng = rng_for(71)
     cb, _ = train_codebook(rng.standard_normal((4096, 1)), 64, iterations=8, seed=2)
-    assert cb._search_table[2] is not None
+    assert cb._search_table[3] is not None
     x = rng.standard_normal((quantizers._BUCKET_MIN_ROWS, 1))
     want = cdist(x, cb.codewords, metric="sqeuclidean").argmin(axis=1)
-    placed = []
-    searchsorted = np.searchsorted
-
-    def spy(a, v, *args, **kwargs):
-        placed.append(np.size(v))
-        return searchsorted(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", spy)
+    placed, _ = _spy_placements(monkeypatch)
     assert np.array_equal(nn_quantize(cb, x[:-1]), want[:-1])
     assert placed == [x.shape[0] - 1]
     assert np.array_equal(nn_quantize(cb, x), want)
     assert placed == [x.shape[0] - 1]
+
+
+def test_c1_encode_settles_every_row_by_the_bucket_lookup(monkeypatch):
+    """On a trained C = 1 model at perfbench's ``scalar-large`` shapes (K = 64
+    for three stages, 128 x 128 latents, so 4,096 rows per group), rd and iq
+    encode at m = 1 to 3 settle every row at the cell the bucket lookup
+    guesses: no row is placed again by ``searchsorted`` or searched by
+    cdist."""
+    source = SourceConfig(1, 128, 128, rho=0.9, seed=0)
+    train = [gauss_markov_sample(source, index=i) for i in range(4)]
+    holdout = gauss_markov_sample(replace(source, seed=2))
+    predictor, rd_qset = train_rd_model(train, (64, 64, 64), iterations=10)
+    iq_qset = train_iq_model(train, (64, 64, 64), iterations=10)
+    assert all(cb._search_table[3] is not None
+               for rvq in rd_qset.groups + iq_qset.groups for cb in rvq.stage_codebooks)
+    placed, searched = _spy_placements(monkeypatch)
+    for m in (1, 2, 3):
+        rd_encode(holdout, predictor, rd_qset, m)
+        iq_encode(holdout, iq_qset, m)
+    assert placed == [] and searched == []
 
 
 def _screened_k(c):
